@@ -2,20 +2,12 @@
 
 State-transition-graph extraction and functional-equivalence checks evaluate
 the same combinational network thousands of times; this module compiles a
-netlist into flat arrays once and propagates whole batches of vectors.
-
-Two kernels compute identical results: a numba ``@njit`` kernel and a pure
-numpy fallback.  Selection:
-
-* ``FSMTRAP_NUMBA=0`` in the environment forces the numpy path;
-* otherwise numba is used when importable, numpy if not;
-* ``use_numba=...`` on :func:`propagate` overrides per call (used by the
-  benchmark in ``benchmarks/bench_sim.py``).
+netlist into flat arrays once and propagates whole batches of vectors with
+one numpy kernel, one row per net and one column per vector.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,84 +28,6 @@ _OPCODE = {
 }
 
 
-def _env_allows_numba() -> bool:
-    flag = os.environ.get("FSMTRAP_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-_HAVE_NUMBA = False
-if _env_allows_numba():
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-
-def _propagate_py(ops, out_idx, in_off, in_idx, values):
-    n_gates = ops.shape[0]
-    for g in range(n_gates):
-        op = ops[g]
-        s = in_off[g]
-        e = in_off[g + 1]
-        n = values.shape[1]
-        out = values[out_idx[g]]
-        for v in range(n):
-            if op == OP_MUX:
-                sel = values[in_idx[s], v]
-                out[v] = values[in_idx[s + 1], v] if sel == 0 else values[in_idx[s + 2], v]
-            elif op == OP_NOT:
-                out[v] = 1 - values[in_idx[s], v]
-            elif op == OP_BUF:
-                out[v] = values[in_idx[s], v]
-            else:
-                acc = values[in_idx[s], v]
-                for i in range(s + 1, e):
-                    x = values[in_idx[i], v]
-                    if op == OP_AND or op == OP_NAND:
-                        acc = acc & x
-                    elif op == OP_OR or op == OP_NOR:
-                        acc = acc | x
-                    else:
-                        acc = acc ^ x
-                if op == OP_NAND or op == OP_NOR or op == OP_XNOR:
-                    acc = 1 - acc
-                out[v] = acc
-
-
-if _HAVE_NUMBA:
-    _propagate_njit = numba.njit(cache=True)(_propagate_py)
-
-
-def _propagate_numpy(ops, out_idx, in_off, in_idx, values):
-    n_gates = ops.shape[0]
-    for g in range(n_gates):
-        op = ops[g]
-        s = in_off[g]
-        e = in_off[g + 1]
-        rows = values[in_idx[s:e]]
-        if op == OP_NOT:
-            res = 1 - rows[0]
-        elif op == OP_BUF:
-            res = rows[0]
-        elif op == OP_AND:
-            res = np.bitwise_and.reduce(rows, axis=0)
-        elif op == OP_OR:
-            res = np.bitwise_or.reduce(rows, axis=0)
-        elif op == OP_NAND:
-            res = 1 - np.bitwise_and.reduce(rows, axis=0)
-        elif op == OP_NOR:
-            res = 1 - np.bitwise_or.reduce(rows, axis=0)
-        elif op == OP_XOR:
-            res = np.bitwise_xor.reduce(rows, axis=0)
-        elif op == OP_XNOR:
-            res = 1 - np.bitwise_xor.reduce(rows, axis=0)
-        else:  # MUX
-            res = np.where(rows[0] == 0, rows[1], rows[2])
-        values[out_idx[g]] = res
-
-
 @dataclass(eq=False)
 class CompiledNetlist:
     """Flat-array form of a netlist, gates pre-sorted topologically."""
@@ -128,12 +42,9 @@ class CompiledNetlist:
     pi_rows: np.ndarray
     const_rows: np.ndarray
     const_vals: np.ndarray
-    ff_names: tuple
     q_rows: np.ndarray
     d_rows: np.ndarray
     en_rows: np.ndarray  # -1 where absent
-    rst_mask: np.ndarray
-    rst_vals: np.ndarray
 
     def new_values(self, n_vectors: int) -> np.ndarray:
         values = np.zeros((self.n_nets, n_vectors), dtype=np.uint8)
@@ -193,31 +104,43 @@ def compile_netlist(nl: Netlist) -> CompiledNetlist:
         pi_rows=np.array([net_index[n] for n in nl.inputs], dtype=np.int64),
         const_rows=np.array([net_index[n] for n in nl.constants], dtype=np.int64),
         const_vals=np.array([nl.constants[n] for n in nl.constants], dtype=np.uint8),
-        ff_names=tuple(f.name for f in nl.ffs),
         q_rows=np.array([net_index[f.q] for f in nl.ffs], dtype=np.int64),
         d_rows=np.array([net_index[f.d] for f in nl.ffs], dtype=np.int64),
         en_rows=np.array(
             [net_index[f.en] if f.en is not None else -1 for f in nl.ffs], dtype=np.int64
         ),
-        rst_mask=np.array([f.rst is not None for f in nl.ffs], dtype=bool),
-        rst_vals=np.array([f.rst_val for f in nl.ffs], dtype=np.uint8),
     )
     nl._cache["compiled"] = cn
     return cn
 
 
-def propagate(cn: CompiledNetlist, values: np.ndarray, use_numba: bool | None = None) -> None:
+def propagate(cn: CompiledNetlist, values: np.ndarray) -> None:
     """Fill all gate-output rows given assigned PI, constant, and q rows."""
-    if use_numba is None:
-        use_numba = _HAVE_NUMBA
-    if use_numba and not _HAVE_NUMBA:
-        raise RuntimeError("numba path requested but numba is unavailable/disabled")
-    if len(cn.ops) == 0:
-        return
-    if use_numba:
-        _propagate_njit(cn.ops, cn.out_idx, cn.in_off, cn.in_idx, values)
-    else:
-        _propagate_numpy(cn.ops, cn.out_idx, cn.in_off, cn.in_idx, values)
+    ops, out_idx, in_off, in_idx = cn.ops, cn.out_idx, cn.in_off, cn.in_idx
+    for g in range(ops.shape[0]):
+        op = ops[g]
+        s = in_off[g]
+        e = in_off[g + 1]
+        rows = values[in_idx[s:e]]
+        if op == OP_NOT:
+            res = 1 - rows[0]
+        elif op == OP_BUF:
+            res = rows[0]
+        elif op == OP_AND:
+            res = np.bitwise_and.reduce(rows, axis=0)
+        elif op == OP_OR:
+            res = np.bitwise_or.reduce(rows, axis=0)
+        elif op == OP_NAND:
+            res = 1 - np.bitwise_and.reduce(rows, axis=0)
+        elif op == OP_NOR:
+            res = 1 - np.bitwise_or.reduce(rows, axis=0)
+        elif op == OP_XOR:
+            res = np.bitwise_xor.reduce(rows, axis=0)
+        elif op == OP_XNOR:
+            res = 1 - np.bitwise_xor.reduce(rows, axis=0)
+        else:  # MUX
+            res = np.where(rows[0] == 0, rows[1], rows[2])
+        values[out_idx[g]] = res
 
 
 def next_states(cn: CompiledNetlist, values: np.ndarray) -> np.ndarray:
@@ -236,7 +159,6 @@ def batch_step(
     cn: CompiledNetlist,
     state: np.ndarray,
     pi_matrix: np.ndarray,
-    use_numba: bool | None = None,
 ) -> np.ndarray:
     """Step one clock for a batch: state is (n_ffs,), pi_matrix (n_pis, n).
 
@@ -246,7 +168,7 @@ def batch_step(
     values = cn.new_values(n)
     values[cn.pi_rows] = pi_matrix
     values[cn.q_rows] = np.asarray(state, dtype=np.uint8)[:, None]
-    propagate(cn, values, use_numba=use_numba)
+    propagate(cn, values)
     return next_states(cn, values)
 
 
@@ -254,7 +176,6 @@ def eval_outputs(
     cn: CompiledNetlist,
     assign_matrix: np.ndarray,
     rows: np.ndarray,
-    use_numba: bool | None = None,
 ) -> np.ndarray:
     """Evaluate selected net rows for a batch of full (PI + q) assignments.
 
@@ -265,9 +186,10 @@ def eval_outputs(
     values = cn.new_values(n)
     src = np.concatenate([cn.pi_rows, cn.q_rows])
     values[src] = assign_matrix
-    propagate(cn, values, use_numba=use_numba)
+    propagate(cn, values)
     return values[rows]
 
 
 def using_numba() -> bool:
-    return _HAVE_NUMBA
+    """Always False: numpy is the only kernel (kept for benchmark records)."""
+    return False

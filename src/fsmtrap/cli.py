@@ -15,14 +15,13 @@ import sys
 from pathlib import Path
 
 from . import harness, specio
-from .graph import build_ff_graph, label_sccs, tarjan_scc
 from .netlist import parse as parse_netlist
 from .netlist import serialize
 from .obfuscate import (
     HoneypotParams,
     ReplicationPlan,
-    derive_honeypot,
-    integrate_honeypot,
+    build_decoy,
+    gt_with_honeypots,
     replicate_counter,
     replicate_state_bits,
     rewrite_ra,
@@ -30,7 +29,7 @@ from .obfuscate import (
     tune_honeypot,
 )
 from .relic import RelicParams, relic_tarjan, zscores
-from .stg import extract_stg, stg_equivalent
+from .stg import extract_stg
 from .synth import SynthOptions, synthesize
 from .topo import TopoParams, topo_attack
 
@@ -162,14 +161,10 @@ def cmd_defend(args) -> int:
         print(f"tuned: found={report.found} seed={report.params.mutation_seed}")
         ok = report.found
     else:
-        hp_fsm = derive_honeypot(fsm, p)
-        hp_nl, _ = synthesize(hp_fsm, None, SynthOptions(name_prefix="fsm"))
-        merged, hp_ffs = integrate_honeypot(nl, hp_nl, p)
+        _, _, merged, hp_ffs = build_decoy(nl, fsm, p)
         ok = True
     Path(args.out).write_text(serialize(merged))
     if args.ground_truth:
-        from .obfuscate import gt_with_honeypots
-
         Path(args.ground_truth).write_text(
             specio.ground_truth_text(gt_with_honeypots(gt, hp_ffs))
         )

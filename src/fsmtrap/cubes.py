@@ -21,14 +21,6 @@ def cubes_overlap(a: Mapping[str, int], b: Mapping[str, int]) -> bool:
     return True
 
 
-def cube_and(a: Mapping[str, int], b: Mapping[str, int]):
-    if not cubes_overlap(a, b):
-        return None
-    out = dict(a)
-    out.update(b)
-    return out
-
-
 def cube_subtract(
     a: Mapping[str, int], b: Mapping[str, int], var_order: Sequence[str]
 ) -> list[Cube]:

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import product as _product
+from typing import Optional
 
 from .netlist import Netlist
-
-from itertools import product as _product
 
 
 class FeedbackClass(Enum):
@@ -56,21 +56,20 @@ def _net_support(nl: Netlist) -> dict:
 class FfGraph:
     """Flip-flop level dependency graph.
 
-    ``comb[a]`` holds FFs b with a purely combinational path Q_a -> D_b;
-    ``through[a]`` holds FFs reachable only by crossing other flip-flops.
+    ``comb[a]`` holds FFs b with a purely combinational path Q_a -> D_b.
     """
 
     nodes: tuple
     comb: dict
-    through: dict
 
-    def successors(self, ff: str, kinds: Sequence[str] = ("comb",)):
-        out: set = set()
-        if "comb" in kinds:
-            out |= self.comb.get(ff, frozenset())
-        if "through" in kinds:
-            out |= self.through.get(ff, frozenset())
-        return out
+    @cached_property
+    def on_cycle(self) -> frozenset:
+        """FFs with a feedback path: a comb self-loop or a multi-member SCC."""
+        cyclic = {n for n in self.nodes if n in self.comb.get(n, ())}
+        for comp in _tarjan(self):
+            if len(comp) > 1:
+                cyclic.update(comp)
+        return frozenset(cyclic)
 
 
 def build_ff_graph(nl: Netlist) -> FfGraph:
@@ -86,23 +85,7 @@ def build_ff_graph(nl: Netlist) -> FfGraph:
             comb[s].add(f.name)
     comb = {n: frozenset(v) for n, v in comb.items()}
 
-    # through-ff edge a->b: a comb-path chain of length >= 2 (crosses a FF).
-    through: dict[str, frozenset] = {}
-    for a in nodes:
-        frontier = set(comb[a])
-        seen = set(frontier)
-        reach2: set = set()
-        while frontier:
-            nxt: set = set()
-            for m in frontier:
-                for b in comb[m]:
-                    reach2.add(b)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.add(b)
-            frontier = nxt
-        through[a] = frozenset(reach2)
-    g = FfGraph(nodes=nodes, comb=comb, through=through)
+    g = FfGraph(nodes=nodes, comb=comb)
     nl._cache["ff_graph"] = g
     return g
 
@@ -113,12 +96,6 @@ class SccReport:
     labels: dict = field(default_factory=dict)  # index -> fsm | fsm_hp | data
     ambiguous: bool = False
 
-    def scc_of(self, ff: str) -> Optional[int]:
-        for i, members in enumerate(self.sccs):
-            if ff in members:
-                return i
-        return None
-
     def to_text(self) -> str:
         lines = []
         for i, members in enumerate(self.sccs):
@@ -128,12 +105,18 @@ class SccReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def tarjan_scc(
-    g: FfGraph,
-    edge_kinds: Sequence[str] = ("comb",),
-    include_singletons: bool = False,
-) -> SccReport:
-    """Tarjan's algorithm, iterative; components ordered by smallest member."""
+def tarjan_scc(g: FfGraph, include_singletons: bool = False) -> SccReport:
+    """Strongly connected components of the comb graph, ordered by smallest
+    member; single FFs are dropped unless ``include_singletons``."""
+    comps = _tarjan(g)
+    if not include_singletons:
+        comps = [c for c in comps if len(c) > 1]
+    comps.sort(key=lambda c: c[0])
+    return SccReport(sccs=comps)
+
+
+def _tarjan(g: FfGraph) -> list:
+    """Tarjan's algorithm, iterative; every component as a sorted tuple."""
     index_of: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set = set()
@@ -141,7 +124,7 @@ def tarjan_scc(
     counter = [0]
     comps: list[tuple] = []
 
-    adj = {n: sorted(g.successors(n, edge_kinds)) for n in g.nodes}
+    adj = {n: sorted(g.comb.get(n, ())) for n in g.nodes}
 
     for root in g.nodes:
         if root in index_of:
@@ -182,10 +165,7 @@ def tarjan_scc(
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
 
-    if not include_singletons:
-        comps = [c for c in comps if len(c) > 1]
-    comps.sort(key=lambda c: c[0])
-    return SccReport(sccs=comps)
+    return comps
 
 
 def label_sccs(report: SccReport, sffs, honeypots=frozenset()) -> SccReport:
@@ -233,9 +213,7 @@ def classify_feedback(
         raise AnalysisError(f"unknown flip-flop {ff}")
     if ff in g.comb[ff]:
         return FeedbackClass.HIGH
-    # Any cycle through ff at all?
-    has_any = ff in g.through.get(ff, frozenset())
-    if not has_any:
+    if ff not in g.on_cycle:
         return FeedbackClass.NONE
     if candidate_sffs is None:
         raise AnalysisError("medium/low classification requires a candidate SFF set")
@@ -261,8 +239,7 @@ def has_high_fp(nl: Netlist, ff: str) -> bool:
 
 
 def has_any_fp(nl: Netlist, ff: str) -> bool:
-    g = build_ff_graph(nl)
-    return ff in g.comb.get(ff, frozenset()) or ff in g.through.get(ff, frozenset())
+    return ff in build_ff_graph(nl).on_cycle
 
 
 # -- fan-in cones -------------------------------------------------------------

@@ -22,9 +22,8 @@ from .obfuscate import (
     HoneypotParams,
     ObfuscationError,
     ReplicationPlan,
-    derive_honeypot,
+    build_decoy,
     gt_with_honeypots,
-    integrate_honeypot,
     replicate_counter,
     replicate_state_bits,
     rewrite_ra,
@@ -41,7 +40,6 @@ from .synth import (
     DataReg,
     DatapathSpec,
     FsmSpec,
-    GroundTruth,
     PinRef,
     RegRef,
     SynthOptions,
@@ -333,10 +331,9 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
 
     # -- apply defenses -------------------------------------------------
     fsm_d, dp_d = fsm, dp
-    bit_map_spec: dict[int, int] = {}  # defended bit index -> baseline bit index
     base_width = len(base_sffs)
-    for b in range(base_width):
-        bit_map_spec[b] = b
+    # defended bit index -> baseline bit index
+    bit_map_spec = {b: b for b in range(base_width)}
 
     if d.replicate_r:
         fsm_d = replicate_state_bits(
@@ -359,13 +356,16 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
         fsm_d, rb_report = rewrite_rb(fsm_d, d.fp_target)
         if rb_report.extended_encoding:
             bit_map_spec[width_now] = bit_map_spec[d.fp_target]
-        summary.append(
-            f"rb target=st{d.fp_target} extended={rb_report.extended_encoding} "
-            f"fp_after={rb_report.fp_after.value if rb_report.fp_after else '-'}"
-        )
 
     opts_d = replace(opts, allow_reencode=(plan.encoding == "one_hot" and not d.replicate_r))
     defended_nl, defended_gt = synthesize(fsm_d, dp_d, opts_d)
+
+    if rb_report is not None:
+        summary.append(
+            f"rb target={sorted(defended_gt.sffs)[d.fp_target]} "
+            f"extended={rb_report.extended_encoding} "
+            f"fp_after={rb_report.fp_after.value if rb_report.fp_after else '-'}"
+        )
 
     ra_report = None
     if fp_mode == "ra":
@@ -404,9 +404,7 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
                 res.ok = False
                 res.notes.append("honeypot tuning failed")
         else:
-            hp_fsm = derive_honeypot(fsm, p)
-            hp_nl, _ = synthesize(hp_fsm, None, SynthOptions(name_prefix="fsm"))
-            defended_nl, hp_ffs = integrate_honeypot(defended_nl, hp_nl, p)
+            _, hp_nl, defended_nl, hp_ffs = build_decoy(defended_nl, fsm, p)
             summary.append(f"honeypot seed={p.mutation_seed} (untuned)")
         (outdir / "netlists" / "honeypot.nl").write_text(serialize(hp_nl))
 

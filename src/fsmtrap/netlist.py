@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 GATE_KINDS = ("NOT", "BUF", "AND", "OR", "NAND", "NOR", "XOR", "XNOR", "MUX")
 
@@ -157,26 +157,12 @@ class Netlist:
     def driver(self) -> Mapping[str, object]:
         return self._cache["driver"]
 
-    def gate_by_name(self, name: str) -> Gate:
-        idx = self._cache.get("gate_idx")
-        if idx is None:
-            idx = {g.name: g for g in self.gates}
-            self._cache["gate_idx"] = idx
-        return idx[name]
-
     def ff_by_name(self, name: str) -> FlipFlop:
         idx = self._cache.get("ff_idx")
         if idx is None:
             idx = {f.name: f for f in self.ffs}
             self._cache["ff_idx"] = idx
         return idx[name]
-
-    def ff_by_q(self, q: str) -> FlipFlop:
-        idx = self._cache.get("ffq_idx")
-        if idx is None:
-            idx = {f.q: f for f in self.ffs}
-            self._cache["ffq_idx"] = idx
-        return idx[q]
 
     def structural_key(self):
         # Declaration order of blocks is presentational; compare canonically.
@@ -455,17 +441,3 @@ def step(
         else:
             nxt[f.name] = values[f.d]
     return nxt
-
-
-def run_trace(
-    nl: Netlist,
-    input_trace: Iterable[Mapping[str, int]],
-    start: Optional[BitState] = None,
-) -> list[BitState]:
-    """Apply a trace of input vectors; returns the state sequence incl. start."""
-    state = dict(start) if start is not None else reset_state(nl)
-    states = [dict(state)]
-    for vec in input_trace:
-        state = step(nl, state, vec)
-        states.append(dict(state))
-    return states

@@ -12,14 +12,13 @@ constant-0-gated path).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from .graph import FeedbackClass, classify_feedback, control_signals, has_high_fp
+from .graph import FeedbackClass, classify_feedback, has_high_fp
 from .netlist import FlipFlop, Gate, Netlist
 from .relic import RelicParams, select_scc_by_z, zscores
 from .synth import (
-    Counter,
     DatapathSpec,
     FsmSpec,
     GroundTruth,
@@ -63,7 +62,6 @@ class IntegrationError(ObfuscationError):
 @dataclass(frozen=True)
 class ReplicationPlan:
     replicas_per_bit: int  # each original bit becomes (1 + r) flip-flops
-    targets: tuple = ("state",)  # 'state' and/or counter names
     allow_one_hot: bool = False
 
 
@@ -576,6 +574,20 @@ def integrate_honeypot(
     return merged, frozenset(hp_ffs)
 
 
+def build_decoy(
+    design_nl: Netlist, base_hp: FsmSpec, p: HoneypotParams
+) -> tuple[FsmSpec, Netlist, Netlist, frozenset]:
+    """Derive a decoy FSM from ``base_hp``, synthesize it with ``fsm``-prefixed
+    flip-flops and integrate it into the design.
+
+    Returns (decoy FSM, decoy netlist, integrated netlist, decoy FF names).
+    """
+    hp_fsm = derive_honeypot(base_hp, p)
+    hp_nl, _ = synthesize(hp_fsm, None, SynthOptions(name_prefix="fsm"))
+    integrated, hp_ffs = integrate_honeypot(design_nl, hp_nl, p)
+    return hp_fsm, hp_nl, integrated, hp_ffs
+
+
 def gt_with_honeypots(gt: GroundTruth, hp_ffs) -> GroundTruth:
     return replace(gt, honeypots=frozenset(hp_ffs))
 
@@ -618,15 +630,12 @@ def tune_honeypot(
         raise HoneypotError("max_iters must be >= 1")
     from .graph import build_ff_graph, tarjan_scc
 
-    hp_opts = SynthOptions(name_prefix="fsm")
     iterations: list[TuneIteration] = []
     best: Optional[TuneReport] = None
     best_margin = float("-inf")
     for i in range(max_iters):
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
-        hp_fsm = derive_honeypot(base_hp, params_i)
-        hp_nl, _ = synthesize(hp_fsm, None, hp_opts)
-        integrated, hp_ffs = integrate_honeypot(design_nl, hp_nl, params_i)
+        hp_fsm, hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
         table = zscores(integrated, relic_params)
         report = tarjan_scc(build_ff_graph(integrated))
 
@@ -666,26 +675,3 @@ def tune_honeypot(
     assert best is not None
     best.found = False
     return best
-
-
-def tune_honeypot_for_design(
-    fsm: FsmSpec,
-    dp: Optional[DatapathSpec],
-    opts: SynthOptions,
-    base_hp: FsmSpec,
-    p: HoneypotParams,
-    relic_params: RelicParams = RelicParams(),
-    max_iters: int = 10,
-    require_selection: bool = False,
-) -> TuneReport:
-    """Tune against a design given as specs; synthesizes once, then delegates."""
-    design_nl, gt = synthesize(fsm, dp, opts)
-    return tune_honeypot(
-        design_nl,
-        gt.sffs,
-        base_hp,
-        p,
-        relic_params=relic_params,
-        max_iters=max_iters,
-        require_selection=require_selection,
-    )

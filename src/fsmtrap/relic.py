@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -132,12 +132,6 @@ class ZScoreTable:
     scores: dict
     raw_features: dict  # ff -> (f1, f2, f3, f4)
     z_features: dict
-
-    def argmax(self) -> tuple:
-        """(ff, tie) with ties broken by smallest name."""
-        best = max(self.scores.values())
-        winners = sorted(f for f, s in self.scores.items() if s == best)
-        return winners[0], len(winners) > 1
 
     def to_csv(self) -> str:
         out = io.StringIO()

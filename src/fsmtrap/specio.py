@@ -41,7 +41,6 @@ from .synth import (
     RegRef,
     ShlOp,
     SpecError,
-    Transition,
     XorOp,
     make_fsm,
 )
@@ -129,6 +128,13 @@ def _expr_text(e) -> str:
     if isinstance(e, AddOp):
         return f"add({_expr_text(e.a)}, {_expr_text(e.b)})"
     raise SpecError(f"unknown expression node {e!r}")
+
+
+def _int(tok: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise FormatError(lineno, f"expected an integer, got {tok!r}") from None
 
 
 def parse_design(text: str):
@@ -236,9 +242,9 @@ def parse_design(text: str):
                 )
             elif head == "wire":
                 if len(toks) == 4 and toks[2] == "fsm_out":
-                    wiring.append((toks[1], ("fsm_out", int(toks[3]))))
+                    wiring.append((toks[1], ("fsm_out", _int(toks[3], lineno))))
                 elif len(toks) == 5 and toks[2] in ("reg", "counter"):
-                    wiring.append((toks[1], (toks[2], toks[3], int(toks[4]))))
+                    wiring.append((toks[1], (toks[2], toks[3], _int(toks[4], lineno))))
                 else:
                     raise FormatError(lineno, "wire NAME reg|counter REG BIT | wire NAME fsm_out J")
             else:

@@ -40,13 +40,6 @@ class Stg:
     edges: dict  # (src code, input bits string) -> dst code
     warnings: tuple = ()
 
-    def successors(self, code: str) -> dict:
-        n = len(self.input_names)
-        return {
-            vec: self.edges[(code, vec)]
-            for vec in (format(i, f"0{n}b") for i in range(1 << n))
-        } if n else {"": self.edges[(code, "")]}
-
     def to_text(self) -> str:
         lines = [f"state {s}" for s in self.states]
         for (src, vec), dst in sorted(self.edges.items()):

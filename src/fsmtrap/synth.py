@@ -21,7 +21,7 @@ transition rewrites rely on it to remove the bit's combinational self-path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 from .cubes import (
@@ -95,9 +95,13 @@ def make_fsm(
     if isinstance(encoding, str):
         enc = encoding
     else:
+        if set(encoding) != set(states):
+            raise SpecError("explicit encoding must cover exactly the states")
         enc = tuple((s, encoding[s]) for s in states)
     moore = None
     if moore_outputs is not None:
+        if set(moore_outputs) != set(states):
+            raise SpecError("moore outputs must cover exactly the states")
         moore = tuple((s, moore_outputs[s]) for s in states)
     fsm = FsmSpec(name, tuple(states), enc, inputs, reset_state, trs, moore)
     validate_fsm(fsm)
@@ -305,14 +309,6 @@ class GroundTruth:
     def data_dict(self) -> dict:
         return dict(self.data)
 
-    def all_register_groups(self) -> dict:
-        groups = {"sff": self.sffs}
-        groups.update({f"counter:{n}": s for n, s in self.counters})
-        groups.update({f"data:{n}": s for n, s in self.data})
-        if self.honeypots:
-            groups["honeypot"] = self.honeypots
-        return groups
-
 
 def state_ff_name(prefix: str, bit: int, width: int) -> str:
     """Name of state bit ``bit`` of a ``width``-bit register.
@@ -366,7 +362,6 @@ class _Cone:
     def __init__(self, builder: _Builder):
         self.b = builder
         self._lit: dict[str, str] = {}
-        self._memo: dict = {}
 
     def lit(self, net: str, val: int) -> str:
         if val:

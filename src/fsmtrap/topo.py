@@ -10,14 +10,12 @@ sensitivity for small cones, structural fallback otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .graph import (
-    FeedbackClass,
     FfGraph,
     build_ff_graph,
-    classify_feedback,
     control_signals,
     influences,
     influences_functional,

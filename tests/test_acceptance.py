@@ -385,7 +385,7 @@ def test_criterion_9_oracle_equivalences():
             names[i]: frozenset(names[b] for a, b in edges if a == i)
             for i in range(n)
         }
-        g = FfGraph(tuple(names), comb, {x: frozenset() for x in names})
+        g = FfGraph(tuple(names), comb)
         got = sorted(tarjan_scc(g, include_singletons=True).sccs)
         expect = sorted(
             tuple(names[i] for i in grp) for grp in _closure_scc_oracle(n, edges)

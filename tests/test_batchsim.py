@@ -6,7 +6,6 @@ from fsmtrap.batchsim import (
     compile_netlist,
     eval_outputs,
     propagate,
-    using_numba,
 )
 from fsmtrap.netlist import eval_comb, parse, step
 
@@ -29,33 +28,12 @@ def test_numpy_kernel_matches_scalar(seed):
     nl = random_comb_netlist(seed, n_gates=40)
     cn = compile_netlist(nl)
     values, pis, _ = _random_assign_matrix(nl, cn, 64, seed)
-    propagate(cn, values, use_numba=False)
+    propagate(cn, values)
     for v in range(0, 64, 7):
         assign = {nl.inputs[i]: int(pis[i, v]) for i in range(len(nl.inputs))}
         ref = eval_comb(nl, assign)
         for net, row in cn.net_index.items():
             assert ref[net] == int(values[row, v])
-
-
-def _numba_skip_reason() -> str:
-    """Why the numba kernel is off: not importable, or switched off by env."""
-    try:
-        import numba  # noqa: F401
-    except ImportError as exc:
-        return f"numba is not importable: {exc}"
-    return "numba disabled via FSMTRAP_NUMBA"
-
-
-@pytest.mark.skipif(not using_numba(), reason=_numba_skip_reason())
-@pytest.mark.parametrize("seed", range(5))
-def test_numba_kernel_matches_numpy(seed):
-    nl = random_comb_netlist(seed + 100, n_gates=60)
-    cn = compile_netlist(nl)
-    a, _, _ = _random_assign_matrix(nl, cn, 128, seed)
-    b = a.copy()
-    propagate(cn, a, use_numba=True)
-    propagate(cn, b, use_numba=False)
-    assert (a == b).all()
 
 
 def test_batch_step_matches_scalar_step():

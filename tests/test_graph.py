@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,14 +10,25 @@ from fsmtrap.graph import (
     build_ff_graph,
     classify_feedback,
     control_signals,
+    has_any_fp,
     influences,
     influences_functional,
     input_cone,
     label_sccs,
     tarjan_scc,
 )
+from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import parse
-from fsmtrap.synth import Counter, DatapathSpec, SynthOptions, make_fsm, synthesize
+from fsmtrap.synth import (
+    Counter,
+    DatapathSpec,
+    DataReg,
+    RegRef,
+    ShlOp,
+    SynthOptions,
+    make_fsm,
+    synthesize,
+)
 
 from conftest import random_seq_netlist
 
@@ -121,7 +133,7 @@ def test_tarjan_matches_closure_oracle_on_200_digraphs():
         ]
         names = [f"v{i:02d}" for i in range(n)]
         comb = {names[i]: frozenset(names[b] for a, b in edges if a == i) for i in range(n)}
-        g = FfGraph(nodes=tuple(names), comb=comb, through={n_: frozenset() for n_ in names})
+        g = FfGraph(nodes=tuple(names), comb=comb)
         got = tarjan_scc(g, include_singletons=True)
         expected = [
             tuple(names[i] for i in grp) for grp in _closure_scc_oracle(n, edges)
@@ -161,6 +173,50 @@ def test_scc_invariants_on_synthesized_design():
                             nxt.add(y)
                 frontier = nxt
             assert set(members) <= reach | {a}
+
+
+def _reaches_itself(comb, ff):
+    """Path oracle: BFS along comb edges from ff's successors back to ff."""
+    seen = set()
+    frontier = list(comb[ff])
+    while frontier:
+        x = frontier.pop()
+        if x == ff:
+            return True
+        if x not in seen:
+            seen.add(x)
+            frontier.extend(comb[x])
+    return False
+
+
+def _check_on_cycle(nl):
+    g = build_ff_graph(nl)
+    verdicts = set()
+    for f in g.nodes:
+        expected = _reaches_itself(g.comb, f)
+        assert has_any_fp(nl, f) == expected, f
+        assert (f in g.on_cycle) == expected, f
+        none = classify_feedback(nl, f, set()) is FeedbackClass.NONE
+        assert none == (not expected), f
+        verdicts.add(expected)
+    return verdicts
+
+
+def test_on_cycle_matches_path_oracle():
+    verdicts = set()
+    for seed in range(40):
+        n_ffs = 3 + seed % 6
+        verdicts |= _check_on_cycle(random_seq_netlist(seed, n_ffs=n_ffs, n_gates=5 * n_ffs))
+    assert verdicts == {True, False}
+
+
+def test_on_cycle_matches_path_oracle_on_synthesized_design():
+    # A shift register joins the benchmark design: its FFs form a chain, the
+    # only FFs without a feedback path.
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=1))
+    shift = DataReg("sh", 4, ShlOp(RegRef("sh"), 1))
+    nl, _ = synthesize(fsm, replace(dp, data_regs=dp.data_regs + (shift,)))
+    assert _check_on_cycle(nl) == {True, False}
 
 
 def test_dag_has_no_multi_component():

@@ -15,7 +15,7 @@ from fsmtrap.harness import (
 )
 from fsmtrap.netlist import parse
 from fsmtrap.obfuscate import HoneypotParams, derive_honeypot, integrate_honeypot
-from fsmtrap.specio import design_text
+from fsmtrap.specio import design_text, parse_ground_truth
 from fsmtrap.synth import SynthOptions, synthesize
 
 
@@ -135,6 +135,15 @@ def test_pipeline_rb_honeypot(tmp_path):
     topo = result.defended["topo"]
     assert topo.sensitivity < 1.0
     assert result.defended["topo_hp"].sensitivity == 1.0
+    # The rb line names the treated state flip-flop of the defended netlist.
+    summary = (tmp_path / "run" / "summary.txt").read_text()
+    (rb_line,) = [ln for ln in summary.splitlines() if ln.startswith("rb target=")]
+    target = rb_line.split()[1].removeprefix("target=")
+    defended_gt = parse_ground_truth(
+        (tmp_path / "run" / "reports" / "defended_gt.txt").read_text()
+    )
+    assert target in defended_gt.sffs
+    assert target == sorted(defended_gt.sffs)[plan.defense.fp_target]
 
 
 def test_pipeline_ra_honeypot(tmp_path):

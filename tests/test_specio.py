@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fsmtrap.specio import (
@@ -7,7 +9,7 @@ from fsmtrap.specio import (
     parse_design,
     parse_ground_truth,
 )
-from fsmtrap.synth import GroundTruth, synthesize
+from fsmtrap.synth import GroundTruth, SpecError, synthesize
 
 DOC = """\
 fsm main
@@ -96,3 +98,75 @@ def test_ground_truth_round_trip():
 def test_ground_truth_bad_line():
     with pytest.raises(FormatError):
         parse_ground_truth("sff\n")
+
+
+# Tokens a mutation may insert: names, bits, keywords and punctuation of the
+# design format, so mutants reach the later validation stages.
+_FUZZ_TOKENS = (
+    "S0 S1 S2 S3 a b x y 0 1 01 10 2 -1 -> when a=1 b=0 ( ) reg counter "
+    "fsm_out width acc end fsm datapath code moore explicit one_hot zz"
+).split()
+
+EXPLICIT_DOC = DOC.replace(
+    "encoding binary", "encoding explicit\n  code S0 00\n  code S1 01\n  code S2 10"
+)
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One to three line, token or character edits of a design document."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(6)
+        i = rng.randrange(len(lines))
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == 2:
+            k = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:k] + rng.choice("=->(),#01 xS_") + lines[i][k + 1:]
+        else:
+            toks = lines[i].split()
+            if not toks:
+                continue
+            j = rng.randrange(len(toks))
+            if op == 3:
+                toks[j] = rng.choice(_FUZZ_TOKENS)
+            elif op == 4:
+                del toks[j]
+            else:
+                toks.insert(j, rng.choice(_FUZZ_TOKENS))
+            lines[i] = "  " + " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_documents_raise_only_domain_errors():
+    parsed = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        doc = _mutate(rng.choice((DOC, EXPLICIT_DOC)), rng)
+        try:
+            fsm, dp = parse_design(doc)
+        except (FormatError, SpecError):
+            continue
+        parsed += 1
+        assert parse_design(design_text(fsm, dp)) == (fsm, dp), doc
+    # Enough mutants survive for the round trip to be exercised.
+    assert parsed > 100
+
+
+@pytest.mark.parametrize(
+    "doc, old, new",
+    [
+        (DOC, "  moore S2 00\n", ""),  # a declared state without outputs
+        (DOC, "  moore S2 00\n", "  moore S9 00\n"),  # outputs of an undeclared state
+        (EXPLICIT_DOC, "code S2 10", "code S9 10"),  # code of an undeclared state
+        (DOC, "wire w0 reg acc 0", "wire w0 reg acc x"),  # non-integer bit
+        (DOC, "wire w1 fsm_out 1", "wire w1 fsm_out one"),
+    ],
+    ids=["moore-missing", "moore-undeclared", "code-undeclared", "wire-reg-bit", "wire-fsm-out-bit"],
+)
+def test_inconsistent_documents_rejected(doc, old, new):
+    assert old in doc
+    with pytest.raises((FormatError, SpecError)):
+        parse_design(doc.replace(old, new))
