@@ -269,26 +269,26 @@ def input_cone(nl: Netlist, root: str, depth_limit: int) -> ConeTree:
     limit; buffers are transparent and consume no depth.  Children are ordered
     by (kind, net) so structurally equal cones serialize identically.
     """
-
-    def expand(net: str, depth: int) -> ConeNode:
-        drv = nl.driver[net]
-        if drv == "input":
-            return ConeNode("PI", net)
-        if drv == "const":
-            return ConeNode("CONST", net)
-        if hasattr(drv, "q"):
-            return ConeNode("FF", net)
-        if drv.kind == "BUF":
-            return expand(drv.ins[0], depth)
-        if depth <= 0:
-            return ConeNode(drv.kind, net)
-        children = [expand(n, depth - 1) for n in drv.ins]
-        children.sort(key=lambda c: (c.kind, c.net))
-        return ConeNode(drv.kind, net, tuple(children))
-
     if root not in nl.driver:
         raise AnalysisError(f"net {root} is not driven")
-    return ConeTree(expand(root, depth_limit), depth_limit)
+    return ConeTree(_cone_node(nl.driver, root, depth_limit), depth_limit)
+
+
+def _cone_node(driver: dict, net: str, depth: int) -> ConeNode:
+    drv = driver[net]
+    if drv == "input":
+        return ConeNode("PI", net)
+    if drv == "const":
+        return ConeNode("CONST", net)
+    if hasattr(drv, "q"):
+        return ConeNode("FF", net)
+    if drv.kind == "BUF":
+        return _cone_node(driver, drv.ins[0], depth)
+    if depth <= 0:
+        return ConeNode(drv.kind, net)
+    children = [_cone_node(driver, n, depth - 1) for n in drv.ins]
+    children.sort(key=lambda c: (c.kind, c.net))
+    return ConeNode(drv.kind, net, tuple(children))
 
 
 def control_signals(nl: Netlist) -> set:

@@ -4,9 +4,15 @@ similarity-plus-SCC identification pipeline.
 The similarity between two cones is a recursive shape comparison: mismatched
 kinds score 0, matched leaves score 1, and interior nodes score
 ``(1 + sum of greedily matched child similarities) / (1 + max child count)``.
-Cones are interned by shape, so identical structures (replicated bits, data
-words) compare in constant time and all results are memoized globally per
-scoring run.
+The greedy match repeatedly takes the best-scoring pair of unmatched children,
+the first in row-major order among equal scores.
+
+Cones are interned by shape, so a similarity matrix is evaluated once per
+pair of distinct root shapes (replicated bits and data words share one) and
+broadcast to the flip-flops; child similarities are evaluated once per pair
+of distinct child shapes.  The matrix is cached on the netlist, next to its
+support and FF graph, so ``zscores`` and ``relic_tarjan`` on one netlist
+build it once.
 """
 
 from __future__ import annotations
@@ -67,27 +73,47 @@ class _ShapeTable:
         if kind_a != kind_b:
             val = 0.0
         else:
-            sims = [
-                [self.sim(x, y) for y in ch_b]
-                for x in ch_a
-            ]
-            matched = 0.0
-            rows = set(range(len(ch_a)))
-            cols = set(range(len(ch_b)))
-            while rows and cols:
-                best = None
-                best_val = -1.0
-                for i in sorted(rows):
-                    for j in sorted(cols):
-                        if sims[i][j] > best_val:
-                            best_val = sims[i][j]
-                            best = (i, j)
-                matched += best_val
-                rows.discard(best[0])
-                cols.discard(best[1])
+            matched = _greedy_match(self.sims(ch_a, ch_b)) if ch_a and ch_b else 0.0
             val = (1.0 + matched) / (1.0 + max(len(ch_a), len(ch_b)))
         self._memo[(ca, cb)] = val
         return val
+
+    def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
+        """The len(ids_a) x len(ids_b) matrix of shape similarities, each
+        distinct pair of shapes evaluated once and broadcast."""
+        ua = sorted(set(ids_a))
+        ub = sorted(set(ids_b))
+        distinct = np.array([[self.sim(x, y) for y in ub] for x in ua])
+        distinct = distinct.reshape(len(ua), len(ub))  # also when empty
+        row_of = {x: i for i, x in enumerate(ua)}
+        col_of = {y: j for j, y in enumerate(ub)}
+        rows = np.array([row_of[x] for x in ids_a], dtype=np.intp)
+        cols = np.array([col_of[y] for y in ids_b], dtype=np.intp)
+        return distinct[np.ix_(rows, cols)]
+
+
+def _greedy_match(sims: np.ndarray) -> float:
+    """Sum of greedily matched similarities: take the largest entry whose row
+    and column are both free, the first in row-major order among equals.
+
+    One stable sort of the negated matrix lists the entries in exactly that
+    preference order, so a single scan makes the same picks in the same order.
+    """
+    k_a, k_b = sims.shape
+    order = np.argsort(-sims, axis=None, kind="stable")
+    rows, cols = np.divmod(order, k_b)
+    row_free = [True] * k_a
+    col_free = [True] * k_b
+    left = min(k_a, k_b)
+    matched = 0.0
+    for i, j, v in zip(rows.tolist(), cols.tolist(), sims.ravel()[order].tolist()):
+        if row_free[i] and col_free[j]:
+            matched += v
+            row_free[i] = col_free[j] = False
+            left -= 1
+            if not left:
+                break
+    return matched
 
 
 def pair_similarity(a: ConeTree, b: ConeTree) -> float:
@@ -111,19 +137,22 @@ class SimilarityMatrix:
 
 
 def similarity_matrix(nl: Netlist, depth_limit: int = 6) -> SimilarityMatrix:
-    """Pairwise cone similarity over all flip-flops, ordered by name."""
+    """Pairwise cone similarity over all flip-flops, ordered by name.
+
+    Cached on the netlist per depth limit; ``values`` is read-only.
+    """
+    key = ("similarity", depth_limit)
+    cached = nl._cache.get(key)
+    if cached is not None:
+        return cached
     ffs = tuple(sorted(f.name for f in nl.ffs))
     table = _ShapeTable()
-    cids = []
-    for name in ffs:
-        tree = input_cone(nl, nl.ff_by_name(name).d, depth_limit)
-        cids.append(table.canon(tree.root))
-    n = len(ffs)
-    values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = table.sim(cids[i], cids[j])
-    return SimilarityMatrix(ffs=ffs, values=values, depth_limit=depth_limit)
+    cids = [table.canon(input_cone(nl, nl.ff_by_name(name).d, depth_limit).root) for name in ffs]
+    values = table.sims(cids, cids)
+    values.flags.writeable = False
+    sm = SimilarityMatrix(ffs=ffs, values=values, depth_limit=depth_limit)
+    nl._cache[key] = sm
+    return sm
 
 
 @dataclass

@@ -59,57 +59,64 @@ def _parse_expr(text: str, lineno: int):
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", text):
         raise FormatError(lineno, f"cannot tokenize expression {text!r}")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormatError(lineno, "unexpected end of expression")
-        tok = tokens[pos]
-        if expect is not None and tok != expect:
-            raise FormatError(lineno, f"expected {expect!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def parse():
-        tok = take()
-        if not re.match(r"[A-Za-z_]", tok):
-            raise FormatError(lineno, f"expected a name, got {tok!r}")
-        if peek() != "(":
-            return RegRef(tok)
-        take("(")
-        op = tok.lower()
-        if op == "pin":
-            name = take()
-            take(")")
-            return PinRef(name)
-        if op == "load":
-            e = parse()
-            take(")")
-            return LoadOp(e)
-        if op == "shl":
-            e = parse()
-            take(",")
-            amount = take()
-            if not amount.isdigit():
-                raise FormatError(lineno, "shl amount must be an integer")
-            take(")")
-            return ShlOp(e, int(amount))
-        if op in ("xor", "and", "add"):
-            a = parse()
-            take(",")
-            b = parse()
-            take(")")
-            return {"xor": XorOp, "and": AndOp, "add": AddOp}[op](a, b)
-        raise FormatError(lineno, f"unknown operator {tok!r}")
-
-    expr = parse()
-    if pos != len(tokens):
+    parser = _ExprParser(tokens, lineno)
+    expr = parser.parse()
+    if parser.pos != len(tokens):
         raise FormatError(lineno, f"trailing tokens in expression {text!r}")
     return expr
+
+
+class _ExprParser:
+    """Recursive-descent parser over one expression's tokens."""
+
+    def __init__(self, tokens: list, lineno: int):
+        self.tokens = tokens
+        self.lineno = lineno
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expect=None):
+        if self.pos >= len(self.tokens):
+            raise FormatError(self.lineno, "unexpected end of expression")
+        tok = self.tokens[self.pos]
+        if expect is not None and tok != expect:
+            raise FormatError(self.lineno, f"expected {expect!r}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        tok = self.take()
+        if not re.match(r"[A-Za-z_]", tok):
+            raise FormatError(self.lineno, f"expected a name, got {tok!r}")
+        if self.peek() != "(":
+            return RegRef(tok)
+        self.take("(")
+        op = tok.lower()
+        if op == "pin":
+            name = self.take()
+            self.take(")")
+            return PinRef(name)
+        if op == "load":
+            e = self.parse()
+            self.take(")")
+            return LoadOp(e)
+        if op == "shl":
+            e = self.parse()
+            self.take(",")
+            amount = self.take()
+            if not amount.isdigit():
+                raise FormatError(self.lineno, "shl amount must be an integer")
+            self.take(")")
+            return ShlOp(e, int(amount))
+        if op in ("xor", "and", "add"):
+            a = self.parse()
+            self.take(",")
+            b = self.parse()
+            self.take(")")
+            return {"xor": XorOp, "and": AndOp, "add": AddOp}[op](a, b)
+        raise FormatError(self.lineno, f"unknown operator {tok!r}")
 
 
 def _expr_text(e) -> str:

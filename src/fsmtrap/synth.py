@@ -244,46 +244,46 @@ def validate_datapath(dp: DatapathSpec, fsm: FsmSpec) -> None:
         if r.name in names:
             raise SpecError(f"duplicate register name {r.name}")
         names.add(r.name)
-
-    def check_expr(e):
-        if isinstance(e, RegRef):
-            if e.name not in names:
-                raise SpecError(f"expression references undeclared register {e.name}")
-        elif isinstance(e, PinRef):
-            pass
-        elif isinstance(e, (XorOp, AndOp, AddOp)):
-            check_expr(e.a)
-            check_expr(e.b)
-        elif isinstance(e, ShlOp):
-            if e.amount < 0:
-                raise SpecError("shift amount must be >= 0")
-            check_expr(e.a)
-        elif isinstance(e, LoadOp):
-            check_expr(e.a)
-        else:
-            raise SpecError(f"unknown expression node {e!r}")
-
     for r in dp.data_regs:
-        check_expr(r.update)
+        _check_expr(r.update, names)
+
+
+def _check_expr(e, names: set) -> None:
+    if isinstance(e, RegRef):
+        if e.name not in names:
+            raise SpecError(f"expression references undeclared register {e.name}")
+    elif isinstance(e, PinRef):
+        pass
+    elif isinstance(e, (XorOp, AndOp, AddOp)):
+        _check_expr(e.a, names)
+        _check_expr(e.b, names)
+    elif isinstance(e, ShlOp):
+        if e.amount < 0:
+            raise SpecError("shift amount must be >= 0")
+        _check_expr(e.a, names)
+    elif isinstance(e, LoadOp):
+        _check_expr(e.a, names)
+    else:
+        raise SpecError(f"unknown expression node {e!r}")
 
 
 def datapath_pins(dp: DatapathSpec) -> list[str]:
     """Design inputs the datapath references (broadcast pins + PI enables)."""
     pins: list[str] = []
-
-    def walk(e):
-        if isinstance(e, PinRef):
-            if e.name not in pins:
-                pins.append(e.name)
-        elif isinstance(e, (XorOp, AndOp, AddOp)):
-            walk(e.a)
-            walk(e.b)
-        elif isinstance(e, (ShlOp, LoadOp)):
-            walk(e.a)
-
     for r in dp.data_regs:
-        walk(r.update)
+        _collect_pins(r.update, pins)
     return pins
+
+
+def _collect_pins(e, pins: list) -> None:
+    if isinstance(e, PinRef):
+        if e.name not in pins:
+            pins.append(e.name)
+    elif isinstance(e, (XorOp, AndOp, AddOp)):
+        _collect_pins(e.a, pins)
+        _collect_pins(e.b, pins)
+    elif isinstance(e, (ShlOp, LoadOp)):
+        _collect_pins(e.a, pins)
 
 
 # -- synthesis ---------------------------------------------------------------
@@ -388,6 +388,107 @@ class _Cone:
         if len(nets) == 1:
             return self.b.emit("BUF", nets, out=out) if out else nets[0]
         return self.b.emit("OR", nets, out=out)
+
+
+class _CounterCone(_Cone):
+    """Cone of one counter bit: toggle nets q_j XOR carry_j, memoized per bit
+    index j of the counter's flip-flops ``qs``."""
+
+    def __init__(self, builder: _Builder, qs: Sequence[str], up: bool):
+        super().__init__(builder)
+        self.qs = qs
+        self.up = up
+        self._carry: dict[int, str] = {}
+        self._toggle: dict[int, str] = {}
+
+    def carry(self, j: int) -> str:
+        # Chained ripple with a constant seed keeps all bit cones
+        # word-wise uniform (XOR over q and a nested AND chain).
+        hit = self._carry.get(j)
+        if hit is not None:
+            return hit
+        if j == 0:
+            net = self.b.const(1)
+        else:
+            low = self.lit(self.qs[j - 1], 1 if self.up else 0)
+            net = self.b.emit("AND", (low, self.carry(j - 1)))
+        self._carry[j] = net
+        return net
+
+    def toggle(self, j: int) -> str:
+        hit = self._toggle.get(j)
+        if hit is not None:
+            return hit
+        net = self.b.emit("XOR", (self.qs[j], self.carry(j)))
+        self._toggle[j] = net
+        return net
+
+
+class _WordBits:
+    """Gates for single bits of datapath word expressions, with add-carry
+    nets memoized per (expression, bit).  ``None`` encodes constant 0
+    (shift fill / empty carry)."""
+
+    def __init__(self, builder: _Builder, reg_q: Mapping[str, list], input_net: Mapping[str, str]):
+        self.b = builder
+        self.reg_q = reg_q
+        self.input_net = input_net
+        self._carry: dict = {}
+
+    def bit(self, e, bit: int) -> Optional[str]:
+        if isinstance(e, RegRef):
+            return self.reg_q[e.name][bit]
+        if isinstance(e, PinRef):
+            return self.input_net[e.name]
+        if isinstance(e, LoadOp):
+            return self.bit(e.a, bit)
+        if isinstance(e, ShlOp):
+            if bit < e.amount:
+                return None
+            return self.bit(e.a, bit - e.amount)
+        if isinstance(e, XorOp):
+            a, b2 = self.bit(e.a, bit), self.bit(e.b, bit)
+            if a is None:
+                return b2
+            if b2 is None:
+                return a
+            return self.b.emit("XOR", (a, b2))
+        if isinstance(e, AndOp):
+            a, b2 = self.bit(e.a, bit), self.bit(e.b, bit)
+            if a is None or b2 is None:
+                return None
+            return self.b.emit("AND", (a, b2))
+        if isinstance(e, AddOp):
+            a, b2 = self.bit(e.a, bit), self.bit(e.b, bit)
+            cin = self.add_carry(e, bit)
+            nets = [x for x in (a, b2, cin) if x is not None]
+            if not nets:
+                return None
+            if len(nets) == 1:
+                return nets[0]
+            return self.b.emit("XOR", tuple(nets))
+        raise SpecError(f"unknown expression node {e!r}")
+
+    def add_carry(self, e: AddOp, bit: int) -> Optional[str]:
+        if bit == 0:
+            return None
+        key = (id(e), bit)
+        if key in self._carry:
+            return self._carry[key]
+        a = self.bit(e.a, bit - 1)
+        b2 = self.bit(e.b, bit - 1)
+        cin = self.add_carry(e, bit - 1)
+        present = [x for x in (a, b2, cin) if x is not None]
+        if len(present) < 2:
+            out = None
+        else:
+            pairs = []
+            for m in range(len(present)):
+                for n in range(m + 1, len(present)):
+                    pairs.append(self.b.emit("AND", (present[m], present[n])))
+            out = pairs[0] if len(pairs) == 1 else self.b.emit("OR", tuple(pairs))
+        self._carry[key] = out
+        return out
 
 
 def _effective_covers(fsm: FsmSpec):
@@ -577,38 +678,12 @@ def synthesize(
         group = 1 + c.replicas
         names = []
         for i in range(total):
-            cone = _Cone(builder)
-            t_nets: dict[int, str] = {}
-
-            carry_nets: dict[int, str] = {}
-
-            def carry(j: int) -> str:
-                # Chained ripple with a constant seed keeps all bit cones
-                # word-wise uniform (XOR over q and a nested AND chain).
-                hit = carry_nets.get(j)
-                if hit is not None:
-                    return hit
-                if j == 0:
-                    net = builder.const(1)
-                else:
-                    low = cone.lit(qs[j - 1], 1 if c.direction == "up" else 0)
-                    net = builder.emit("AND", (low, carry(j - 1)))
-                carry_nets[j] = net
-                return net
-
-            def t_bit(j: int) -> str:
-                hit = t_nets.get(j)
-                if hit is not None:
-                    return hit
-                net = builder.emit("XOR", (qs[j], carry(j)))
-                t_nets[j] = net
-                return net
-
+            cone = _CounterCone(builder, qs, c.direction == "up")
             if c.replicas == 0:
-                d_net = builder.emit("BUF", (t_bit(i),), out=f"{p}_{c.name}_{i}_d")
+                d_net = builder.emit("BUF", (cone.toggle(i),), out=f"{p}_{c.name}_{i}_d")
             else:
                 g0 = (i // group) * group
-                members = [t_bit(g0 + m) for m in range(group)]
+                members = [cone.toggle(g0 + m) for m in range(group)]
                 if c.direction == "up":
                     # broken-carry pattern 0..01 (only the group LSB set) -> all ones
                     det_lits = [members[0]] + [
@@ -616,7 +691,7 @@ def synthesize(
                     ]
                     detect = cone.product(det_lits)
                     d_net = builder.emit(
-                        "OR", (t_bit(i), detect), out=f"{p}_{c.name}_{i}_d"
+                        "OR", (cone.toggle(i), detect), out=f"{p}_{c.name}_{i}_d"
                     )
                 else:
                     # broken-borrow pattern 1..10 -> all zeros
@@ -624,7 +699,7 @@ def synthesize(
                     detect = cone.product(det_lits)
                     ndet = builder.emit("NOT", (detect,))
                     d_net = builder.emit(
-                        "AND", (t_bit(i), ndet), out=f"{p}_{c.name}_{i}_d"
+                        "AND", (cone.toggle(i), ndet), out=f"{p}_{c.name}_{i}_d"
                     )
             ffs.append(
                 FlipFlop(
@@ -646,66 +721,7 @@ def synthesize(
     for r in dp.data_regs:
         names = []
         for i in range(r.width):
-            cone = _Cone(builder)
-            carry_memo: dict = {}
-
-            def expr_bit(e, bit: int) -> Optional[str]:
-                # None encodes constant 0 (shift fill / empty carry)
-                if isinstance(e, RegRef):
-                    return reg_q[e.name][bit]
-                if isinstance(e, PinRef):
-                    return input_net[e.name]
-                if isinstance(e, LoadOp):
-                    return expr_bit(e.a, bit)
-                if isinstance(e, ShlOp):
-                    if bit < e.amount:
-                        return None
-                    return expr_bit(e.a, bit - e.amount)
-                if isinstance(e, XorOp):
-                    a, b2 = expr_bit(e.a, bit), expr_bit(e.b, bit)
-                    if a is None:
-                        return b2
-                    if b2 is None:
-                        return a
-                    return builder.emit("XOR", (a, b2))
-                if isinstance(e, AndOp):
-                    a, b2 = expr_bit(e.a, bit), expr_bit(e.b, bit)
-                    if a is None or b2 is None:
-                        return None
-                    return builder.emit("AND", (a, b2))
-                if isinstance(e, AddOp):
-                    a, b2 = expr_bit(e.a, bit), expr_bit(e.b, bit)
-                    cin = add_carry(e, bit)
-                    nets = [x for x in (a, b2, cin) if x is not None]
-                    if not nets:
-                        return None
-                    if len(nets) == 1:
-                        return nets[0]
-                    return builder.emit("XOR", tuple(nets))
-                raise SpecError(f"unknown expression node {e!r}")
-
-            def add_carry(e: AddOp, bit: int) -> Optional[str]:
-                if bit == 0:
-                    return None
-                key = (id(e), bit)
-                if key in carry_memo:
-                    return carry_memo[key]
-                a = expr_bit(e.a, bit - 1)
-                b2 = expr_bit(e.b, bit - 1)
-                cin = add_carry(e, bit - 1)
-                present = [x for x in (a, b2, cin) if x is not None]
-                if len(present) < 2:
-                    out = None
-                else:
-                    pairs = []
-                    for m in range(len(present)):
-                        for n in range(m + 1, len(present)):
-                            pairs.append(builder.emit("AND", (present[m], present[n])))
-                    out = pairs[0] if len(pairs) == 1 else builder.emit("OR", tuple(pairs))
-                carry_memo[key] = out
-                return out
-
-            net = expr_bit(r.update, i)
+            net = _WordBits(builder, reg_q, input_net).bit(r.update, i)
             if net is None:
                 net = builder.const(0)
             d_net = builder.emit("BUF", (net,), out=f"{p}_{r.name}_{i}_d")

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from fsmtrap.graph import ConeNode, ConeTree, input_cone
+from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import parse
 from fsmtrap.relic import (
     RelicParams,
+    _ShapeTable,
     evaluate,
     pair_similarity,
     relic_tarjan,
@@ -93,6 +95,109 @@ def test_greedy_matches_exhaustive_on_small_cones(seed):
     oracle = _exhaustive_similarity(a, b)
     assert got <= oracle + 1e-12
     assert got == pytest.approx(oracle)
+
+
+def _reference_sim(nodes: list, ca: int, cb: int, memo: dict) -> float:
+    """Oracle: the direct O(k^3) greedy match, which rescans every free
+    (row, column) pair in row-major order for each pick."""
+    if ca == cb:
+        return 1.0
+    if ca > cb:
+        ca, cb = cb, ca
+    hit = memo.get((ca, cb))
+    if hit is not None:
+        return hit
+    kind_a, ch_a = nodes[ca]
+    kind_b, ch_b = nodes[cb]
+    if kind_a != kind_b:
+        val = 0.0
+    else:
+        sims = [[_reference_sim(nodes, x, y, memo) for y in ch_b] for x in ch_a]
+        matched = 0.0
+        rows = set(range(len(ch_a)))
+        cols = set(range(len(ch_b)))
+        while rows and cols:
+            best = None
+            best_val = -1.0
+            for i in sorted(rows):
+                for j in sorted(cols):
+                    if sims[i][j] > best_val:
+                        best_val = sims[i][j]
+                        best = (i, j)
+            matched += best_val
+            rows.discard(best[0])
+            cols.discard(best[1])
+        val = (1.0 + matched) / (1.0 + max(len(ch_a), len(ch_b)))
+    memo[(ca, cb)] = val
+    return val
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_match_bit_exact_against_reference_on_wide_cones(seed):
+    # Roots of fan-in 1-40 over a pool of a dozen small and a dozen mid-size
+    # shapes: child shapes repeat, and many child similarities tie (2/3, 1/2,
+    # ...), so the row-major tie-break decides which children stay free.
+    rng = random.Random(seed)
+    leaves = [leaf(k) for k in ("PI", "FF", "CONST")]
+    kinds = ["AND", "OR"]
+    small = [
+        node(rng.choice(kinds), *rng.choices(leaves, k=rng.randint(1, 3))) for _ in range(12)
+    ]
+    mid = [
+        node(rng.choice(kinds), *rng.choices(small + leaves, k=rng.randint(1, 6)))
+        for _ in range(12)
+    ]
+    cones = [node("OR", *rng.choices(small + mid, k=rng.randint(1, 40))) for _ in range(6)]
+    table = _ShapeTable()
+    ids = [table.canon(c) for c in cones]
+    memo: dict = {}
+    for a in ids:
+        for b in ids:
+            assert table.sim(a, b) == _reference_sim(table.nodes, a, b, memo)
+
+
+def _reference_matrix(nl, depth_limit=6) -> np.ndarray:
+    """Oracle: the reference greedy evaluated for every FF pair."""
+    ffs = sorted(f.name for f in nl.ffs)
+    table = _ShapeTable()
+    cids = [table.canon(input_cone(nl, nl.ff_by_name(n).d, depth_limit).root) for n in ffs]
+    memo: dict = {}
+    values = np.eye(len(ffs))
+    for i in range(len(ffs)):
+        for j in range(i + 1, len(ffs)):
+            values[i, j] = values[j, i] = _reference_sim(table.nodes, cids[i], cids[j], memo)
+    return values
+
+
+@pytest.mark.parametrize("profile", [(48, 12, 3, 6), (64, 16, 4, 6)])
+def test_similarity_matrix_equals_all_pairs_reference(profile):
+    states, width, pairs, inputs = profile
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(
+            seed=0, n_states=states, data_width=width, n_data_pairs=pairs, n_inputs=inputs
+        )
+    )
+    nl, _ = synthesize(fsm, dp)
+    assert np.array_equal(similarity_matrix(nl).values, _reference_matrix(nl))
+
+
+def test_similarity_matrix_cached_per_netlist_and_depth():
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=4))
+    nl, _ = synthesize(fsm, dp)
+    sm = similarity_matrix(nl)
+    assert similarity_matrix(nl) is sm
+    shallow = similarity_matrix(nl, depth_limit=3)
+    assert shallow is not sm and shallow.depth_limit == 3
+    assert similarity_matrix(nl, depth_limit=3) is shallow
+    assert not sm.values.flags.writeable
+    with pytest.raises(ValueError):
+        sm.values[0, 1] = 0.5
+    a, b = sm.ffs[0], sm.ffs[1]
+    assert sm.of(a, b) == sm.values[0, 1]
+    first, second = zscores(nl), zscores(nl)
+    assert first.scores == second.scores
+    assert first.raw_features == second.raw_features
+    assert first.z_features == second.z_features
 
 
 def test_similarity_symmetric_reflexive_bounded():

@@ -1,10 +1,14 @@
+import gc
 import random
 from dataclasses import replace
 
 import pytest
 
 from fsmtrap.graph import build_ff_graph, classify_feedback, FeedbackClass
+from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import reset_state, serialize, step
+from fsmtrap.relic import relic_tarjan, zscores
+from fsmtrap.specio import design_text, parse_design
 from fsmtrap.synth import (
     AddOp,
     AmbiguityError,
@@ -26,6 +30,7 @@ from fsmtrap.synth import (
     state_ff_name,
     synthesize,
 )
+from fsmtrap.topo import topo_attack
 
 from conftest import random_fsm
 
@@ -263,3 +268,23 @@ def test_down_counter():
     state = step(nl, state, {"clk": 0, "rst": 0, "z": 0})
     value = sum(state[f"u0_c_{i}"] << i for i in range(3))
     assert value == 7  # 0 - 1 wraps to all ones
+
+
+def test_parse_synthesize_and_attack_leave_no_cyclic_garbage():
+    # Reference cycles would keep each netlist (with its cached support,
+    # FF graph and similarity matrix) and each gate builder alive until a
+    # full collection; everything must be freed by reference counting.
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=2))
+    text = design_text(fsm, dp)
+    gc.disable()
+    try:
+        gc.collect()
+        fsm2, dp2 = parse_design(text)
+        nl, gt = synthesize(fsm2, dp2)
+        zscores(nl)
+        relic_tarjan(nl, truth=gt.sffs)
+        topo_attack(nl, truth=gt.sffs)
+        del fsm2, dp2, nl, gt
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
