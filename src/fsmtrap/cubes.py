@@ -73,17 +73,18 @@ def cover_minterms(
     terms: set[int] = set()
     for cube in cover:
         fixed = 0
-        free_positions = []
+        free = 0
         for i, var in enumerate(var_order):
-            if var in cube:
-                if cube[var]:
-                    fixed |= 1 << (n - 1 - i)
-            else:
-                free_positions.append(n - 1 - i)
-        for bits in range(1 << len(free_positions)):
-            m = fixed
-            for j, pos in enumerate(free_positions):
-                if (bits >> j) & 1:
-                    m |= 1 << pos
-            terms.add(m)
+            bit = 1 << (n - 1 - i)
+            if var not in cube:
+                free |= bit
+            elif cube[var]:
+                fixed |= bit
+        # Every submask of ``free``, from ``free`` itself down to 0.
+        sub = free
+        while True:
+            terms.add(fixed | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return frozenset(terms)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .batchsim import compile_netlist, eval_outputs
-from .graph import build_ff_graph, label_sccs, tarjan_scc
+from .graph import build_ff_graph, classify_feedback, label_sccs, tarjan_scc
 from .netlist import Netlist, serialize
 from .obfuscate import (
     HoneypotParams,
@@ -361,10 +361,11 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
     defended_nl, defended_gt = synthesize(fsm_d, dp_d, opts_d)
 
     if rb_report is not None:
+        target_ff = sorted(defended_gt.sffs)[d.fp_target]
+        fp_after = classify_feedback(defended_nl, target_ff, defended_gt.sffs)
         summary.append(
-            f"rb target={sorted(defended_gt.sffs)[d.fp_target]} "
-            f"extended={rb_report.extended_encoding} "
-            f"fp_after={rb_report.fp_after.value if rb_report.fp_after else '-'}"
+            f"rb target={target_ff} extended={rb_report.extended_encoding} "
+            f"fp_after={fp_after.value}"
         )
 
     ra_report = None

@@ -30,7 +30,6 @@ from .synth import (
     _droppable_bits,
     _effective_covers,
     encode,
-    state_ff_name,
     synthesize,
     validate_fsm,
 )
@@ -123,6 +122,8 @@ class RewriteReport:
     added_transitions: int = 0
     extended_encoding: bool = False
     noop: bool = False
+    # Set by rewrite_ra.  rewrite_rb works on the spec and leaves them None:
+    # classify the treated FF of the synthesized result instead.
     fp_before: Optional[FeedbackClass] = None
     fp_after: Optional[FeedbackClass] = None
 
@@ -264,10 +265,7 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
     eff, unmatched = _effective_covers(fsm)
     pos = _bit_covers(fsm, codes, eff, unmatched)
     if _droppable_bits(fsm, codes, pos)[target_bit]:
-        report = RewriteReport(treated_ff=f"st{target_bit}", noop=True)
-        report.fp_before = _fsm_bit_fp(fsm, None, target_bit)
-        report.fp_after = report.fp_before
-        return fsm, report
+        return fsm, RewriteReport(treated_ff=f"st{target_bit}", noop=True)
 
     extended = False
     if any(
@@ -344,20 +342,12 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
         treated_ff=f"st{target_bit}",
         added_transitions=added,
         extended_encoding=extended,
-        fp_before=_fsm_bit_fp(fsm, None, target_bit),
-        fp_after=_fsm_bit_fp(out, None, target_bit),
     )
     return out, report
 
 
 def _flip(ch: str) -> str:
     return "1" if ch == "0" else "0"
-
-
-def _fsm_bit_fp(fsm: FsmSpec, dp, bit: int) -> FeedbackClass:
-    """Feedback class of one state bit after a bare synthesis of the FSM."""
-    nl, gt = synthesize(fsm, dp, SynthOptions(name_prefix="chk"))
-    return classify_feedback(nl, state_ff_name("chk", bit, len(gt.sffs)), gt.sffs)
 
 
 # -- honeypots -------------------------------------------------------------------

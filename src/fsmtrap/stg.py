@@ -2,10 +2,18 @@
 
 Extraction is exhaustive: starting from the reset state it enumerates every
 combination of the free inputs per reachable state, stepping the full
-register file but projecting states onto the chosen state flip-flops.
+register file but projecting states onto the chosen state flip-flops.  The
+BFS is level-synchronous: one ``batch_step`` (split at ``MAX_COLUMNS``)
+steps every frontier state under every input vector, the distinct full
+successors are found with ``np.unique`` over their packed bytes, and new
+projected states are discovered in (state, vector) order, the order a
+one-state-at-a-time BFS would meet them.
 Non-state registers ride along; if two runs reach the same projected state
-with diverging projected successors, the offending registers are pulled into
-the tracked set and extraction restarts (with a warning).
+through different full states, the full state that differs in a register
+feeding a tracked cone is checked once after its level: if its projected
+successors diverge from those of the state's representative, the offending
+registers are pulled into the tracked set and extraction restarts (with a
+warning).
 """
 
 from __future__ import annotations
@@ -17,6 +25,11 @@ import numpy as np
 
 from .batchsim import batch_step, compile_netlist
 from .netlist import BitState, Netlist, reset_state
+
+
+# Most columns (state x input vector pairs) one batch_step call simulates;
+# a wider BFS level is split over several calls.
+MAX_COLUMNS = 65536
 
 
 class StgError(Exception):
@@ -107,10 +120,29 @@ def extract_stg(
         if n not in pi_pos:
             raise StgError(f"frozen input {n} is not a primary input")
         pi_matrix[pi_pos[n], :] = val & 1
+    # Vector v assigns free input i the bit i of v counted from the left.
+    vec_ids = np.arange(n_vec)
+    for i, n in enumerate(free_inputs):
+        pi_matrix[pi_pos[n]] = (vec_ids >> (n_free - 1 - i)) & 1
     vec_strings = [format(v, f"0{n_free}b") if n_free else "" for v in range(n_vec)]
-    for v in range(n_vec):
-        for i, n in enumerate(free_inputs):
-            pi_matrix[pi_pos[n], v] = int(vec_strings[v][i])
+
+    n_ffs = len(ff_names)
+    # At least one byte per state, so that a netlist without FFs still has
+    # keys for np.unique.
+    key_bytes = max(1, (n_ffs + 7) // 8)
+    key_dtype = np.dtype((np.void, key_bytes))
+
+    def successors(fulls: list) -> np.ndarray:
+        """Packed next full states of a list of full states: row
+        k * n_vec + v is state k under vector v."""
+        fulls = np.array(fulls, dtype=np.uint8).reshape(len(fulls), n_ffs)
+        n_cols = len(fulls) * n_vec
+        packed = np.zeros((n_cols, key_bytes), dtype=np.uint8)
+        for lo in range(0, n_cols, MAX_COLUMNS):
+            cols = np.arange(lo, min(lo + MAX_COLUMNS, n_cols))
+            nxt = batch_step(cn, fulls[cols // n_vec].T, pi_matrix[:, cols % n_vec])
+            packed[cols, : (n_ffs + 7) // 8] = np.packbits(nxt.T, axis=1)
+        return packed
 
     ff_pos = {n: i for i, n in enumerate(ff_names)}
     warnings: list[str] = []
@@ -131,51 +163,72 @@ def extract_stg(
             en = nl.ff_by_name(name).en
             if en is not None:
                 influencers |= support[en][0]
+        watched = [
+            (i, n) for i, n in enumerate(ff_names) if n in influencers and n not in tracked
+        ]
 
         def project(full: tuple) -> str:
             return "".join(str(full[i]) for i in proj_idx)
 
-        def successors(full: tuple) -> list:
-            nxt = batch_step(cn, np.array(full, dtype=np.uint8), pi_matrix)
-            return [tuple(int(x) for x in nxt[:, v]) for v in range(n_vec)]
+        def step_level(fulls: list) -> tuple:
+            """Step every full state under every input vector.  Returns the
+            distinct full successors in order of first occurrence in (state,
+            vector) order, their projected codes, and per state the list of
+            its projected successors by vector."""
+            packed = successors(fulls)
+            keys = packed.view(key_dtype).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            by_first = np.argsort(first)
+            rank = np.empty_like(by_first)
+            rank[by_first] = np.arange(by_first.size)
+            bits = np.unpackbits(packed[first[by_first]], axis=1, count=n_ffs)
+            succ = [tuple(row) for row in bits.tolist()]
+            codes = [project(full) for full in succ]
+            col_codes = [codes[i] for i in rank[inverse.ravel()].tolist()]
+            rows = [col_codes[k * n_vec:(k + 1) * n_vec] for k in range(len(fulls))]
+            return succ, codes, rows
 
-        rep: dict[str, tuple] = {}
-        succ_of: dict[str, list] = {}
+        rep: dict[str, tuple] = {project(reset_full): reset_full}
         order: list[str] = []
         edges: dict = {}
         offenders: set = set()
+        checked: set = set()
 
-        queue = [reset_full]
-        rep[project(reset_full)] = reset_full
-        while queue:
-            full = queue.pop(0)
-            code = project(full)
-            if code in succ_of:
-                continue
-            order.append(code)
-            succs = successors(full)
-            succ_of[code] = [project(s) for s in succs]
-            for v, s_full in enumerate(succs):
-                s_code = project(s_full)
-                if s_code not in rep:
-                    rep[s_code] = s_full
-                    queue.append(s_full)
-                elif rep[s_code] != s_full:
-                    diff = {
-                        n
-                        for i, n in enumerate(ff_names)
-                        if s_full[i] != rep[s_code][i] and n not in tracked
-                    }
-                    if diff & influencers:
-                        # Same projected state via a different full state that
-                        # feeds a tracked cone: compare one successor level.
-                        alt = [project(s) for s in successors(s_full)]
-                        canon = succ_of.get(s_code)
-                        if canon is None:
-                            canon = [project(s) for s in successors(rep[s_code])]
-                        if alt != canon:
-                            offenders |= diff & influencers
-                edges[(code, vec_strings[v])] = s_code
+        frontier = [reset_full]
+        while frontier:
+            src_codes = [project(full) for full in frontier]
+            order.extend(src_codes)
+            fulls, codes, rows = step_level(frontier)
+            for src, row in zip(src_codes, rows):
+                edges.update(zip([(src, vec) for vec in vec_strings], row))
+
+            # Distinct successors in (state, vector) order: the first full
+            # state reaching a new code represents it.  A later, different
+            # full state with the same code is checked once per round (the
+            # code is a function of the full state).
+            frontier = []
+            revisits = []
+            for full, code in zip(fulls, codes):
+                r = rep.get(code)
+                if r is None:
+                    rep[code] = full
+                    frontier.append(full)
+                elif r != full and full not in checked:
+                    checked.add(full)
+                    diff = {n for i, n in watched if full[i] != r[i]}
+                    if diff:
+                        revisits.append((code, full, diff))
+
+            if revisits:
+                # Same projected state via a different full state that feeds
+                # a tracked cone: compare one successor level with that of
+                # the representative.
+                reps = list(dict.fromkeys(code for code, _, _ in revisits))
+                _, _, sim = step_level([f for _, f, _ in revisits] + [rep[c] for c in reps])
+                canon = dict(zip(reps, sim[len(revisits):]))
+                for (code, _, diff), alt in zip(revisits, sim):
+                    if alt != canon[code]:
+                        offenders |= diff
 
         if not offenders:
             return Stg(
@@ -223,24 +276,32 @@ def stg_equivalent(
     b_pos = {n: i for i, n in enumerate(b.sff_names)}
     groups = {a_ff: [b_pos[x] for x in b.sff_names if bit_map[x] == a_ff] for a_ff in a.sff_names}
 
+    projected: dict[str, str] = {}
+
     def project(code: str) -> str:
-        out = []
-        for a_ff in a.sff_names:
-            vals = {code[i] for i in groups[a_ff]}
-            if len(vals) != 1:
-                raise ReplicaDisagreementError(
-                    f"replicas of {a_ff} disagree in reachable state {code}"
-                )
-            out.append(vals.pop())
-        return "".join(out)
+        p = projected.get(code)
+        if p is None:
+            out = []
+            for a_ff in a.sff_names:
+                vals = {code[i] for i in groups[a_ff]}
+                if len(vals) != 1:
+                    raise ReplicaDisagreementError(
+                        f"replicas of {a_ff} disagree in reachable state {code}"
+                    )
+                out.append(vals.pop())
+            p = projected[code] = "".join(out)
+        return p
 
     b_in_pos = {n: i for i, n in enumerate(b.input_names)}
+    # Per input string of b: None if it breaks a frozen value, else the
+    # string restricted to a's inputs.
+    shared: dict[str, Optional[str]] = {}
 
-    def vec_ok(vec: str) -> bool:
-        return all(int(vec[b_in_pos[n]]) == (frozen_inputs[n] & 1) for n in extra)
-
-    def shared_vec(vec: str) -> str:
-        return "".join(vec[b_in_pos[n]] for n in a.input_names)
+    def shared_vec(vec: str) -> Optional[str]:
+        if vec not in shared:
+            ok = all(int(vec[b_in_pos[n]]) == (frozen_inputs[n] & 1) for n in extra)
+            shared[vec] = "".join(vec[b_in_pos[n]] for n in a.input_names) if ok else None
+        return shared[vec]
 
     by_src: dict[str, list] = {}
     for (src, vec), dst in b.edges.items():
@@ -253,11 +314,13 @@ def stg_equivalent(
     proj_states: set = set()
     while queue:
         code = queue.pop(0)
-        proj_states.add(project(code))
+        pcode = project(code)
+        proj_states.add(pcode)
         for vec, dst in by_src.get(code, ()):
-            if not vec_ok(vec):
+            svec = shared_vec(vec)
+            if svec is None:
                 continue
-            key = (project(code), shared_vec(vec))
+            key = (pcode, svec)
             pdst = project(dst)
             if key in proj_edges and proj_edges[key] != pdst:
                 return False

@@ -249,9 +249,9 @@ def test_rb_removes_high_fp_and_preserves_o0_behavior():
     base = extract_stg(nl, sorted(gt.sffs), free_inputs=["x"])
     out_fsm, report = rewrite_rb(fsm, 1)
     assert not report.noop
-    assert report.fp_before is FeedbackClass.HIGH
-    assert report.fp_after is not FeedbackClass.HIGH
     nl2, gt2 = synthesize(out_fsm)
+    assert classify_feedback(nl, "u0_st1", gt.sffs) is FeedbackClass.HIGH
+    assert classify_feedback(nl2, "u0_st1", gt2.sffs) is not FeedbackClass.HIGH
     assert not has_high_fp(nl2, "u0_st1")
     free = list(out_fsm.inputs)
     stg2 = extract_stg(nl2, sorted(gt2.sffs), free_inputs=free)

@@ -1,11 +1,16 @@
 import itertools
-import random
 
+import numpy as np
 import pytest
 
+from fsmtrap.batchsim import batch_step, compile_netlist
+from fsmtrap.graph import _net_support
+from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import reset_state
 from fsmtrap.stg import (
     InputBudgetError,
+    ReplicaDisagreementError,
+    Stg,
     StgError,
     extract_stg,
     stg_equivalent,
@@ -19,7 +24,7 @@ from fsmtrap.synth import (
 )
 from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits
 
-from conftest import random_fsm
+from conftest import random_fsm, random_seq_netlist
 
 
 def toggle():
@@ -167,6 +172,21 @@ def test_private_inputs_must_be_frozen():
     assert not stg_equivalent(stg, stg2, bit_map, frozen_inputs={"o": 1})
 
 
+def test_first_replica_disagreement_is_reported():
+    a = Stg(("s0",), ("x",), "0", ("0",), {("0", "0"): "0", ("0", "1"): "0"})
+    # Both successors of the reset break the replica pair; the edge met first
+    # in BFS order (vector 0, to 10) is the one reported.
+    b = Stg(
+        ("r0", "r1"),
+        ("x",),
+        "00",
+        ("00", "10", "01"),
+        {("00", "0"): "10", ("00", "1"): "01", ("10", "0"): "10", ("01", "1"): "01"},
+    )
+    with pytest.raises(ReplicaDisagreementError, match="state 10$"):
+        stg_equivalent(a, b, {"r0": "s0", "r1": "s0"})
+
+
 def test_text_and_dot_outputs():
     nl, gt = synthesize(toggle())
     stg = extract_stg(nl, sorted(gt.sffs), free_inputs=["x"])
@@ -192,3 +212,149 @@ def test_nondeterminism_enlarges_tracked_set():
     stg = extract_stg(nl, ["c1"], free_inputs=[])
     assert stg.warnings
     assert set(stg.sff_names) == {"c0", "c1"}
+
+
+def _reference_extract_stg(nl, sffs, free_inputs):
+    """The per-state BFS that level-synchronous extraction replaced: one
+    batch_step per reachable state and a revisit check per successor column,
+    with the reset state and frozen inputs at their defaults."""
+    cn = compile_netlist(nl)
+    reset = reset_state(nl)
+    n_free = len(free_inputs)
+    n_vec = 1 << n_free
+    pi_matrix = np.zeros((len(nl.inputs), n_vec), dtype=np.uint8)
+    pi_pos = {n: i for i, n in enumerate(nl.inputs)}
+    vec_strings = [format(v, f"0{n_free}b") if n_free else "" for v in range(n_vec)]
+    for v in range(n_vec):
+        for i, n in enumerate(free_inputs):
+            pi_matrix[pi_pos[n], v] = int(vec_strings[v][i])
+    ff_names = [f.name for f in nl.ffs]
+    ff_pos = {n: i for i, n in enumerate(ff_names)}
+    warnings = []
+    tracked = list(sffs)
+    support = _net_support(nl)
+
+    for _round in range(5):
+        proj_idx = [ff_pos[n] for n in tracked]
+        reset_full = tuple(reset[n] & 1 for n in ff_names)
+        influencers = set()
+        for name in tracked:
+            influencers |= support[nl.ff_by_name(name).d][0]
+            en = nl.ff_by_name(name).en
+            if en is not None:
+                influencers |= support[en][0]
+
+        def project(full):
+            return "".join(str(full[i]) for i in proj_idx)
+
+        def successors(full):
+            nxt = batch_step(cn, np.array(full, dtype=np.uint8), pi_matrix)
+            return [tuple(int(x) for x in nxt[:, v]) for v in range(n_vec)]
+
+        rep = {}
+        succ_of = {}
+        order = []
+        edges = {}
+        offenders = set()
+        queue = [reset_full]
+        rep[project(reset_full)] = reset_full
+        while queue:
+            full = queue.pop(0)
+            code = project(full)
+            if code in succ_of:
+                continue
+            order.append(code)
+            succs = successors(full)
+            succ_of[code] = [project(s) for s in succs]
+            for v, s_full in enumerate(succs):
+                s_code = project(s_full)
+                if s_code not in rep:
+                    rep[s_code] = s_full
+                    queue.append(s_full)
+                elif rep[s_code] != s_full:
+                    diff = {
+                        n
+                        for i, n in enumerate(ff_names)
+                        if s_full[i] != rep[s_code][i] and n not in tracked
+                    }
+                    if diff & influencers:
+                        alt = [project(s) for s in successors(s_full)]
+                        canon = succ_of.get(s_code)
+                        if canon is None:
+                            canon = [project(s) for s in successors(rep[s_code])]
+                        if alt != canon:
+                            offenders |= diff & influencers
+                edges[(code, vec_strings[v])] = s_code
+        if not offenders:
+            return Stg(
+                sff_names=tuple(tracked),
+                input_names=tuple(free_inputs),
+                reset=project(reset_full),
+                states=tuple(order),
+                edges=edges,
+                warnings=tuple(warnings),
+            )
+        extra = sorted(offenders)
+        warnings.append(
+            "projected nondeterminism; enlarging tracked set with " + ",".join(extra)
+        )
+        tracked = tracked + extra
+    raise StgError("extraction failed to stabilize after enlarging the tracked set")
+
+
+def _same_stg(got, ref):
+    assert got.states == ref.states  # discovery order
+    assert got.edges == ref.edges
+    assert got.warnings == ref.warnings
+    assert got.sff_names == ref.sff_names
+    assert got.reset == ref.reset
+
+
+def test_level_bfs_matches_per_state_reference_on_random_netlists():
+    restarts = 0
+    for seed in range(200):
+        nl = random_seq_netlist(seed, n_ffs=4 + seed % 5)
+        names = [f.name for f in nl.ffs]
+        free = ["a", "b"]
+        for sffs in (names[:1], names[: len(names) // 2]):
+            try:
+                ref = _reference_extract_stg(nl, sffs, free)
+            except StgError:
+                with pytest.raises(StgError):
+                    extract_stg(nl, sffs, free_inputs=free)
+                continue
+            _same_stg(extract_stg(nl, sffs, free_inputs=free), ref)
+            restarts += bool(ref.warnings)
+    # The restart path is exercised, not only the projected-closed case.
+    assert restarts >= 150
+
+
+def test_level_bfs_matches_per_state_reference_on_benchmark_design():
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0, n_states=8, n_inputs=4))
+    nl, gt = synthesize(fsm, dp)
+    sffs = sorted(gt.sffs)
+    free = list(fsm.inputs)
+    _same_stg(extract_stg(nl, sffs, free_inputs=free), _reference_extract_stg(nl, sffs, free))
+
+
+def test_level_bfs_splits_wide_levels(monkeypatch):
+    import fsmtrap.stg as stg_mod
+
+    nl = random_seq_netlist(3, n_ffs=8)
+    names = [f.name for f in nl.ffs]
+    whole = extract_stg(nl, names, free_inputs=["a", "b"])
+    widths = []
+
+    def recording_step(cn, state, pi_matrix):
+        widths.append(pi_matrix.shape[1])
+        return batch_step(cn, state, pi_matrix)
+
+    monkeypatch.setattr(stg_mod, "batch_step", recording_step)
+    assert extract_stg(nl, names, free_inputs=["a", "b"]).states == whole.states
+    assert max(widths) > 8  # some level is wider than the limit set below
+
+    widths.clear()
+    monkeypatch.setattr(stg_mod, "MAX_COLUMNS", 8)
+    split = extract_stg(nl, names, free_inputs=["a", "b"])
+    assert max(widths) == 8
+    _same_stg(split, whole)
