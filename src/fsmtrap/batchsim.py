@@ -1,50 +1,41 @@
-"""Vectorized netlist evaluation over batches of vectors, 64 per word.
+"""Netlist evaluation over batches of vectors, one Python int per net.
 
 State-transition-graph extraction and functional-equivalence checks evaluate
 the same combinational network over many vectors; this module compiles a
 netlist into a flat gate program once and propagates a whole batch with one
-numpy kernel.  The kernel holds one row of ``uint64`` words per net; bit j of
-word w is vector 64*w + j, so every gate is a few word operations over the
-whole batch.  Callers pass and receive 0/1 ``uint8`` matrices with one column
-per vector; packing and unpacking happen inside ``batch_step`` and
-``eval_outputs``.  ``stg.extract_stg`` steps one BFS level (every frontier
-state under every input vector) per ``batch_step`` call.
+interpreted loop.  The kernel holds one Python int per net; bit j of every
+int is vector j, so every gate is a few int operations over the whole batch.
+A constant-1 net and an inverted gate output use the batch's all-ones
+``mask`` (``(1 << n) - 1``), which keeps every value in ``[0, mask]``.
+Callers pass and receive 0/1 ``uint8`` matrices with one column per vector;
+``batch_step`` and ``eval_outputs`` pack on the way in and unpack on the way
+out.  ``stg.extract_stg`` steps one BFS level (every frontier state under
+every input vector) per ``batch_step`` call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netlist import Netlist, topo_gates
 
-OP_NOT, OP_BUF, OP_AND, OP_OR, OP_NAND, OP_NOR, OP_XOR, OP_XNOR, OP_MUX = range(9)
-_OPCODE = {
-    "NOT": OP_NOT,
-    "BUF": OP_BUF,
-    "AND": OP_AND,
-    "OR": OP_OR,
-    "NAND": OP_NAND,
-    "NOR": OP_NOR,
-    "XOR": OP_XOR,
-    "XNOR": OP_XNOR,
-    "MUX": OP_MUX,
+# Per gate kind: the int operation folded over its inputs (None for MUX) and
+# whether the result is then inverted.  NOT and BUF have one input, so their
+# fold never runs.
+_KIND = {
+    "NOT": (operator.and_, True),
+    "BUF": (operator.and_, False),
+    "AND": (operator.and_, False),
+    "OR": (operator.or_, False),
+    "NAND": (operator.and_, True),
+    "NOR": (operator.or_, True),
+    "XOR": (operator.xor, False),
+    "XNOR": (operator.xor, True),
+    "MUX": (None, False),
 }
-# Word function folded over a gate's inputs, and the gates whose result is
-# then inverted.
-_FOLD = {
-    OP_AND: np.bitwise_and,
-    OP_OR: np.bitwise_or,
-    OP_NAND: np.bitwise_and,
-    OP_NOR: np.bitwise_or,
-    OP_XOR: np.bitwise_xor,
-    OP_XNOR: np.bitwise_xor,
-}
-_INVERTED = frozenset((OP_NOT, OP_NAND, OP_NOR, OP_XNOR))
-
-_WORD = np.dtype("<u8")
-_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 @dataclass(eq=False)
@@ -54,19 +45,11 @@ class CompiledNetlist:
     nl: Netlist
     net_index: dict
     n_nets: int
-    gates: tuple  # (opcode, output row, input rows) per gate, topological
-    pi_rows: np.ndarray
-    one_rows: np.ndarray  # rows of constant-1 nets
-    q_rows: np.ndarray
-    d_rows: np.ndarray
-    en_ffs: np.ndarray  # positions of the FFs that have an enable
-    en_rows: np.ndarray  # their enable rows
-
-    def new_words(self, n_words: int) -> np.ndarray:
-        """All-zero (n_nets, n_words) word matrix with constant-1 rows set."""
-        words = np.zeros((self.n_nets, n_words), dtype=_WORD)
-        words[self.one_rows] = _ONES
-        return words
+    gates: tuple  # (fold, inverted, output row, input rows) per gate, topological
+    pi_rows: tuple
+    one_rows: tuple  # rows of constant-1 nets
+    q_rows: tuple
+    ff_rows: tuple  # (d row, q row, enable row or None) per FF
 
     def row(self, net: str) -> int:
         return self.net_index[net]
@@ -101,87 +84,66 @@ def compile_netlist(nl: Netlist) -> CompiledNetlist:
         if f.en is not None:
             idx(f.en)
 
-    def rows(nets) -> np.ndarray:
-        return np.array([net_index[n] for n in nets], dtype=np.int64)
-
-    en_ffs = [i for i, f in enumerate(nl.ffs) if f.en is not None]
     cn = CompiledNetlist(
         nl=nl,
         net_index=net_index,
         n_nets=len(net_index),
         gates=tuple(
-            (_OPCODE[g.kind], net_index[g.out], _input_rows([net_index[n] for n in g.ins]))
+            (*_KIND[g.kind], net_index[g.out], tuple(net_index[n] for n in g.ins))
             for g in order
         ),
-        pi_rows=rows(nl.inputs),
-        one_rows=rows(n for n, v in nl.constants.items() if v & 1),
-        q_rows=rows(f.q for f in nl.ffs),
-        d_rows=rows(f.d for f in nl.ffs),
-        en_ffs=np.array(en_ffs, dtype=np.int64),
-        en_rows=rows(nl.ffs[i].en for i in en_ffs),
+        pi_rows=tuple(net_index[n] for n in nl.inputs),
+        one_rows=tuple(net_index[n] for n, v in nl.constants.items() if v & 1),
+        q_rows=tuple(net_index[f.q] for f in nl.ffs),
+        ff_rows=tuple(
+            (net_index[f.d], net_index[f.q], None if f.en is None else net_index[f.en])
+            for f in nl.ffs
+        ),
     )
     nl._cache["compiled"] = cn
     return cn
 
 
-def _input_rows(rows: list):
-    """A gate's input rows: a tuple of ints up to three inputs, else an index
-    array, which ``propagate`` folds with one gather and one reduce."""
-    return tuple(rows) if len(rows) <= 3 else np.array(rows, dtype=np.int64)
+def pack(bits: np.ndarray) -> list:
+    """(rows, n) 0/1 matrix -> one int per row; vector j is bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def pack(bits: np.ndarray) -> np.ndarray:
-    """(rows, n) 0/1 matrix -> (rows, ceil(n / 64)) words; vector j is bit
-    j % 64 of word j // 64."""
-    rows, n = bits.shape
+def unpack(values: list, n: int) -> np.ndarray:
+    """Inverse of ``pack``: the low ``n`` bits of each int as a 0/1 uint8
+    matrix with one row per int."""
     n_bytes = (n + 7) // 8
-    out = np.zeros((rows, -(-n_bytes // 8) * 8), dtype=np.uint8)
-    out[:, :n_bytes] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view(_WORD)
+    data = b"".join(v.to_bytes(n_bytes, "little") for v in values)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(values), n_bytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
-def unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of ``pack``: the first ``n`` vectors as a 0/1 uint8 matrix."""
-    return np.unpackbits(
-        np.ascontiguousarray(words, dtype=_WORD).view(np.uint8),
-        axis=1,
-        count=n,
-        bitorder="little",
-    )
-
-
-def propagate(cn: CompiledNetlist, words: np.ndarray) -> None:
-    """Fill every gate-output row of the (n_nets, n_words) ``words`` from
-    its assigned PI, constant and q rows."""
-    for op, out, ins in cn.gates:
-        dst = words[out]
-        if op == OP_MUX:
-            s = words[ins[0]]
-            np.bitwise_or(words[ins[1]] & ~s, words[ins[2]] & s, out=dst)
-            continue
-        fold = _FOLD.get(op)
-        if fold is None:  # NOT, BUF
-            dst[:] = words[ins[0]]
-        elif type(ins) is tuple:
-            fold(words[ins[0]], words[ins[1]], out=dst)
-            for i in ins[2:]:
-                fold(dst, words[i], out=dst)
+def propagate(cn: CompiledNetlist, values: list, mask: int) -> None:
+    """Fill every gate-output entry of ``values`` (one int per net) from its
+    assigned PI, constant and q entries; ``mask`` has one bit per vector."""
+    for fold, inverted, out, ins in cn.gates:
+        if fold is None:  # MUX: select, then the 0 and 1 data inputs
+            s, b, c = [values[i] for i in ins]
+            v = (b & ~s) | (c & s)
         else:
-            fold.reduce(words[ins], axis=0, out=dst)
-        if op in _INVERTED:
-            np.invert(dst, out=dst)
+            v = values[ins[0]]
+            for i in ins[1:]:
+                v = fold(v, values[i])
+        values[out] = v ^ mask if inverted else v
 
 
-def next_states(cn: CompiledNetlist, words: np.ndarray) -> np.ndarray:
-    """Next q words (n_ffs x n_words) from propagated words; no reset.
-
-    An FF whose enable is 0 holds its q."""
-    nxt = words[cn.d_rows]
-    if cn.en_ffs.size:
-        en = words[cn.en_rows]
-        held = words[cn.q_rows[cn.en_ffs]]
-        nxt[cn.en_ffs] = (nxt[cn.en_ffs] & en) | (held & ~en)
-    return nxt
+def _simulate(cn: CompiledNetlist, ints: list, n: int) -> list:
+    """Every net's int after propagation over ``n`` vectors, with the PI then
+    q nets set to ``ints`` and constant-1 nets to all ones."""
+    mask = (1 << n) - 1
+    values = [0] * cn.n_nets
+    for r in cn.one_rows:
+        values[r] = mask
+    for r, v in zip(cn.pi_rows + cn.q_rows, ints):
+        values[r] = v
+    propagate(cn, values, mask)
+    return values
 
 
 def batch_step(
@@ -193,18 +155,23 @@ def batch_step(
     (n_ffs,) state for every vector or an (n_ffs, n) matrix, one per vector.
 
     Returns the (n_ffs, n) 0/1 uint8 matrix of next states, one column per
-    vector.
+    vector; no reset, and an FF whose enable is 0 holds its q.
     """
     n = pi_matrix.shape[1]
-    words = cn.new_words((n + 63) // 64)
-    words[cn.pi_rows] = pack(pi_matrix)
     state = np.asarray(state, dtype=np.uint8)
     if state.ndim == 1:
-        words[cn.q_rows] = np.where(state[:, None] != 0, _ONES, np.uint64(0))
+        q_ints = [(1 << n) - 1 if b else 0 for b in state.tolist()]
     else:
-        words[cn.q_rows] = pack(state)
-    propagate(cn, words)
-    return unpack(next_states(cn, words), n)
+        q_ints = pack(state)
+    values = _simulate(cn, pack(pi_matrix) + q_ints, n)
+    nxt = []
+    for d, q, en in cn.ff_rows:
+        if en is None:
+            nxt.append(values[d])
+        else:
+            e = values[en]
+            nxt.append((values[d] & e) | (values[q] & ~e))
+    return unpack(nxt, n)
 
 
 def eval_outputs(
@@ -215,16 +182,14 @@ def eval_outputs(
     """Evaluate selected net rows for a batch of full (PI + q) assignments.
 
     ``assign_matrix`` stacks PI rows then q rows, matching
-    ``np.concatenate([pi_rows, q_rows])`` order; the result is the 0/1
-    uint8 matrix of ``rows``, one column per assignment.
+    ``pi_rows + q_rows`` order; the result is the 0/1 uint8 matrix of
+    ``rows``, one column per assignment.
     """
     n = assign_matrix.shape[1]
-    words = cn.new_words((n + 63) // 64)
-    words[np.concatenate([cn.pi_rows, cn.q_rows])] = pack(assign_matrix)
-    propagate(cn, words)
-    return unpack(words[rows], n)
+    values = _simulate(cn, pack(assign_matrix), n)
+    return unpack([values[r] for r in np.asarray(rows).tolist()], n)
 
 
 def using_numba() -> bool:
-    """Always False: numpy is the only kernel (kept for benchmark records)."""
+    """Always False: the int kernel is the only one (kept for benchmark records)."""
     return False

@@ -2,8 +2,11 @@
 
 Subcommands: gen, synth, attack (relic|topo), defend (replicate|ra|rb|honeypot),
 stg, overhead, pipeline.  Every subcommand also accepts ``--plan FILE`` (JSON)
-whose keys mirror the flags; explicit flags win.  Exit code 0 only if all
-requested checks pass.
+and refuses keys it does not know.  For all but ``pipeline`` the keys mirror
+the flags, and explicit flags win.  A pipeline plan holds ``benchmark`` and
+``defense`` objects plus ``encoding``, ``attacks``, ``stg_max_inputs`` and
+``check_vectors``; ``--seed`` overrides the benchmark seed.  Exit code 0 only
+if all requested checks pass.
 """
 
 from __future__ import annotations
@@ -194,17 +197,23 @@ def cmd_overhead(args) -> int:
     return 0
 
 
+# Top-level keys of a ``pipeline --plan`` file: the nested benchmark and
+# defense specs, then PipelinePlan fields given as plain JSON values.
+_PIPELINE_PLAN_KEYS = (
+    "benchmark", "defense", "encoding", "attacks", "stg_max_inputs", "check_vectors"
+)
+
+
 def cmd_pipeline(args) -> int:
     plan = harness.PipelinePlan()
     if args.plan:
         data = json.loads(Path(args.plan).read_text())
+        for key in data:
+            if key not in _PIPELINE_PLAN_KEYS:
+                raise ValueError(f"plan key {key!r} is not a pipeline plan key")
         bench = harness.BenchmarkSpec(**data.get("benchmark", {}))
         defense = harness.DefensePlan(**data.get("defense", {}))
-        fields = {
-            k: v
-            for k, v in data.items()
-            if k in ("encoding", "attacks", "stg_max_inputs", "check_vectors")
-        }
+        fields = {k: v for k, v in data.items() if k not in ("benchmark", "defense")}
         if "attacks" in fields:
             fields["attacks"] = tuple(fields["attacks"])
         plan = harness.PipelinePlan(benchmark=bench, defense=defense, **fields)

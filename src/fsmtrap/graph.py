@@ -8,9 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import product as _product
 from typing import Optional
 
+import numpy as np
+
+from .batchsim import compile_netlist, eval_outputs
 from .netlist import Netlist
 
 
@@ -315,11 +317,11 @@ def influences(nl: Netlist, src_ff: str, dst_net: str) -> bool:
 def influences_functional(nl: Netlist, src_ff: str, dst_net: str, max_vars: int = 10):
     """Exhaustive sensitivity check: does toggling Q_src ever change dst_net?
 
-    Returns True/False, or None when the cone has more than ``max_vars`` free
+    Every assignment of the cone's free variables and Q_src (all other PIs
+    and q nets at 0) is evaluated in one ``eval_outputs`` batch.  Returns
+    True/False, or None when the cone has more than ``max_vars`` free
     variables (callers fall back to the structural test).
     """
-    from .netlist import eval_comb
-
     support = _net_support(nl)
     ffs, pis = support[dst_net]
     if src_ff not in ffs:
@@ -329,16 +331,15 @@ def influences_functional(nl: Netlist, src_ff: str, dst_net: str, max_vars: int 
     if len(free) > max_vars:
         return None
     q_of = {f.name: f.q for f in nl.ffs}
-    base = {n: 0 for n in nl.inputs}
-    base.update({f.q: 0 for f in nl.ffs})
-    for bits in _product((0, 1), repeat=len(free)):
-        assign = dict(base)
-        for var, val in zip(free, bits):
-            assign[q_of.get(var, var)] = val
-        assign[q_of[src_ff]] = 0
-        v0 = eval_comb(nl, assign)[dst_net]
-        assign[q_of[src_ff]] = 1
-        v1 = eval_comb(nl, assign)[dst_net]
-        if v0 != v1:
-            return True
-    return False
+    # Rows of the assignment matrix: PIs, then q nets in FF order.
+    row_of = {n: i for i, n in enumerate(nl.inputs)}
+    row_of.update({f.q: len(nl.inputs) + i for i, f in enumerate(nl.ffs)})
+    # Column c sets Q_src to bit 0 of c and free variable i to bit i + 1.
+    cols = np.arange(2 << len(free))
+    assign = np.zeros((len(nl.inputs) + len(nl.ffs), cols.size), dtype=np.uint8)
+    for i, var in enumerate(free):
+        assign[row_of[q_of.get(var, var)]] = (cols >> (i + 1)) & 1
+    assign[row_of[q_of[src_ff]]] = cols & 1
+    cn = compile_netlist(nl)
+    out = eval_outputs(cn, assign, np.array([cn.row(dst_net)]))[0]
+    return bool((out[0::2] != out[1::2]).any())

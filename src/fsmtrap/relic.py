@@ -11,8 +11,8 @@ Cones are interned by shape, so a similarity matrix is evaluated once per
 pair of distinct root shapes (replicated bits and data words share one) and
 broadcast to the flip-flops; child similarities are evaluated once per pair
 of distinct child shapes.  The matrix is cached on the netlist, next to its
-support and FF graph, so ``zscores`` and ``relic_tarjan`` on one netlist
-build it once.
+support and FF graph, and so is the z-score table, so ``zscores`` and
+``relic_tarjan`` on one netlist build each once.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -155,12 +156,12 @@ def similarity_matrix(nl: Netlist, depth_limit: int = 6) -> SimilarityMatrix:
     return sm
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZScoreTable:
     ffs: tuple
-    scores: dict
-    raw_features: dict  # ff -> (f1, f2, f3, f4)
-    z_features: dict
+    scores: Mapping[str, float]
+    raw_features: Mapping[str, tuple]  # ff -> (f1, f2, f3, f4)
+    z_features: Mapping[str, tuple]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -179,21 +180,21 @@ def _standardize(column: np.ndarray) -> np.ndarray:
     return (column - mean) / std
 
 
-def zscores(
-    nl: Netlist,
-    params: RelicParams = RelicParams(),
-    sim: Optional[SimilarityMatrix] = None,
-) -> ZScoreTable:
+def zscores(nl: Netlist, params: RelicParams = RelicParams()) -> ZScoreTable:
     """Per-FF standardized composite; higher means more state-register-like.
 
     Features: f1 cone uniqueness (1 - max similarity), f2 neighborhood
     uniqueness (1 - mean of top-k similarities), f3 fraction of control
     signals structurally influenced, f4 presence of any feedback path.
+    Cached on the netlist per ``params``; the table's mappings are read-only.
     """
     if len(nl.ffs) < 2:
         raise ValueError("scoring needs at least two flip-flops")
-    if sim is None:
-        sim = similarity_matrix(nl, params.depth_limit)
+    key = ("zscores", params)
+    cached = nl._cache.get(key)
+    if cached is not None:
+        return cached
+    sim = similarity_matrix(nl, params.depth_limit)
     ffs = sim.ffs
     n = len(ffs)
     controls = sorted(control_signals(nl))
@@ -212,12 +213,14 @@ def zscores(
     zcols = np.column_stack([_standardize(feats[:, j]) for j in range(4)])
     weights = np.asarray(params.weights)
     scores = zcols @ weights
-    return ZScoreTable(
+    table = ZScoreTable(
         ffs=ffs,
-        scores={f: float(scores[i]) for i, f in enumerate(ffs)},
-        raw_features={f: tuple(feats[i]) for i, f in enumerate(ffs)},
-        z_features={f: tuple(zcols[i]) for i, f in enumerate(ffs)},
+        scores=MappingProxyType({f: float(scores[i]) for i, f in enumerate(ffs)}),
+        raw_features=MappingProxyType({f: tuple(feats[i]) for i, f in enumerate(ffs)}),
+        z_features=MappingProxyType({f: tuple(zcols[i]) for i, f in enumerate(ffs)}),
     )
+    nl._cache[key] = table
+    return table
 
 
 @dataclass

@@ -546,16 +546,21 @@ def _droppable_bits(fsm: FsmSpec, codes: Mapping[str, str], pos) -> list[bool]:
     """Bits whose next-value function is independent of their current value.
 
     Exact check per partner pair of codes: equal positive covers if both codes
-    name states, an empty cover if only one does.
+    name states, an empty cover if only one does.  A bit's test stops at its
+    first mismatching partner, and minterm sets are computed only as the
+    tests reach them.
     """
     width = len(next(iter(codes.values())))
     if len(fsm.inputs) > _DROP_INPUT_LIMIT:
         return [False] * width
     by_code = {codes[s]: s for s in fsm.states}
-    minterms = {
-        s: [cover_minterms(pos[s][b], fsm.inputs) for b in range(width)]
-        for s in fsm.states
-    }
+    minterms: dict = {}
+
+    def terms(s: str, b: int) -> frozenset:
+        if (s, b) not in minterms:
+            minterms[s, b] = cover_minterms(pos[s][b], fsm.inputs)
+        return minterms[s, b]
+
     drop = []
     for b in range(width):
         ok = True
@@ -564,10 +569,10 @@ def _droppable_bits(fsm: FsmSpec, codes: Mapping[str, str], pos) -> list[bool]:
             partner = c[:b] + ("1" if c[b] == "0" else "0") + c[b + 1:]
             other = by_code.get(partner)
             if other is None:
-                if minterms[s][b]:
+                if terms(s, b):
                     ok = False
                     break
-            elif minterms[s][b] != minterms[other][b]:
+            elif terms(s, b) != terms(other, b):
                 ok = False
                 break
         drop.append(ok)

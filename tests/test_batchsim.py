@@ -69,7 +69,7 @@ def _kernel_netlist(seed: int) -> Netlist:
     return Netlist("kernel", tuple(inputs), (), constants, tuple(gates), tuple(ffs))
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
 def test_packed_kernel_matches_scalar_across_word_edges(n):
     nl = _kernel_netlist(n)
     assert {g.kind for g in nl.gates} == {
@@ -99,15 +99,16 @@ def test_packed_kernel_matches_scalar_across_word_edges(n):
         assert shared[:, v].tolist() == [nxt0[f.name] for f in nl.ffs]
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
 def test_pack_roundtrip(n):
     bits = np.random.default_rng(n).integers(0, 2, (3, n), dtype=np.uint8)
-    words = pack(bits)
-    assert words.shape == (3, (n + 63) // 64)
-    assert np.array_equal(unpack(words, n), bits)
-    # Vector j is bit j % 64 of word j // 64.
-    for j in range(n):
-        assert int(words[1, j // 64] >> np.uint64(j % 64)) & 1 == bits[1, j]
+    ints = pack(bits)
+    assert len(ints) == 3
+    assert np.array_equal(unpack(ints, n), bits)
+    # One int per row, each below 2**n; vector j is bit j.
+    for row, v in zip(bits, ints):
+        assert 0 <= v < 1 << n
+        assert [(v >> j) & 1 for j in range(n)] == row.tolist()
 
 
 def test_batch_step_matches_scalar_step():

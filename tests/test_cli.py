@@ -118,6 +118,16 @@ def test_pipeline_cli_with_plan(tmp_path, capsys):
     assert "stg_equivalent True" in out
 
 
+@pytest.mark.parametrize("key", ["encodng", "relic_params"])
+def test_pipeline_plan_rejects_unknown_key(tmp_path, capsys, key):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({key: "one_hot"}))
+    code = run("pipeline", "--plan", str(plan_file), "--out", str(tmp_path / "run"))
+    assert code != 0
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert run("synth", "--design", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err

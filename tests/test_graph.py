@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -16,9 +17,10 @@ from fsmtrap.graph import (
     input_cone,
     label_sccs,
     tarjan_scc,
+    _net_support,
 )
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import parse
+from fsmtrap.netlist import eval_comb, parse
 from fsmtrap.synth import (
     Counter,
     DatapathSpec,
@@ -385,6 +387,44 @@ def test_influence_functional_agreement_rate():
                     disagreements += 1
     assert total > 0
     assert 0 <= disagreements <= total
+
+
+def _reference_influences_functional(nl, src_ff, dst_net, max_vars=10):
+    """The scalar loop: two ``eval_comb`` calls per free-variable assignment."""
+    ffs, pis = _net_support(nl)[dst_net]
+    if src_ff not in ffs:
+        return False
+    free = sorted(ffs - {src_ff}) + sorted(pis)
+    if len(free) > max_vars:
+        return None
+    q_of = {f.name: f.q for f in nl.ffs}
+    base = {n: 0 for n in nl.inputs}
+    base.update({f.q: 0 for f in nl.ffs})
+    for bits in product((0, 1), repeat=len(free)):
+        assign = dict(base)
+        for var, val in zip(free, bits):
+            assign[q_of.get(var, var)] = val
+        assign[q_of[src_ff]] = 0
+        v0 = eval_comb(nl, assign)[dst_net]
+        assign[q_of[src_ff]] = 1
+        v1 = eval_comb(nl, assign)[dst_net]
+        if v0 != v1:
+            return True
+    return False
+
+
+def test_influences_functional_matches_scalar_reference():
+    verdicts = set()
+    for seed in range(8):
+        nl = random_seq_netlist(seed, n_ffs=5, n_gates=20)
+        for max_vars in (10, 2):
+            for f in nl.ffs:
+                for g in nl.gates:
+                    got = influences_functional(nl, f.name, g.out, max_vars=max_vars)
+                    assert got == _reference_influences_functional(nl, f.name, g.out, max_vars)
+                    verdicts.add(got)
+    # Every verdict occurs, None (more free variables than max_vars) included.
+    assert verdicts == {True, False, None}
 
 
 def test_label_sccs():

@@ -200,6 +200,28 @@ def test_similarity_matrix_cached_per_netlist_and_depth():
     assert first.z_features == second.z_features
 
 
+def test_zscores_cached_read_only_and_reused_by_relic_tarjan(monkeypatch):
+    import fsmtrap.relic as relic_mod
+
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=4))
+    nl, _ = synthesize(fsm, dp)
+    table = zscores(nl)
+    assert zscores(nl) is table
+    assert zscores(nl, RelicParams(top_k=3)) is not table
+    with pytest.raises(TypeError):
+        table.scores[table.ffs[0]] = 0.0
+    with pytest.raises(TypeError):
+        table.raw_features[table.ffs[0]] = (0.0,) * 4
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("features rebuilt")
+
+    monkeypatch.setattr(relic_mod, "similarity_matrix", rebuilt)
+    monkeypatch.setattr(relic_mod, "has_any_fp", rebuilt)
+    result = relic_tarjan(nl)
+    assert result.argmax_ff == select_scc_by_z(table.scores, [])[0]
+
+
 def test_similarity_symmetric_reflexive_bounded():
     fsm = make_fsm(
         "m",

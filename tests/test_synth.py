@@ -22,6 +22,9 @@ from fsmtrap.synth import (
     SpecError,
     SynthOptions,
     XorOp,
+    _bit_covers,
+    _droppable_bits,
+    _effective_covers,
     decode_state,
     encode,
     make_fsm,
@@ -30,6 +33,7 @@ from fsmtrap.synth import (
     state_ff_name,
     synthesize,
 )
+from fsmtrap.cubes import cover_minterms
 from fsmtrap.topo import topo_attack
 
 from conftest import random_fsm
@@ -288,3 +292,75 @@ def test_parse_synthesize_and_attack_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _reference_droppable_bits(fsm, codes, pos):
+    """The eager form: every (state, bit) minterm set up front."""
+    width = len(next(iter(codes.values())))
+    by_code = {codes[s]: s for s in fsm.states}
+    minterms = {
+        s: [cover_minterms(pos[s][b], fsm.inputs) for b in range(width)]
+        for s in fsm.states
+    }
+    drop = []
+    for b in range(width):
+        ok = True
+        for s in fsm.states:
+            c = codes[s]
+            partner = c[:b] + ("1" if c[b] == "0" else "0") + c[b + 1:]
+            other = by_code.get(partner)
+            if other is None:
+                if minterms[s][b]:
+                    ok = False
+                    break
+            elif minterms[s][b] != minterms[other][b]:
+                ok = False
+                break
+        drop.append(ok)
+    return drop
+
+
+def _mostly_input_driven_fsm(seed: int, n_inputs: int):
+    """Most states share one transition table, so some state bits' next
+    values do not depend on their current value."""
+    rng = random.Random(seed)
+    states = [f"S{i}" for i in range(rng.choice((2, 3, 4, 6, 8)))]
+    inputs = [f"x{i}" for i in range(n_inputs)]
+
+    def table():
+        # Complete, so that no state holds on an unmatched input.
+        var, other = rng.sample(inputs, 2)
+        return [
+            ({var: 1}, rng.choice(states)),
+            ({var: 0, other: 1}, rng.choice(states)),
+            ({var: 0, other: 0}, rng.choice(states)),
+        ]
+
+    shared = table()
+    transitions = [
+        (s, cube, dst)
+        for s in states
+        for cube, dst in (shared if rng.random() < 0.7 else table())
+    ]
+    return make_fsm(f"d{seed}", states, inputs, states[0], transitions, encoding="binary")
+
+
+def test_droppable_bits_match_eager_reference():
+    fsms = [random_fsm(seed, max_states=8, max_inputs=5) for seed in range(60)]
+    fsms += [_mostly_input_driven_fsm(seed, 2 + seed % 4) for seed in range(40)]
+    fsms += [
+        gen_benchmark(BenchmarkSpec(seed=seed, n_states=k, n_inputs=m))[0]
+        for seed in range(3)
+        for k in (3, 6, 9)
+        for m in (2, 3, 4, 5)
+    ]
+    fsms = [f for f in fsms if 2 <= len(f.inputs) <= 5]
+    verdicts = set()
+    for fsm in fsms:
+        codes = encode(fsm)
+        pos = _bit_covers(fsm, codes, *_effective_covers(fsm))
+        drop = _droppable_bits(fsm, codes, pos)
+        assert drop == _reference_droppable_bits(fsm, codes, pos)
+        verdicts.update(drop)
+    assert {len(f.inputs) for f in fsms} == {2, 3, 4, 5}
+    assert verdicts == {True, False}
