@@ -37,15 +37,20 @@ from .synth import SynthOptions, synthesize
 from .topo import TopoParams, topo_attack
 
 
-def _load_plan_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if getattr(args, "plan", None):
-        data = json.loads(Path(args.plan).read_text())
-        for key, value in data.items():
-            if not hasattr(args, key):
-                parser.error(f"plan key {key!r} is not a parameter of this command")
-            if parser.get_default(key) == getattr(args, key):
-                setattr(args, key, value)
-    return args
+def _plan_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
+    """The option values in the JSON plan file at ``path``, checked against
+    the options of subcommand ``sub``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot read plan {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"plan {path} is not a JSON object")
+    options = {a.dest for a in sub._actions if a.option_strings} - {"help", "plan"}
+    for key in data:
+        if key not in options:
+            raise ValueError(f"plan key {key!r} is not an option of {command}")
+    return data
 
 
 def _read_design(path: str):
@@ -317,9 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "plan", None) and args.command != "pipeline":
-        _load_plan_defaults(args, parser)
     try:
+        if args.plan and args.command != "pipeline":
+            # Plan values become the subcommand's defaults, so any option
+            # given on the command line still wins when parsed again.
+            subparsers = next(
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            sub = subparsers.choices[args.command]
+            sub.set_defaults(**_plan_defaults(args.plan, sub, args.command))
+            args = parser.parse_args(argv)
         return args.fn(args)
     except Exception as e:  # surface domain errors as clean failures
         print(f"error: {e}", file=sys.stderr)

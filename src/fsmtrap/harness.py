@@ -222,27 +222,40 @@ def overhead(before: Netlist, after: Netlist) -> OverheadReport:
 def outputs_match(
     before: Netlist, after: Netlist, n_vectors: int = 1000, seed: int = 7
 ) -> bool:
-    """Positional output equality on random assignments of PIs and shared FFs.
+    """Equality of positional outputs and of every FF's next state on random
+    assignments of PIs and FF states.
 
-    Registers private to ``after`` (an integrated decoy) get random values
-    too; original outputs must not observe them.
+    Every FF of ``before`` must exist in ``after`` under the same name, and
+    its next state (``d`` where ``en`` is 1 and ``q`` elsewhere, or ``d``
+    for an FF without an enable) must agree on every vector.  Registers
+    private to ``after`` (an integrated decoy) get random values too;
+    neither the outputs nor the shared FFs' next states may observe them.
     """
     if len(before.outputs) != len(after.outputs):
         return False
+    after_ffs = {f.name: f for f in after.ffs}
+    if any(f.name not in after_ffs for f in before.ffs):
+        return False
     rng = np.random.default_rng(seed)
-    cb = compile_netlist(before)
-    ca = compile_netlist(after)
     pi_vals = {n: rng.integers(0, 2, n_vectors, dtype=np.uint8) for n in after.inputs}
     ff_vals = {f.name: rng.integers(0, 2, n_vectors, dtype=np.uint8) for f in after.ffs}
+    n_out = len(before.outputs)
 
-    def assign_for(cn, nl):
-        rows = [pi_vals[n] for n in nl.inputs]
-        rows += [ff_vals[f.name] for f in nl.ffs]
-        return np.stack(rows)
+    def observed(nl: Netlist, ffs) -> list:
+        """Outputs, then the next state of each of ``ffs``, one row each."""
+        cn = compile_netlist(nl)
+        assign = np.stack([pi_vals[n] for n in nl.inputs] + [ff_vals[f.name] for f in nl.ffs])
+        nets = list(nl.outputs) + [f.d for f in ffs] + [f.en for f in ffs if f.en is not None]
+        vals = eval_outputs(cn, assign, np.array([cn.row(n) for n in nets], dtype=np.intp))
+        rows = list(vals[:n_out])
+        en_rows = iter(vals[n_out + len(ffs):])
+        for f, d in zip(ffs, vals[n_out:n_out + len(ffs)]):
+            rows.append(d if f.en is None else np.where(next(en_rows), d, ff_vals[f.name]))
+        return rows
 
-    out_b = eval_outputs(cb, assign_for(cb, before), np.array([cb.row(n) for n in before.outputs]))
-    out_a = eval_outputs(ca, assign_for(ca, after), np.array([ca.row(n) for n in after.outputs]))
-    return bool((out_b == out_a).all())
+    shared = [after_ffs[f.name] for f in before.ffs]
+    pairs = zip(observed(before, before.ffs), observed(after, shared))
+    return all(np.array_equal(b, a) for b, a in pairs)
 
 
 # -- pipeline -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .graph import FeedbackClass, classify_feedback, has_high_fp
 from .netlist import FlipFlop, Gate, Netlist
-from .relic import RelicParams, select_scc_by_z, zscores
+from .relic import RelicParams, _ShapeTable, select_scc_by_z, zscores
 from .synth import (
     DatapathSpec,
     FsmSpec,
@@ -614,6 +614,11 @@ def tune_honeypot(
     """Iterate seeded decoy mutations until the decoy component out-scores the
     design's state component (optionally: wins the selection rule outright).
 
+    Every candidate is scored against one shape table local to this call.
+    Shape ids depend only on structure, so the design's cones, shared by all
+    candidates, have their similarities evaluated once per call rather than
+    once per candidate; the scores are those of scoring each candidate alone.
+
     Returns the first success, else the best candidate with found=False.
     """
     if max_iters < 1:
@@ -623,10 +628,11 @@ def tune_honeypot(
     iterations: list[TuneIteration] = []
     best: Optional[TuneReport] = None
     best_margin = float("-inf")
+    shapes = _ShapeTable()
     for i in range(max_iters):
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
         hp_fsm, hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
-        table = zscores(integrated, relic_params)
+        table = zscores(integrated, relic_params, shapes=shapes)
         report = tarjan_scc(build_ff_graph(integrated))
 
         def scc_max(members_of) -> float:

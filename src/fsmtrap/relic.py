@@ -10,9 +10,19 @@ the first in row-major order among equal scores.
 Cones are interned by shape, so a similarity matrix is evaluated once per
 pair of distinct root shapes (replicated bits and data words share one) and
 broadcast to the flip-flops; child similarities are evaluated once per pair
-of distinct child shapes.  The matrix is cached on the netlist, next to its
-support and FF graph, and so is the z-score table, so ``zscores`` and
-``relic_tarjan`` on one netlist build each once.
+of distinct child shapes.  Shapes are interned bottom-up without building
+cone trees: a memo per call holds, for each depth left and each net, the
+net's (kind, effective net after BUFs, shape id), so a net reached by many
+cones at one depth is interned once.  ``ConeNode`` trees (``input_cone``)
+serve only ``pair_similarity`` and the tests' oracle.
+
+Shape ids depend only on structure, so one shape table can score several
+netlists: ``obfuscate.tune_honeypot`` passes one table through ``zscores``
+for all of its candidates, and the similarities of the design's cones, which
+every candidate shares, are evaluated once per tuning run.  The matrix is
+cached on the netlist, next to its support and FF graph, and so is the
+z-score table, so ``zscores`` and ``relic_tarjan`` on one netlist build each
+once.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .graph import (
     build_ff_graph,
     control_signals,
     has_any_fp,
-    input_cone,
     tarjan_scc,
     _net_support,
 )
@@ -45,21 +54,36 @@ class RelicParams:
 
 
 class _ShapeTable:
-    """Interns cone shapes (kinds + child order) and memoizes similarities."""
+    """Interns cone shapes (kinds + child order) and memoizes similarities.
+
+    Shape ids depend only on structure, so one table can score several
+    netlists and evaluates each pair of shapes once across all of them.
+    """
 
     def __init__(self):
         self._ids: dict = {}
         self.nodes: list = []
         self._memo: dict = {}
 
-    def canon(self, node) -> int:
-        key = (node.kind, tuple(self.canon(c) for c in node.children))
+    def intern(self, kind: str, child_ids: tuple) -> int:
+        key = (kind, child_ids)
         cid = self._ids.get(key)
         if cid is None:
             cid = len(self.nodes)
             self._ids[key] = cid
             self.nodes.append(key)
         return cid
+
+    def canon(self, node) -> int:
+        return self.intern(node.kind, tuple(self.canon(c) for c in node.children))
+
+    def cone_ids(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> list:
+        """Shape id of each root net's depth-limited input cone, the shape
+        ``canon(input_cone(nl, root, depth_limit).root)`` interns, built
+        bottom-up from a per-call memo instead of a ``ConeNode`` tree."""
+        depth = max(depth_limit, 0)
+        memo = [{} for _ in range(depth + 1)]
+        return [_intern_cone(self, nl.driver, memo, net, depth)[2] for net in roots]
 
     def sim(self, ca: int, cb: int) -> float:
         if ca == cb:
@@ -91,6 +115,35 @@ class _ShapeTable:
         rows = np.array([row_of[x] for x in ids_a], dtype=np.intp)
         cols = np.array([col_of[y] for y in ids_b], dtype=np.intp)
         return distinct[np.ix_(rows, cols)]
+
+
+def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: int) -> tuple:
+    """(kind, effective net after BUFs, shape id) of ``net``'s cone with
+    ``depth`` gate levels left, as ``graph._cone_node`` would build it.
+
+    ``memo[depth]`` maps nets to their entries.  Children sort by (kind, net)
+    like ``_cone_node``'s; equal (kind, net) at one depth means equal shape.
+    """
+    level = memo[depth]
+    hit = level.get(net)
+    if hit is not None:
+        return hit
+    drv = driver[net]
+    if drv == "input":
+        entry = ("PI", net, table.intern("PI", ()))
+    elif drv == "const":
+        entry = ("CONST", net, table.intern("CONST", ()))
+    elif hasattr(drv, "q"):
+        entry = ("FF", net, table.intern("FF", ()))
+    elif drv.kind == "BUF":
+        entry = _intern_cone(table, driver, memo, drv.ins[0], depth)
+    elif depth == 0:
+        entry = (drv.kind, net, table.intern(drv.kind, ()))
+    else:
+        children = sorted(_intern_cone(table, driver, memo, n, depth - 1) for n in drv.ins)
+        entry = (drv.kind, net, table.intern(drv.kind, tuple(c[2] for c in children)))
+    level[net] = entry
+    return entry
 
 
 def _greedy_match(sims: np.ndarray) -> float:
@@ -137,9 +190,12 @@ class SimilarityMatrix:
         return float(self.values[ia, ib])
 
 
-def similarity_matrix(nl: Netlist, depth_limit: int = 6) -> SimilarityMatrix:
+def similarity_matrix(
+    nl: Netlist, depth_limit: int = 6, *, shapes: Optional[_ShapeTable] = None
+) -> SimilarityMatrix:
     """Pairwise cone similarity over all flip-flops, ordered by name.
 
+    ``shapes`` is the shape table to score against (a fresh one by default).
     Cached on the netlist per depth limit; ``values`` is read-only.
     """
     key = ("similarity", depth_limit)
@@ -147,8 +203,8 @@ def similarity_matrix(nl: Netlist, depth_limit: int = 6) -> SimilarityMatrix:
     if cached is not None:
         return cached
     ffs = tuple(sorted(f.name for f in nl.ffs))
-    table = _ShapeTable()
-    cids = [table.canon(input_cone(nl, nl.ff_by_name(name).d, depth_limit).root) for name in ffs]
+    table = _ShapeTable() if shapes is None else shapes
+    cids = table.cone_ids(nl, [nl.ff_by_name(name).d for name in ffs], depth_limit)
     values = table.sims(cids, cids)
     values.flags.writeable = False
     sm = SimilarityMatrix(ffs=ffs, values=values, depth_limit=depth_limit)
@@ -180,13 +236,19 @@ def _standardize(column: np.ndarray) -> np.ndarray:
     return (column - mean) / std
 
 
-def zscores(nl: Netlist, params: RelicParams = RelicParams()) -> ZScoreTable:
+def zscores(
+    nl: Netlist,
+    params: RelicParams = RelicParams(),
+    *,
+    shapes: Optional[_ShapeTable] = None,
+) -> ZScoreTable:
     """Per-FF standardized composite; higher means more state-register-like.
 
     Features: f1 cone uniqueness (1 - max similarity), f2 neighborhood
     uniqueness (1 - mean of top-k similarities), f3 fraction of control
     signals structurally influenced, f4 presence of any feedback path.
-    Cached on the netlist per ``params``; the table's mappings are read-only.
+    ``shapes`` is passed on to ``similarity_matrix``.  Cached on the netlist
+    per ``params``; the table's mappings are read-only.
     """
     if len(nl.ffs) < 2:
         raise ValueError("scoring needs at least two flip-flops")
@@ -194,7 +256,7 @@ def zscores(nl: Netlist, params: RelicParams = RelicParams()) -> ZScoreTable:
     cached = nl._cache.get(key)
     if cached is not None:
         return cached
-    sim = similarity_matrix(nl, params.depth_limit)
+    sim = similarity_matrix(nl, params.depth_limit, shapes=shapes)
     ffs = sim.ffs
     n = len(ffs)
     controls = sorted(control_signals(nl))

@@ -132,3 +132,55 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert run("synth", "--design", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_plan_values_apply_to_subcommands(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"states": 9}))
+    assert run("gen", "--plan", str(plan), "--out", str(tmp_path / "nine.txt")) == 0
+    assert run("gen", "--states", "9", "--out", str(tmp_path / "flag.txt")) == 0
+    assert (tmp_path / "nine.txt").read_text() == (tmp_path / "flag.txt").read_text()
+
+
+def test_plan_feeds_attack_options_and_flags_win(design_file, tmp_path):
+    nl = tmp_path / "base.nl"
+    run("synth", "--design", str(design_file), "--out", str(nl))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"depth": 1, "top_k": 1}))
+
+    def csv(name, *extra):
+        path = tmp_path / name
+        assert run("attack", "relic", "--netlist", str(nl), "--csv", str(path), *extra) == 0
+        return path.read_text()
+
+    default = csv("default.csv")
+    planned = csv("plan.csv", "--plan", str(plan))
+    flags = csv("flags.csv", "--depth", "1", "--top-k", "1")
+    assert planned == flags != default
+    # An explicit flag beats the plan's value for the same option, also when
+    # the flag repeats the option's default.
+    mixed = csv("mixed.csv", "--plan", str(plan), "--depth", "3")
+    assert mixed == csv("mixed_flags.csv", "--depth", "3", "--top-k", "1")
+    at_default = csv("at_default.csv", "--plan", str(plan), "--depth", "6")
+    assert at_default == csv("top_k_flag.csv", "--top-k", "1") != planned
+
+
+@pytest.mark.parametrize("key", ["fn", "command", "plan", "mode", "no_such_option"])
+def test_plan_rejects_keys_that_are_not_options(design_file, tmp_path, capsys, key):
+    nl = tmp_path / "base.nl"
+    run("synth", "--design", str(design_file), "--out", str(nl))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({key: 1}))
+    assert run("attack", "relic", "--netlist", str(nl), "--plan", str(plan)) == 2
+    assert f"error: plan key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_unreadable_plan_is_a_clean_error(tmp_path, capsys, text):
+    plan = tmp_path / "plan.json"
+    if text is not None:
+        plan.write_text(text)
+    assert run("gen", "--plan", str(plan), "--out", str(tmp_path / "d.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "d.txt").exists()

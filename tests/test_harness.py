@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from fsmtrap.graph import build_ff_graph, tarjan_scc
@@ -13,8 +15,8 @@ from fsmtrap.harness import (
     overhead,
     run_pipeline,
 )
-from fsmtrap.netlist import parse
-from fsmtrap.obfuscate import HoneypotParams, derive_honeypot, integrate_honeypot
+from fsmtrap.netlist import Netlist, parse
+from fsmtrap.obfuscate import HoneypotParams, build_decoy, derive_honeypot, integrate_honeypot
 from fsmtrap.specio import design_text, parse_ground_truth
 from fsmtrap.synth import SynthOptions, synthesize
 
@@ -94,6 +96,53 @@ def test_outputs_match_detects_change():
     other = parse("input a\ninput b\ngate OR g o a b\noutput o\n")
     assert outputs_match(nl, nl)
     assert not outputs_match(nl, other)
+
+
+def test_outputs_match_checks_shared_next_state():
+    # Turning the decoy's constant-0 AND into an OR lets the decoy drive the
+    # counter enables it is mixed into; no output port observes that.
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
+    nl, _ = synthesize(fsm, dp)
+    _, _, merged, _ = build_decoy(
+        nl, fsm, HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
+    )
+    assert outputs_match(nl, merged)
+    assert [g.kind for g in merged.gates if g.name == "hp_zero"] == ["AND"]
+    gates = tuple(
+        replace(g, kind="OR") if g.name == "hp_zero" else g for g in merged.gates
+    )
+    broken = Netlist(
+        merged.name, merged.inputs, merged.outputs, dict(merged.constants), gates, merged.ffs
+    )
+    assert not outputs_match(nl, broken)
+
+
+def test_outputs_match_next_state_with_and_without_enable():
+    base = parse(
+        "input clk\ninput a\ninput e\ngate AND g n a e\n"
+        "dff f q=fq d=n clk=clk en=e\ndff h q=hq d=a clk=clk\noutput fq\n"
+    )
+    d_changed = parse(
+        "input clk\ninput a\ninput e\ngate OR g n a e\n"
+        "dff f q=fq d=n clk=clk en=e\ndff h q=hq d=a clk=clk\noutput fq\n"
+    )
+    # Where e is 0 the FF holds q; only d under e = 1 may decide.
+    held = parse(
+        "input clk\ninput a\ninput e\ngate BUF g n a\n"
+        "dff f q=fq d=n clk=clk en=e\ndff h q=hq d=a clk=clk\noutput fq\n"
+    )
+    no_enable = parse(
+        "input clk\ninput a\ninput e\ngate AND g n a e\n"
+        "dff f q=fq d=n clk=clk\ndff h q=hq d=a clk=clk\noutput fq\n"
+    )
+    renamed = parse(
+        "input clk\ninput a\ninput e\ngate AND g n a e\n"
+        "dff f q=fq d=n clk=clk en=e\ndff k q=hq d=a clk=clk\noutput fq\n"
+    )
+    assert outputs_match(base, held)
+    assert not outputs_match(base, d_changed)
+    assert not outputs_match(base, no_enable)
+    assert not outputs_match(base, renamed)
 
 
 def test_pipeline_baseline_only(tmp_path):

@@ -436,3 +436,69 @@ def test_tuner_small_fsm_can_fail_with_flag():
     report = tune_honeypot(nl, gt.sffs, tiny, p, max_iters=2)
     assert report.found is False
     assert report.iterations
+
+
+def _defend_design():
+    """The ``defend`` benchmark design: 48 states, 12-bit data, 3 pairs, 6 inputs."""
+    from fsmtrap.harness import BenchmarkSpec, gen_benchmark
+
+    return gen_benchmark(
+        BenchmarkSpec(seed=0, n_states=48, data_width=12, n_data_pairs=3, n_inputs=6)
+    )
+
+
+def _scored_alone(monkeypatch):
+    """Make ``tune_honeypot`` score each candidate against a fresh shape table."""
+    import fsmtrap.obfuscate as obf
+    from fsmtrap.relic import zscores
+
+    monkeypatch.setattr(obf, "zscores", lambda nl, params, shapes: zscores(nl, params))
+
+
+@pytest.mark.parametrize("replicated", [False, True])
+def test_tuner_shared_shape_table_scores_like_fresh_tables(monkeypatch, replicated):
+    from fsmtrap.relic import zscores
+
+    fsm, dp = _defend_design()
+    design = replicate_state_bits(fsm, ReplicationPlan(2)) if replicated else fsm
+    p = HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
+
+    def tune():
+        nl, gt = synthesize(design, dp)
+        return tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10, require_selection=replicated)
+
+    shared = tune()
+    with monkeypatch.context() as m:
+        _scored_alone(m)
+        alone = tune()
+    assert len(alone.iterations) == (1 if replicated else 10)
+    assert shared.iterations == alone.iterations
+    assert shared.found == alone.found
+    assert shared.params.mutation_seed == alone.params.mutation_seed
+    za, zb = zscores(shared.integrated), zscores(alone.integrated)
+    assert za.ffs == zb.ffs
+    assert za.scores == zb.scores
+    assert za.raw_features == zb.raw_features
+    assert za.z_features == zb.z_features
+
+
+def test_tuner_builds_one_shape_table_per_call(monkeypatch):
+    from fsmtrap.harness import BenchmarkSpec, gen_benchmark
+    from fsmtrap.relic import _ShapeTable
+
+    built = []
+    init = _ShapeTable.__init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
+    nl, gt = synthesize(fsm, dp)
+    p = HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
+    monkeypatch.setattr(_ShapeTable, "__init__", counting_init)
+    first = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=4)
+    assert len(built) == 1
+    second = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=4)
+    assert len(built) == 2 and built[0] is not built[1]
+    assert len(first.iterations) == len(second.iterations) == 4

@@ -6,7 +6,7 @@ import pytest
 
 from fsmtrap.graph import ConeNode, ConeTree, input_cone
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import parse
+from fsmtrap.netlist import FlipFlop, Gate, Netlist, parse
 from fsmtrap.relic import (
     RelicParams,
     _ShapeTable,
@@ -29,6 +29,8 @@ from fsmtrap.synth import (
     synthesize,
 )
 from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits
+
+from conftest import random_seq_netlist
 
 
 def leaf(kind, net="x"):
@@ -179,6 +181,84 @@ def test_similarity_matrix_equals_all_pairs_reference(profile):
     )
     nl, _ = synthesize(fsm, dp)
     assert np.array_equal(similarity_matrix(nl).values, _reference_matrix(nl))
+
+
+def _expand(table: _ShapeTable, cid: int) -> tuple:
+    kind, children = table.nodes[cid]
+    return (kind, tuple(_expand(table, c) for c in children))
+
+
+def _strip(node: ConeNode) -> tuple:
+    return (node.kind, tuple(_strip(c) for c in node.children))
+
+
+def _check_cone_ids(nl, depth_limit):
+    """``cone_ids`` against interning the ``input_cone`` trees: the same
+    shape per root, ids one-to-one, and equal similarity matrices."""
+    roots = [f.d for f in sorted(nl.ffs, key=lambda f: f.name)]
+    table = _ShapeTable()
+    got = table.cone_ids(nl, roots, depth_limit)
+    oracle = _ShapeTable()
+    cones = [input_cone(nl, r, depth_limit).root for r in roots]
+    want = [oracle.canon(c) for c in cones]
+    assert [_expand(table, g) for g in got] == [_strip(c) for c in cones]
+    assert len(set(zip(got, want))) == len(set(got)) == len(set(want))
+    assert np.array_equal(table.sims(got, got), oracle.sims(want, want))
+
+
+def _hand_cones_netlist() -> Netlist:
+    # A BUF chain into a gate, an AND with a repeated input, and a net (r1)
+    # reached at depths 1 and 3 of f0's cone.
+    g = [
+        Gate("b0", "BUF", "b0", ("a",)),
+        Gate("b1", "BUF", "b1", ("b0",)),
+        Gate("b2", "BUF", "b2", ("f1_q",)),
+        Gate("rep", "AND", "rep", ("b1", "b1")),
+        Gate("r1", "XOR", "r1", ("rep", "b2")),
+        Gate("r2", "OR", "r2", ("r1", "c")),
+        Gate("r3", "NAND", "r3", ("r2", "rep")),
+        Gate("top", "AND", "top", ("r3", "r1")),
+        Gate("bt", "BUF", "bt", ("top",)),
+        Gate("inv", "NOT", "inv", ("r1",)),
+    ]
+    ffs = [
+        FlipFlop("f0", q="f0_q", d="bt", clk="clk"),
+        FlipFlop("f1", q="f1_q", d="inv", clk="clk"),
+        FlipFlop("f2", q="f2_q", d="b2", clk="clk"),
+        FlipFlop("f3", q="f3_q", d="one", clk="clk"),
+        FlipFlop("f4", q="f4_q", d="r2", clk="clk"),
+    ]
+    return Netlist("hand", ("clk", "a", "c"), (), {"one": 1}, tuple(g), tuple(ffs))
+
+
+@pytest.mark.parametrize("depth_limit", range(8))
+def test_cone_ids_match_input_cone_oracle(depth_limit):
+    _check_cone_ids(_hand_cones_netlist(), depth_limit)
+    for seed in range(12):
+        _check_cone_ids(random_seq_netlist(seed, n_ffs=8, n_gates=40), depth_limit)
+
+
+@pytest.mark.parametrize("profile", [(6, 6, 1, 3), (48, 12, 3, 6)])
+def test_cone_ids_match_input_cone_oracle_on_benchmarks(profile, monkeypatch):
+    import fsmtrap.graph as graph_mod
+
+    states, width, pairs, inputs = profile
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(
+            seed=1, n_states=states, data_width=width, n_data_pairs=pairs, n_inputs=inputs
+        )
+    )
+    nl, _ = synthesize(fsm, dp)
+    for depth_limit in (0, 1, 3, 6, 7):
+        _check_cone_ids(nl, depth_limit)
+    want = _reference_matrix(nl)
+
+    def no_trees(*args, **kwargs):
+        raise AssertionError("similarity_matrix built a ConeNode tree")
+
+    monkeypatch.setattr(graph_mod, "_cone_node", no_trees)
+    monkeypatch.setattr(graph_mod, "ConeNode", no_trees)
+    assert np.array_equal(similarity_matrix(nl).values, want)
 
 
 def test_similarity_matrix_cached_per_netlist_and_depth():

@@ -7,6 +7,7 @@ import pytest
 from fsmtrap.graph import build_ff_graph, classify_feedback, FeedbackClass
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import reset_state, serialize, step
+from fsmtrap.obfuscate import HoneypotParams, tune_honeypot
 from fsmtrap.relic import relic_tarjan, zscores
 from fsmtrap.specio import design_text, parse_design
 from fsmtrap.synth import (
@@ -289,6 +290,23 @@ def test_parse_synthesize_and_attack_leave_no_cyclic_garbage():
         relic_tarjan(nl, truth=gt.sffs)
         topo_attack(nl, truth=gt.sffs)
         del fsm2, dp2, nl, gt
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tune_honeypot_leaves_no_cyclic_garbage():
+    # The per-call cone memo and the shared shape table must be freed by
+    # reference counting; a self-calling closure over the memo would not be.
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
+    nl, gt = synthesize(fsm, dp)
+    p = HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
+    gc.disable()
+    try:
+        gc.collect()
+        report = tune_honeypot(nl, gt.sffs, fsm, p)
+        assert report.iterations
+        del report
         assert gc.collect() == 0
     finally:
         gc.enable()
