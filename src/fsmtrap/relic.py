@@ -9,12 +9,19 @@ the first in row-major order among equal scores.
 
 Cones are interned by shape, so a similarity matrix is evaluated once per
 pair of distinct root shapes (replicated bits and data words share one) and
-broadcast to the flip-flops; child similarities are evaluated once per pair
-of distinct child shapes.  Shapes are interned bottom-up without building
+broadcast to the flip-flops.  Shapes are interned bottom-up without building
 cone trees: a memo per call holds, for each depth left and each net, the
 net's (kind, effective net after BUFs, shape id), so a net reached by many
 cones at one depth is interned once.  ``ConeNode`` trees (``input_cone``)
 serve only ``pair_similarity`` and the tests' oracle.
+
+Pair similarities are filled bottom-up, not by recursion.  A walk down from
+the requested pairs memoizes kind mismatches and pairs with a leaf at once
+and buckets every other missing pair by (height, child counts); a pair's
+child pairs are lower than the pair itself.  Buckets are evaluated in
+ascending height, each in stacks of equal-size child matrices gathered from
+the memo, and one vectorized greedy match (an ``argmax`` per round over every
+matrix of the stack) scores a whole stack.
 
 Shape ids depend only on structure, so one shape table can score several
 netlists: ``obfuscate.tune_honeypot`` passes one table through ``zscores``
@@ -53,17 +60,26 @@ class RelicParams:
     weights: tuple = (1.0, 1.0, 0.5, 0.5)
 
 
+# Most entries (pairs x rows x columns) one greedy-match stack holds (128 KB
+# of float64); a larger bucket of pairs is split over several stacks.
+MAX_STACK = 16384
+
+
 class _ShapeTable:
     """Interns cone shapes (kinds + child order) and memoizes similarities.
 
     Shape ids depend only on structure, so one table can score several
     netlists and evaluates each pair of shapes once across all of them.
+    ``_fill`` evaluates the pairs a request needs bottom-up: pairs with
+    children are bucketed by (height, row count, column count), and every
+    bucket is matched in stacks, one vectorized greedy match per stack.
     """
 
     def __init__(self):
         self._ids: dict = {}
         self.nodes: list = []
-        self._memo: dict = {}
+        self.heights: list = []  # 0 for a leaf, else 1 + the largest child height
+        self._memo: dict = {}  # (smaller id, larger id) -> similarity
 
     def intern(self, kind: str, child_ids: tuple) -> int:
         key = (kind, child_ids)
@@ -72,6 +88,8 @@ class _ShapeTable:
             cid = len(self.nodes)
             self._ids[key] = cid
             self.nodes.append(key)
+            heights = self.heights
+            heights.append(1 + max(heights[c] for c in child_ids) if child_ids else 0)
         return cid
 
     def canon(self, node) -> int:
@@ -88,33 +106,109 @@ class _ShapeTable:
     def sim(self, ca: int, cb: int) -> float:
         if ca == cb:
             return 1.0
-        if ca > cb:
-            ca, cb = cb, ca
-        hit = self._memo.get((ca, cb))
-        if hit is not None:
-            return hit
-        kind_a, ch_a = self.nodes[ca]
-        kind_b, ch_b = self.nodes[cb]
-        if kind_a != kind_b:
-            val = 0.0
-        else:
-            matched = _greedy_match(self.sims(ch_a, ch_b)) if ch_a and ch_b else 0.0
-            val = (1.0 + matched) / (1.0 + max(len(ch_a), len(ch_b)))
-        self._memo[(ca, cb)] = val
-        return val
+        key = (ca, cb) if ca < cb else (cb, ca)
+        self._fill([key])
+        return self._memo[key]
 
     def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
         """The len(ids_a) x len(ids_b) matrix of shape similarities, each
         distinct pair of shapes evaluated once and broadcast."""
         ua = sorted(set(ids_a))
         ub = sorted(set(ids_b))
-        distinct = np.array([[self.sim(x, y) for y in ub] for x in ua])
+        self._fill([(x, y) if x < y else (y, x) for x in ua for y in ub if x != y])
+        memo = self._memo
+        distinct = np.array(
+            [[1.0 if x == y else memo[(x, y) if x < y else (y, x)] for y in ub] for x in ua]
+        )
         distinct = distinct.reshape(len(ua), len(ub))  # also when empty
         row_of = {x: i for i, x in enumerate(ua)}
         col_of = {y: j for j, y in enumerate(ub)}
         rows = np.array([row_of[x] for x in ids_a], dtype=np.intp)
         cols = np.array([col_of[y] for y in ids_b], dtype=np.intp)
         return distinct[np.ix_(rows, cols)]
+
+    def _fill(self, keys: Sequence[tuple]) -> None:
+        """Memoize the similarity of every (smaller id, larger id) pair in
+        ``keys`` and of every child pair it depends on.
+
+        A walk down from ``keys`` writes kind mismatches (0) and pairs with a
+        leaf (``1 / (1 + max child count)``) at once, and marks every other
+        missing pair pending (None) in its bucket, keyed by the larger of the
+        two heights and the two child counts (k_a, k_b).  A pair's child
+        pairs are lower than the pair, so buckets evaluated in ascending
+        height find every child similarity already memoized.
+        """
+        memo = self._memo
+        nodes = self.nodes
+        heights = self.heights
+        buckets: dict = {}
+        todo = [key for key in keys if key not in memo]
+        while todo:
+            key = todo.pop()
+            if key in memo:
+                continue
+            ca, cb = key
+            kind_a, ch_a = nodes[ca]
+            kind_b, ch_b = nodes[cb]
+            if kind_a != kind_b:
+                memo[key] = 0.0
+            elif not ch_a or not ch_b:
+                memo[key] = 1.0 / (1.0 + max(len(ch_a), len(ch_b)))
+            else:
+                memo[key] = None
+                bucket = (max(heights[ca], heights[cb]), len(ch_a), len(ch_b))
+                buckets.setdefault(bucket, []).append(key)
+                for x in set(ch_a):
+                    for y in set(ch_b):
+                        if x != y:
+                            child = (x, y) if x < y else (y, x)
+                            if child not in memo:
+                                todo.append(child)
+        for (_, k_a, k_b), pairs in sorted(buckets.items()):
+            per_stack = max(1, MAX_STACK // (k_a * k_b))
+            chunks = [pairs[lo : lo + per_stack] for lo in range(0, len(pairs), per_stack)]
+            while chunks:
+                chunk = chunks.pop()
+                stack = self._gather(chunk)
+                if stack is None:
+                    half = len(chunk) // 2
+                    chunks += [chunk[:half], chunk[half:]]
+                    continue
+                matched = _greedy_match_batch(stack)
+                values = (1.0 + matched) / (1.0 + max(k_a, k_b))
+                memo.update(zip(chunk, values.tolist()))
+
+    def _gather(self, pairs: Sequence[tuple]) -> Optional[np.ndarray]:
+        """The (len(pairs), k_a, k_b) stack of child similarity matrices of
+        pairs with equal child counts, read from the memo through a lookup
+        over the distinct child shapes of the rows and of the columns.
+
+        None if that lookup would hold more than ``MAX_STACK`` entries and
+        the pairs can be split; one pair's lookup is never larger than its
+        own matrix.
+        """
+        nodes = self.nodes
+        memo = self._memo
+        rows_of = [nodes[ca][1] for ca, _ in pairs]
+        cols_of = [nodes[cb][1] for _, cb in pairs]
+        ua = sorted({x for ch in rows_of for x in ch})
+        ub = sorted({y for ch in cols_of for y in ch})
+        if len(ua) * len(ub) > MAX_STACK and len(pairs) > 1:
+            return None
+        # Entries of child pairs that no matrix reads may be pending or
+        # missing; they become NaN and are never gathered.
+        lookup = np.array(
+            [
+                [1.0 if x == y else memo.get((x, y) if x < y else (y, x)) for y in ub]
+                for x in ua
+            ],
+            dtype=float,
+        )
+        row_of = {x: i for i, x in enumerate(ua)}
+        col_of = {y: j for j, y in enumerate(ub)}
+        rows = np.array([[row_of[x] for x in ch] for ch in rows_of], dtype=np.intp)
+        cols = np.array([[col_of[y] for y in ch] for ch in cols_of], dtype=np.intp)
+        return lookup[rows[:, :, None], cols[:, None, :]]
 
 
 def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: int) -> tuple:
@@ -146,27 +240,27 @@ def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: 
     return entry
 
 
-def _greedy_match(sims: np.ndarray) -> float:
-    """Sum of greedily matched similarities: take the largest entry whose row
-    and column are both free, the first in row-major order among equals.
+def _greedy_match_batch(sims: np.ndarray) -> np.ndarray:
+    """Per (k_a, k_b) matrix of the (B, k_a, k_b) stack ``sims`` (values in
+    [0, 1], may be overwritten), the sum of greedily matched similarities:
+    take the largest entry whose row and column are both free, the first in
+    row-major order among equals.
 
-    One stable sort of the negated matrix lists the entries in exactly that
-    preference order, so a single scan makes the same picks in the same order.
+    Every round takes each matrix's ``argmax`` over its flattened entries,
+    the first maximum in row-major order, adds it, and masks its row and
+    column with -inf, so the picks and their sums are made in that order.
     """
-    k_a, k_b = sims.shape
-    order = np.argsort(-sims, axis=None, kind="stable")
-    rows, cols = np.divmod(order, k_b)
-    row_free = [True] * k_a
-    col_free = [True] * k_b
-    left = min(k_a, k_b)
-    matched = 0.0
-    for i, j, v in zip(rows.tolist(), cols.tolist(), sims.ravel()[order].tolist()):
-        if row_free[i] and col_free[j]:
-            matched += v
-            row_free[i] = col_free[j] = False
-            left -= 1
-            if not left:
-                break
+    n, k_a, k_b = sims.shape
+    flat = sims.reshape(n, k_a * k_b)
+    grid = flat.reshape(n, k_a, k_b)  # a view of ``flat``, copied or not
+    which = np.arange(n)
+    matched = np.zeros(n)
+    for _ in range(min(k_a, k_b)):
+        pick = flat.argmax(axis=1)
+        matched += flat[which, pick]
+        rows, cols = np.divmod(pick, k_b)
+        grid[which, rows, :] = -np.inf
+        grid[which, :, cols] = -np.inf
     return matched
 
 

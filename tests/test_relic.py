@@ -7,8 +7,10 @@ import pytest
 from fsmtrap.graph import ConeNode, ConeTree, input_cone
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import FlipFlop, Gate, Netlist, parse
+import fsmtrap.relic as relic_mod
 from fsmtrap.relic import (
     RelicParams,
+    _greedy_match_batch,
     _ShapeTable,
     evaluate,
     pair_similarity,
@@ -181,6 +183,114 @@ def test_similarity_matrix_equals_all_pairs_reference(profile):
     )
     nl, _ = synthesize(fsm, dp)
     assert np.array_equal(similarity_matrix(nl).values, _reference_matrix(nl))
+
+
+def _reference_greedy(sims: np.ndarray) -> float:
+    """Oracle: the scalar greedy match, one stable sort of the negated matrix
+    scanned for the first entry whose row and column are both free."""
+    k_a, k_b = sims.shape
+    order = np.argsort(-sims, axis=None, kind="stable")
+    rows, cols = np.divmod(order, k_b)
+    row_free = [True] * k_a
+    col_free = [True] * k_b
+    left = min(k_a, k_b)
+    matched = 0.0
+    for i, j, v in zip(rows.tolist(), cols.tolist(), sims.ravel()[order].tolist()):
+        if row_free[i] and col_free[j]:
+            matched += v
+            row_free[i] = col_free[j] = False
+            left -= 1
+            if not left:
+                break
+    return matched
+
+
+@pytest.mark.parametrize("pool", ["ties", "uniform"])
+def test_greedy_match_batch_bit_exact(pool):
+    # Tie-heavy values make the row-major tie-break decide the picks; uniform
+    # floats make the order of the additions decide the last bits.
+    rng = np.random.default_rng(7)
+    ties = np.array([0.0, 1 / 3, 0.25, 0.5, 1.0])
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 5), (5, 2), (7, 7), (13, 20), (20, 13), (63, 60)]
+    shapes += [tuple(rng.integers(1, 25, size=2)) for _ in range(12)]
+    cases = [(k_a, k_b, n) for k_a, k_b in shapes for n in (1, 2, 40)]
+    cases += [(166, 167, 1), (170, 40, 3)]
+    for k_a, k_b, n in cases:
+        if pool == "ties":
+            stack = rng.choice(ties, size=(n, k_a, k_b))
+        else:
+            stack = rng.random((n, k_a, k_b))
+        want = [_reference_greedy(m) for m in stack]
+        assert _greedy_match_batch(stack.copy()).tolist() == want, (k_a, k_b, n)
+
+
+def _no_pending(table: _ShapeTable) -> bool:
+    return all(type(v) is float for v in table._memo.values())
+
+
+def test_fill_order_and_chunking_do_not_change_values(monkeypatch):
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(seed=0, n_states=48, data_width=12, n_data_pairs=3, n_inputs=6)
+    )
+    nl, _ = synthesize(fsm, dp)
+    roots = [nl.ff_by_name(name).d for name in sorted(f.name for f in nl.ffs)]
+    want = _reference_matrix(nl)
+
+    # Warm a table with scattered pairs before asking for the whole matrix:
+    # the deepest roots against each other (larger id first), the children
+    # of one root against each other, and shallow roots against deep ones.
+    warm = _ShapeTable()
+    ids = warm.cone_ids(nl, roots, 6)
+    distinct = sorted(set(ids), key=lambda c: (-warm.heights[c], c))
+    deep, shallow = distinct[:6], distinct[-6:]
+    children = sorted(set(warm.nodes[deep[0]][1]))
+    scattered = [(b, a) for a, b in itertools.combinations(sorted(deep), 2)]
+    scattered += list(itertools.combinations(children, 2))
+    scattered += list(zip(shallow, deep))
+    memo: dict = {}
+    for a, b in scattered:
+        assert warm.sim(a, b) == _reference_sim(warm.nodes, a, b, memo)
+        assert _no_pending(warm)
+    got = warm.sims(ids, ids)
+    assert _no_pending(warm)
+    fresh = _ShapeTable()
+    fresh_ids = fresh.cone_ids(nl, roots, 6)
+    assert np.array_equal(got, fresh.sims(fresh_ids, fresh_ids))
+    assert np.array_equal(got, want)
+
+    for cap in (1, 7):
+        monkeypatch.setattr(relic_mod, "MAX_STACK", cap)
+        table = _ShapeTable()
+        cids = table.cone_ids(nl, roots, 6)
+        assert np.array_equal(table.sims(cids, cids), want)
+        assert _no_pending(table)
+
+
+def test_fill_splits_a_stack_whose_lookup_exceeds_the_cap(monkeypatch):
+    # Pairs of roots with disjoint children: a stack of two 2 x 2 matrices
+    # fits a cap of 8 entries, but its lookup over 4 x 4 distinct children
+    # does not, so the chunk is halved; values must not change.
+    table = _ShapeTable()
+    leaves = [table.intern(k, ()) for k in ("PI", "FF", "CONST")]
+    kinds = ("NOT", "AND", "OR", "XOR", "NAND", "NOR")
+    mids = [table.intern(k, (x,)) for k in kinds for x in leaves]
+    roots = [table.intern("AND", (mids[i], mids[(5 * i + 3) % len(mids)])) for i in range(8)]
+    pairs = [(roots[i], roots[i + 1]) for i in range(0, 8, 2)]
+    halved = []
+    gather = _ShapeTable._gather
+
+    def spy(self, chunk):
+        stack = gather(self, chunk)
+        halved.append(stack is None)
+        return stack
+
+    monkeypatch.setattr(relic_mod, "MAX_STACK", 8)
+    monkeypatch.setattr(_ShapeTable, "_gather", spy)
+    table._fill(pairs)
+    assert any(halved) and _no_pending(table)
+    memo: dict = {}
+    for a, b in itertools.product(roots + mids, repeat=2):
+        assert table.sim(a, b) == _reference_sim(table.nodes, a, b, memo)
 
 
 def _expand(table: _ShapeTable, cid: int) -> tuple:
