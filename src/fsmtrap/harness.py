@@ -444,6 +444,11 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
         defended_nl, def_sffs, free_inputs=free_d, max_inputs=plan.stg_max_inputs
     )
     (outdir / "stg" / "defended.txt").write_text(def_stg.to_text())
+    # Tracked-set enlargements: ``Stg.to_text`` does not write them.
+    for label, stg in (("base", base_stg), ("defended", def_stg)):
+        for warning in stg.warnings:
+            res.notes.append(f"stg {label}: {warning}")
+            summary.append(f"stg_warning {label} {warning}")
     name_map = {
         def_sffs[i]: base_sffs[bit_map_spec[i]] for i in range(len(def_sffs))
     }

@@ -15,13 +15,22 @@ net's (kind, effective net after BUFs, shape id), so a net reached by many
 cones at one depth is interned once.  ``ConeNode`` trees (``input_cone``)
 serve only ``pair_similarity`` and the tests' oracle.
 
+Every shape also has a class: its kind plus the sorted classes of its
+children.  Two shapes score exactly 1.0 iff they share a class (children
+listed in another order give another shape id but the same class), and the
+greedy match takes every 1.0 pair before any smaller one.  So children of one
+class are matched up front, and only the residual children, which share no
+class, go to the greedy match.
+
 Pair similarities are filled bottom-up, not by recursion.  A walk down from
-the requested pairs memoizes kind mismatches and pairs with a leaf at once
-and buckets every other missing pair by (height, child counts); a pair's
-child pairs are lower than the pair itself.  Buckets are evaluated in
-ascending height, each in stacks of equal-size child matrices gathered from
-the memo, and one vectorized greedy match (an ``argmax`` per round over every
-matrix of the stack) scores a whole stack.
+the requested pairs pre-matches each pair's children by class, memoizes kind
+mismatches and pairs with no residual on one side at once, and buckets every
+other missing pair by (height, residual counts); it goes on only into
+residual x residual child pairs, which are lower than the pair itself.
+Buckets are evaluated in ascending height, each in stacks of equal-size
+residual matrices gathered from the memo, and one vectorized greedy match (an
+``argmax`` per round over every matrix of the stack, its sum started from the
+pre-matched count) scores a whole stack.
 
 Shape ids depend only on structure, so one shape table can score several
 netlists: ``obfuscate.tune_honeypot`` passes one table through ``zscores``
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -46,7 +56,6 @@ from .graph import (
     ConeTree,
     build_ff_graph,
     control_signals,
-    has_any_fp,
     tarjan_scc,
     _net_support,
 )
@@ -62,6 +71,7 @@ class RelicParams:
 
 # Most entries (pairs x rows x columns) one greedy-match stack holds (128 KB
 # of float64); a larger bucket of pairs is split over several stacks.
+# ``zscores`` sorts similarity rows in blocks of this many entries.
 MAX_STACK = 16384
 
 
@@ -70,16 +80,25 @@ class _ShapeTable:
 
     Shape ids depend only on structure, so one table can score several
     netlists and evaluates each pair of shapes once across all of them.
-    ``_fill`` evaluates the pairs a request needs bottom-up: pairs with
-    children are bucketed by (height, row count, column count), and every
-    bucket is matched in stacks, one vectorized greedy match per stack.
+    Every shape also gets a class id, its kind plus the sorted class ids of
+    its children: shapes whose children are the same up to order share a
+    class, and two shapes score exactly 1.0 iff they share one (see
+    ``_fill``).  ``_fill`` evaluates the pairs a request needs bottom-up:
+    children of one class are matched up front, pairs with unmatched
+    children on both sides are bucketed by (height, residual row count,
+    residual column count), and every bucket is matched in stacks, one
+    vectorized greedy match per stack.
     """
 
     def __init__(self):
         self._ids: dict = {}
+        self._class_ids: dict = {}
         self.nodes: list = []
         self.heights: list = []  # 0 for a leaf, else 1 + the largest child height
-        self._memo: dict = {}  # (smaller id, larger id) -> similarity
+        self.classes: list = []  # class id per shape
+        # (smaller id, larger id) -> similarity, or while ``_fill`` runs the
+        # (rows, columns) residual children of a pending pair
+        self._memo: dict = {}
 
     def intern(self, kind: str, child_ids: tuple) -> int:
         key = (kind, child_ids)
@@ -90,6 +109,9 @@ class _ShapeTable:
             self.nodes.append(key)
             heights = self.heights
             heights.append(1 + max(heights[c] for c in child_ids) if child_ids else 0)
+            classes = self.classes
+            class_key = (kind, tuple(sorted(classes[c] for c in child_ids)))
+            classes.append(self._class_ids.setdefault(class_key, len(self._class_ids)))
         return cid
 
     def canon(self, node) -> int:
@@ -131,16 +153,36 @@ class _ShapeTable:
         """Memoize the similarity of every (smaller id, larger id) pair in
         ``keys`` and of every child pair it depends on.
 
-        A walk down from ``keys`` writes kind mismatches (0) and pairs with a
-        leaf (``1 / (1 + max child count)``) at once, and marks every other
-        missing pair pending (None) in its bucket, keyed by the larger of the
-        two heights and the two child counts (k_a, k_b).  A pair's child
-        pairs are lower than the pair, so buckets evaluated in ascending
-        height find every child similarity already memoized.
+        The greedy match takes every 1.0 entry of a pair's child matrix
+        before any smaller one, and the 1.0 entries are the child pairs of
+        one class.  So a walk down from ``keys`` pre-matches each pair's
+        children as the greedy would: rows in order, each taking the first
+        free column of its class.  The residual rows and columns left over
+        share no class.  The walk writes kind mismatches (0) at once, and so
+        pairs with no residual on one side (``(1 + matched) / (1 + max child
+        count)``: a leaf against a gate, or two shapes of one class, 1.0).
+        Every other missing pair is marked pending with its residual
+        children, in a bucket keyed by the larger of the two heights and the
+        residual counts (r_a, r_b), and the walk goes on only into its
+        residual x residual child pairs.  Child pairs are lower than their
+        pair, so buckets evaluated in ascending height find every child
+        similarity memoized.  A stack's greedy match starts its sums from the
+        pre-matched counts, the exact sums of the 1.0 picks, so it adds in
+        the order of a greedy match over the whole child matrix.
+
+        Why 1.0 means one class also in floating point: two shapes of one
+        class score exactly 1.0, since every child is pre-matched and a sum
+        of 1.0s is exact.  By induction, two shapes of different classes
+        score at most ``1 - 1/P`` in real numbers, ``P`` being the product
+        of ``1 + fan-in`` down a chain of each shape.  On the benchmark
+        designs (depth limit up to 6, fan-in up to 167) every chain product
+        is below 2**12, so that gap is at least 2**-24, while rounding moves
+        a value by at most about levels x (1 + fan-in) x 2**-53 < 2**-42.
         """
         memo = self._memo
         nodes = self.nodes
         heights = self.heights
+        classes = self.classes
         buckets: dict = {}
         todo = [key for key in keys if key not in memo]
         while todo:
@@ -152,20 +194,22 @@ class _ShapeTable:
             kind_b, ch_b = nodes[cb]
             if kind_a != kind_b:
                 memo[key] = 0.0
-            elif not ch_a or not ch_b:
-                memo[key] = 1.0 / (1.0 + max(len(ch_a), len(ch_b)))
-            else:
-                memo[key] = None
-                bucket = (max(heights[ca], heights[cb]), len(ch_a), len(ch_b))
-                buckets.setdefault(bucket, []).append(key)
-                for x in set(ch_a):
-                    for y in set(ch_b):
-                        if x != y:
-                            child = (x, y) if x < y else (y, x)
-                            if child not in memo:
-                                todo.append(child)
-        for (_, k_a, k_b), pairs in sorted(buckets.items()):
-            per_stack = max(1, MAX_STACK // (k_a * k_b))
+                continue
+            res_a, res_b = _residual(ch_a, ch_b, classes)
+            if not res_a or not res_b:
+                matched = len(ch_a) - len(res_a)
+                memo[key] = (1.0 + matched) / (1.0 + max(len(ch_a), len(ch_b)))
+                continue
+            memo[key] = (res_a, res_b)
+            bucket = (max(heights[ca], heights[cb]), len(res_a), len(res_b))
+            buckets.setdefault(bucket, []).append(key)
+            for x in set(res_a):
+                for y in set(res_b):
+                    child = (x, y) if x < y else (y, x)
+                    if child not in memo:
+                        todo.append(child)
+        for (_, r_a, r_b), pairs in sorted(buckets.items()):
+            per_stack = max(1, MAX_STACK // (r_a * r_b))
             chunks = [pairs[lo : lo + per_stack] for lo in range(0, len(pairs), per_stack)]
             while chunks:
                 chunk = chunks.pop()
@@ -174,34 +218,33 @@ class _ShapeTable:
                     half = len(chunk) // 2
                     chunks += [chunk[:half], chunk[half:]]
                     continue
-                matched = _greedy_match_batch(stack)
-                values = (1.0 + matched) / (1.0 + max(k_a, k_b))
+                counts = np.array([(len(nodes[ca][1]), len(nodes[cb][1])) for ca, cb in chunk])
+                matched = _greedy_match_batch(stack, counts[:, 0] - r_a)
+                values = (1.0 + matched) / (1.0 + counts.max(axis=1))
                 memo.update(zip(chunk, values.tolist()))
 
     def _gather(self, pairs: Sequence[tuple]) -> Optional[np.ndarray]:
-        """The (len(pairs), k_a, k_b) stack of child similarity matrices of
-        pairs with equal child counts, read from the memo through a lookup
-        over the distinct child shapes of the rows and of the columns.
+        """The (len(pairs), r_a, r_b) stack of residual child similarity
+        matrices of pending pairs with equal residual counts, read from the
+        memo through a lookup over the distinct residual child shapes of the
+        rows and of the columns.
 
         None if that lookup would hold more than ``MAX_STACK`` entries and
         the pairs can be split; one pair's lookup is never larger than its
         own matrix.
         """
-        nodes = self.nodes
         memo = self._memo
-        rows_of = [nodes[ca][1] for ca, _ in pairs]
-        cols_of = [nodes[cb][1] for _, cb in pairs]
+        rows_of = [memo[key][0] for key in pairs]
+        cols_of = [memo[key][1] for key in pairs]
         ua = sorted({x for ch in rows_of for x in ch})
         ub = sorted({y for ch in cols_of for y in ch})
         if len(ua) * len(ub) > MAX_STACK and len(pairs) > 1:
             return None
-        # Entries of child pairs that no matrix reads may be pending or
-        # missing; they become NaN and are never gathered.
+        # Child pairs that no matrix reads may be missing (or equal); they
+        # become NaN and are never gathered.  Every child pair is lower than
+        # the stack's pairs, so none is pending.
         lookup = np.array(
-            [
-                [1.0 if x == y else memo.get((x, y) if x < y else (y, x)) for y in ub]
-                for x in ua
-            ],
+            [[memo.get((x, y) if x < y else (y, x)) for y in ub] for x in ua],
             dtype=float,
         )
         row_of = {x: i for i, x in enumerate(ua)}
@@ -209,6 +252,31 @@ class _ShapeTable:
         rows = np.array([[row_of[x] for x in ch] for ch in rows_of], dtype=np.intp)
         cols = np.array([[col_of[y] for y in ch] for ch in cols_of], dtype=np.intp)
         return lookup[rows[:, :, None], cols[:, None, :]]
+
+
+def _residual(ch_a: tuple, ch_b: tuple, classes: list) -> tuple:
+    """The children of ``ch_a`` and of ``ch_b`` (in order) that the greedy
+    match does not pair with a child of their own class: per class, all but
+    the first min(count in ch_a, count in ch_b) on each side."""
+    cls_a = [classes[x] for x in ch_a]
+    cls_b = [classes[y] for y in ch_b]
+    left_a = Counter(cls_a)
+    left_b = Counter(cls_b)
+    res_a = []
+    for x, c in zip(ch_a, cls_a):
+        n = left_b.get(c)
+        if n:
+            left_b[c] = n - 1
+        else:
+            res_a.append(x)
+    res_b = []
+    for y, c in zip(ch_b, cls_b):
+        n = left_a.get(c)
+        if n:
+            left_a[c] = n - 1
+        else:
+            res_b.append(y)
+    return tuple(res_a), tuple(res_b)
 
 
 def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: int) -> tuple:
@@ -240,11 +308,12 @@ def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: 
     return entry
 
 
-def _greedy_match_batch(sims: np.ndarray) -> np.ndarray:
+def _greedy_match_batch(sims: np.ndarray, start=0.0) -> np.ndarray:
     """Per (k_a, k_b) matrix of the (B, k_a, k_b) stack ``sims`` (values in
-    [0, 1], may be overwritten), the sum of greedily matched similarities:
-    take the largest entry whose row and column are both free, the first in
-    row-major order among equals.
+    [0, 1], may be overwritten), ``start`` (a scalar or one value per
+    matrix) plus the greedily matched similarities: take the largest entry
+    whose row and column are both free, the first in row-major order among
+    equals.
 
     Every round takes each matrix's ``argmax`` over its flattened entries,
     the first maximum in row-major order, adds it, and masks its row and
@@ -254,7 +323,7 @@ def _greedy_match_batch(sims: np.ndarray) -> np.ndarray:
     flat = sims.reshape(n, k_a * k_b)
     grid = flat.reshape(n, k_a, k_b)  # a view of ``flat``, copied or not
     which = np.arange(n)
-    matched = np.zeros(n)
+    matched = np.full(n, start, dtype=float)
     for _ in range(min(k_a, k_b)):
         pick = flat.argmax(axis=1)
         matched += flat[which, pick]
@@ -353,19 +422,28 @@ def zscores(
     sim = similarity_matrix(nl, params.depth_limit, shapes=shapes)
     ffs = sim.ffs
     n = len(ffs)
-    controls = sorted(control_signals(nl))
-    support = _net_support(nl)
+    k = min(params.top_k, n - 1)
     feats = np.zeros((n, 4))
-    for i, name in enumerate(ffs):
-        others = np.delete(sim.values[i], i)
-        k = min(params.top_k, len(others))
-        top = np.sort(others)[::-1][:k]
-        feats[i, 0] = 1.0 - others.max()
-        feats[i, 1] = 1.0 - top.mean()
-        if controls:
-            touched = sum(1 for c in controls if name in support[c][0])
-            feats[i, 2] = touched / len(controls)
-        feats[i, 3] = 1.0 if has_any_fp(nl, name) else 0.0
+    # Rows are sorted in blocks of at most MAX_STACK entries, each row with
+    # its own FF masked to -inf, so no n x n copy is made.
+    per_block = max(1, MAX_STACK // n)
+    for lo in range(0, n, per_block):
+        block = sim.values[lo : lo + per_block].copy()
+        rows = np.arange(len(block))
+        block[rows, rows + lo] = -np.inf
+        block.sort(axis=1)
+        # The k largest in descending order, contiguous so that each row's
+        # mean adds them as a one-row mean would.
+        top = np.ascontiguousarray(block[:, : n - k - 1 : -1])
+        feats[lo : lo + len(block), 0] = 1.0 - block[:, -1]
+        feats[lo : lo + len(block), 1] = 1.0 - top.mean(axis=1)
+    controls = control_signals(nl)
+    support = _net_support(nl)
+    touched = Counter(ff for c in controls for ff in support[c][0])
+    on_cycle = build_ff_graph(nl).on_cycle
+    if controls:
+        feats[:, 2] = [touched[name] / len(controls) for name in ffs]
+    feats[:, 3] = [1.0 if name in on_cycle else 0.0 for name in ffs]
     zcols = np.column_stack([_standardize(feats[:, j]) for j in range(4)])
     weights = np.asarray(params.weights)
     scores = zcols @ weights

@@ -242,3 +242,29 @@ def test_pipeline_reproducible(tmp_path):
     run_pipeline(plan, tmp_path / "b")
     for rel in ("summary.txt", "netlists/defended.nl", "reports/defended_z.csv"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_pipeline_keeps_stg_warnings(tmp_path, monkeypatch):
+    # ``run_pipeline`` extracts the base STG, then the defended one; here the
+    # second reports a tracked-set enlargement, as ``extract_stg`` would.
+    import fsmtrap.harness as harness_mod
+
+    extract = harness_mod.extract_stg
+    warning = "projected nondeterminism; enlarging tracked set with u0_st1"
+    calls = []
+
+    def extract_warned(nl, sffs, **kwargs):
+        calls.append(nl)
+        stg = extract(nl, sffs, **kwargs)
+        return replace(stg, warnings=(warning,)) if len(calls) == 2 else stg
+
+    monkeypatch.setattr(harness_mod, "extract_stg", extract_warned)
+    plan = PipelinePlan(benchmark=BenchmarkSpec(seed=4), defense=DefensePlan(replicate_r=1))
+    result = run_pipeline(plan, tmp_path / "run")
+    assert len(calls) == 2
+    assert result.ok, result.notes
+    assert result.notes == [f"stg defended: {warning}"]
+    summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+    assert [ln for ln in summary if ln.startswith("stg_warning")] == [
+        f"stg_warning defended {warning}"
+    ]

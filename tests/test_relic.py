@@ -224,6 +224,105 @@ def test_greedy_match_batch_bit_exact(pool):
         assert _greedy_match_batch(stack.copy()).tolist() == want, (k_a, k_b, n)
 
 
+@pytest.mark.parametrize("pool", ["ties", "uniform"])
+def test_greedy_match_batch_start_equals_full_matrix_reference(pool):
+    # A pre-match takes m rows and columns whose only 1.0 entries pair them
+    # with each other; the greedy over the full matrix takes those 1.0s and
+    # then matches the residual rows and columns.  The residual's greedy,
+    # started from m, must add up to the same float.
+    rng = np.random.default_rng(11)
+    ties = np.array([0.0, 1 / 3, 0.25, 0.5, 1.0])
+    below_one = ties[:-1]
+    for _ in range(60):
+        r_a, r_b = (int(x) for x in rng.integers(1, 12, size=2))
+        n = int(rng.integers(1, 6))
+        starts = rng.integers(1, 8, size=n)
+        if pool == "ties":
+            residual = rng.choice(ties, size=(n, r_a, r_b))
+        else:
+            residual = rng.random((n, r_a, r_b))
+        want = []
+        for res, m in zip(residual, starts.tolist()):
+            k_a, k_b = r_a + m, r_b + m
+            full = rng.choice(below_one, size=(k_a, k_b))
+            pre_rows = rng.choice(k_a, size=m, replace=False)
+            pre_cols = rng.choice(k_b, size=m, replace=False)
+            rest_rows = np.setdiff1d(np.arange(k_a), pre_rows)
+            rest_cols = np.setdiff1d(np.arange(k_b), pre_cols)
+            full[np.ix_(rest_rows, rest_cols)] = res
+            full[pre_rows, pre_cols] = 1.0
+            want.append(_reference_greedy(full))
+        got = _greedy_match_batch(residual.copy(), starts)
+        assert got.tolist() == want, (r_a, r_b, starts)
+
+
+def test_prematch_pairs_one_class_and_matches_the_residual(monkeypatch):
+    # u and v are the same children in another order: two ids, one class,
+    # similarity exactly 1.0.  The parents' children pre-match u with v; v
+    # (a second child of that class in ``a``) and the rest go to the greedy.
+    table = _ShapeTable()
+    pi, ff, const = (table.intern(k, ()) for k in ("PI", "FF", "CONST"))
+    u = table.intern("AND", (pi, ff))
+    v = table.intern("AND", (ff, pi))
+    w = table.intern("OR", (pi, const))
+    x = table.intern("OR", (pi, pi, ff))
+    y = table.intern("OR", (pi, pi))
+    z = table.intern("XOR", (const,))
+    a = table.intern("NAND", (u, v, w, y))
+    b = table.intern("NAND", (v, x, z, w, ff))
+    assert u != v and table.classes[u] == table.classes[v]
+    assert table.classes[a] != table.classes[b]
+
+    stacks = []
+    greedy = relic_mod._greedy_match_batch
+
+    def spy(sims, start=0.0):
+        stacks.append((sims.shape, np.asarray(start).tolist(), sims[0].tolist()))
+        return greedy(sims, start)
+
+    monkeypatch.setattr(relic_mod, "_greedy_match_batch", spy)
+    got = table.sim(a, b)
+    # Rows (u, v, w, y) against columns (v, x, z, w, ff): u takes v and w
+    # takes w, leaving rows (v, y) against columns (x, z, ff); only y
+    # against x (2 of 3 children pre-matched) scores above 0.
+    assert stacks == [((1, 2, 3), [2], [[0.0, 0.0, 0.0], [0.75, 0.0, 0.0]])]
+    assert (min(u, v), max(u, v)) not in table._memo
+    memo: dict = {}
+    assert got == _reference_sim(table.nodes, a, b, memo)
+    assert _reference_sim(table.nodes, u, v, memo) == 1.0
+    for p, q in itertools.product([u, v, w, x, y, z, a, b], repeat=2):
+        assert table.sim(p, q) == _reference_sim(table.nodes, p, q, memo)
+        assert (table.classes[p] == table.classes[q]) == (table.sim(p, q) == 1.0)
+
+
+@pytest.mark.parametrize("profile", [(48, 12, 3, 6), (64, 16, 4, 6)])
+@pytest.mark.parametrize("depth_limit", [0, 1, 3, 6])
+def test_same_class_iff_reference_scores_one(profile, depth_limit):
+    states, width, pairs, inputs = profile
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(
+            seed=0, n_states=states, data_width=width, n_data_pairs=pairs, n_inputs=inputs
+        )
+    )
+    nl, _ = synthesize(fsm, dp)
+    table = _ShapeTable()
+    ids = table.cone_ids(nl, [f.d for f in nl.ffs], depth_limit)
+    table.sims(ids, ids)
+    assert _no_pending(table)
+    classes = table.classes
+    memo: dict = {}
+    for (a, b), value in table._memo.items():
+        assert value == _reference_sim(table.nodes, a, b, memo)
+    # Every pair of interned shapes, which takes in the memoized pairs and
+    # the pre-matched child pairs the walk never evaluates.
+    verdicts = set()
+    for a, b in itertools.combinations(range(len(table.nodes)), 2):
+        same = classes[a] == classes[b]
+        assert same == (_reference_sim(table.nodes, a, b, memo) == 1.0), (a, b)
+        verdicts.add(same)
+    assert verdicts == ({False, True} if depth_limit >= 3 else {False})
+
+
 def _no_pending(table: _ShapeTable) -> bool:
     return all(type(v) is float for v in table._memo.values())
 
@@ -407,9 +506,68 @@ def test_zscores_cached_read_only_and_reused_by_relic_tarjan(monkeypatch):
         raise AssertionError("features rebuilt")
 
     monkeypatch.setattr(relic_mod, "similarity_matrix", rebuilt)
-    monkeypatch.setattr(relic_mod, "has_any_fp", rebuilt)
+    monkeypatch.setattr(relic_mod, "_net_support", rebuilt)
     result = relic_tarjan(nl)
     assert result.argmax_ff == select_scc_by_z(table.scores, [])[0]
+
+
+def _reference_features(nl, params: RelicParams) -> dict:
+    """Oracle: the per-FF feature loop, one ``np.delete`` and sort per row,
+    every (FF, control signal) pair tested and ``has_any_fp`` per FF."""
+    from fsmtrap.graph import _net_support, control_signals, has_any_fp
+
+    sim = similarity_matrix(nl, params.depth_limit)
+    controls = sorted(control_signals(nl))
+    support = _net_support(nl)
+    feats = {}
+    for i, name in enumerate(sim.ffs):
+        others = np.delete(sim.values[i], i)
+        k = min(params.top_k, len(others))
+        top = np.sort(others)[::-1][:k]
+        touched = sum(1 for c in controls if name in support[c][0])
+        feats[name] = (
+            1.0 - others.max(),
+            1.0 - top.mean(),
+            touched / len(controls) if controls else 0.0,
+            1.0 if has_any_fp(nl, name) else 0.0,
+        )
+    return feats
+
+
+def _controlled_netlist(seed: int) -> Netlist:
+    """A random netlist with MUX selects and flip-flop enables tapping the
+    gate cloud, so FFs reach different numbers of control signals."""
+    rng = random.Random(seed)
+    base = random_seq_netlist(seed, n_ffs=10, n_gates=40)
+    nets = [g.out for g in base.gates]
+    muxes = [
+        Gate(f"m{k}", "MUX", f"m{k}", tuple(rng.choice(nets) for _ in range(3)))
+        for k in range(4)
+    ]
+    ffs = [
+        FlipFlop(f.name, q=f.q, d=f"m{i % 4}" if i % 2 else f.d, clk=f.clk, en=rng.choice(nets))
+        if i % 3 == 0
+        else f
+        for i, f in enumerate(base.ffs)
+    ]
+    return Netlist("controlled", base.inputs, (), {}, base.gates + tuple(muxes), tuple(ffs))
+
+
+@pytest.mark.parametrize("cap", [None, 40])
+@pytest.mark.parametrize("top_k", [1, 5, 9, 40])
+def test_zscores_features_equal_per_ff_reference(top_k, cap, monkeypatch):
+    # A cap of 40 entries sorts the 36-FF designs one row per block and the
+    # 10-FF netlists four rows per block.
+    if cap is not None:
+        monkeypatch.setattr(relic_mod, "MAX_STACK", cap)
+    designs = [synthesize(*gen_benchmark(BenchmarkSpec(seed=s)))[0] for s in (1, 4)]
+    designs += [_controlled_netlist(seed) for seed in range(4)]
+    for nl in designs:
+        for depth_limit in (1, 6):
+            params = RelicParams(depth_limit=depth_limit, top_k=top_k)
+            raw = zscores(nl, params).raw_features
+            want = _reference_features(nl, params)
+            assert {f: tuple(map(float, v)) for f, v in raw.items()} == want
 
 
 def test_similarity_symmetric_reflexive_bounded():
