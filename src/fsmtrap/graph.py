@@ -1,10 +1,17 @@
 """Structural analyses over netlists: flip-flop dependency graphs, strongly
 connected components, fan-in cones, feedback-path strength, and control-signal
 influence.  Everything here is pure and deterministic.
+
+Combinational support is held as Python-int masks per net, an FF mask (bit i
+is ``nl.ffs[i]``) and a PI mask (bit i is ``nl.inputs[i]``), packed into one
+int (see ``NetSupport``).  The FF graph, the control-signal counts of
+``relic``, ``influences`` and ``stg`` read the masks; ``_net_support(nl)[net]``
+decodes a net's (FF names, PIs) frozensets on its first access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -27,29 +34,77 @@ class AnalysisError(Exception):
     pass
 
 
-def _net_support(nl: Netlist) -> dict:
-    """For every net: (frozenset of FF names, frozenset of PIs) in its
-    combinational fan-in; flip-flop q-nets terminate the traversal."""
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class NetSupport(Mapping):
+    """The combinational support of every net as one Python int.
+
+    The low ``len(nl.ffs)`` bits of ``masks[net]`` are its FF mask, in which
+    bit i stands for ``nl.ffs[i]``; the bits above are its PI mask, in which
+    bit i stands for ``nl.inputs[i]``.  ``support[net]`` is the (frozenset of
+    FF names, frozenset of PIs) pair, decoded from the masks on its first
+    access.
+    """
+
+    def __init__(self, nl: Netlist, masks: dict):
+        self.ff_names = tuple(f.name for f in nl.ffs)
+        self.ff_bit = {name: i for i, name in enumerate(self.ff_names)}
+        self.pi_names = nl.inputs
+        self.masks = masks
+        self._ff_all = (1 << len(self.ff_names)) - 1
+        self._decoded: dict = {}
+
+    def ff_mask(self, net: str) -> int:
+        return self.masks[net] & self._ff_all
+
+    def pi_mask(self, net: str) -> int:
+        return self.masks[net] >> len(self.ff_names)
+
+    def __getitem__(self, net: str) -> tuple:
+        pair = self._decoded.get(net)
+        if pair is None:
+            ffs = frozenset(self.ff_names[i] for i in _bits(self.ff_mask(net)))
+            pis = frozenset(self.pi_names[i] for i in _bits(self.pi_mask(net)))
+            pair = self._decoded[net] = (ffs, pis)
+        return pair
+
+    def __iter__(self):
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+
+def _net_support(nl: Netlist) -> NetSupport:
+    """Every net's FFs and PIs in its combinational fan-in, as masks in the
+    bit order of ``NetSupport``; flip-flop q-nets terminate the traversal.
+    One pass over ``topo_gates`` ORs each gate's input masks, and nothing is
+    decoded until a caller reads ``support[net]``."""
     cached = nl._cache.get("support")
     if cached is not None:
         return cached
     from .netlist import topo_gates
 
-    support: dict[str, tuple] = {}
-    for n in nl.inputs:
-        support[n] = (frozenset(), frozenset([n]))
+    n_ffs = len(nl.ffs)
+    masks: dict[str, int] = {}
+    for i, f in enumerate(nl.ffs):
+        masks[f.q] = 1 << i
+    for i, n in enumerate(nl.inputs):
+        masks[n] = 1 << (n_ffs + i)
     for n in nl.constants:
-        support[n] = (frozenset(), frozenset())
-    for f in nl.ffs:
-        support[f.q] = (frozenset([f.name]), frozenset())
+        masks[n] = 0
     for g in topo_gates(nl):
-        ffs: set = set()
-        pis: set = set()
+        acc = 0
         for src in g.ins:
-            a, b = support[src]
-            ffs |= a
-            pis |= b
-        support[g.out] = (frozenset(ffs), frozenset(pis))
+            acc |= masks[src]
+        masks[g.out] = acc
+    support = NetSupport(nl, masks)
     nl._cache["support"] = support
     return support
 
@@ -82,9 +137,8 @@ def build_ff_graph(nl: Netlist) -> FfGraph:
     nodes = tuple(f.name for f in nl.ffs)
     comb: dict[str, frozenset] = {n: set() for n in nodes}
     for f in nl.ffs:
-        srcs, _ = support[f.d]
-        for s in srcs:
-            comb[s].add(f.name)
+        for i in _bits(support.ff_mask(f.d)):
+            comb[nodes[i]].add(f.name)
     comb = {n: frozenset(v) for n, v in comb.items()}
 
     g = FfGraph(nodes=nodes, comb=comb)
@@ -307,11 +361,11 @@ def control_signals(nl: Netlist) -> set:
 
 def influences(nl: Netlist, src_ff: str, dst_net: str) -> bool:
     """True iff Q of src_ff lies in the combinational fan-in of dst_net."""
-    nl.ff_by_name(src_ff)  # raises KeyError for unknown FFs
+    support = _net_support(nl)
+    bit = support.ff_bit[src_ff]  # raises KeyError for unknown FFs
     if dst_net not in nl.driver:
         raise AnalysisError(f"net {dst_net} is not driven")
-    support = _net_support(nl)
-    return src_ff in support[dst_net][0]
+    return bool(support.masks[dst_net] >> bit & 1)
 
 
 def influences_functional(nl: Netlist, src_ff: str, dst_net: str, max_vars: int = 10):

@@ -304,6 +304,15 @@ def _attack_summary(result: AttackResult) -> str:
     return f"{result.attack} sensitivity={sens} precision={prec} identified={len(result.identified)}"
 
 
+def _keep_topo_notes(label: str, groups, res: PipelineResult, summary: list) -> None:
+    """Copy the topo attack's group notes (functional-control fallbacks) into
+    the result's notes and the summary."""
+    for grp in groups.groups:
+        for note in grp.notes:
+            res.notes.append(f"topo {label}: {note}")
+            summary.append(f"topo_note {label} {note}")
+
+
 def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
     outdir = Path(outdir)
     for sub in ("netlists", "reports", "stg"):
@@ -335,6 +344,7 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
         (outdir / "reports" / "base_topo_groups.txt").write_text(groups.to_text())
         res.baseline["topo"] = r
         summary.append("baseline " + _attack_summary(r))
+        _keep_topo_notes("base", groups, res, summary)
 
     d = plan.defense
     any_defense = d.replicate_r or d.fp_mode or d.honeypot
@@ -487,6 +497,7 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
         (outdir / "reports" / "defended_topo_groups.txt").write_text(groups.to_text())
         res.defended["topo"] = r
         summary.append("defended " + _attack_summary(r))
+        _keep_topo_notes("defended", groups, res, summary)
         if hp_ffs:
             hp_result = with_metrics(
                 AttackResult("topo", r.identified), hp_ffs

@@ -333,59 +333,51 @@ def _gate_fn(kind: str, vals: list[int]) -> int:
 
 
 def topo_gates(nl: Netlist) -> list[Gate]:
-    """Gates in a topological order; raises on combinational cycles."""
+    """Gates in a topological order; raises on combinational cycles.
+
+    One iterative depth-first pass over ``nl.driver``: gates are taken in list
+    order, and each is emitted as soon as the drivers of all its inputs have
+    been, so a list that is already topological comes back unchanged.  A
+    cycle raises ``CombinationalCycleError`` naming the gates of the loop the
+    search closed, each driving an input of the next and the last the first.
+    """
     cached = nl._cache.get("topo")
     if cached is not None:
         return cached
 
-    produced_by = {g.out: g for g in nl.gates}
-    indeg = {}
-    consumers: dict[str, list[Gate]] = {}
-    for g in nl.gates:
-        deg = 0
-        for n in g.ins:
-            if n in produced_by:
-                deg += 1
-                consumers.setdefault(n, []).append(g)
-        indeg[g.name] = deg
-    ready = [g for g in nl.gates if indeg[g.name] == 0]
+    driver = nl.driver
+    # Nets whose value is known: sources, then every emitted gate's output.
+    done = set(nl.inputs)
+    done.update(nl.constants)
+    done.update(f.q for f in nl.ffs)
     order: list[Gate] = []
-    i = 0
-    while i < len(ready):
-        g = ready[i]
-        i += 1
-        order.append(g)
-        for h in consumers.get(g.out, ()):
-            indeg[h.name] -= 1
-            if indeg[h.name] == 0:
-                ready.append(h)
-    if len(order) != len(nl.gates):
-        leftover = {g.name: g for g in nl.gates if indeg[g.name] > 0}
-        cycle = _find_cycle(leftover, produced_by)
-        raise CombinationalCycleError(cycle)
+    for root in nl.gates:
+        if root.out in done:
+            continue
+        if done.issuperset(root.ins):
+            done.add(root.out)
+            order.append(root)
+            continue
+        # The search path; each gate drives an input of the one before it.
+        path = [root]
+        on_path = {root.out}
+        while path:
+            g = path[-1]
+            for n in g.ins:
+                if n not in done:
+                    if n in on_path:
+                        loop = path[[h.out for h in path].index(n):]
+                        raise CombinationalCycleError([h.name for h in reversed(loop)])
+                    path.append(driver[n])
+                    on_path.add(n)
+                    break
+            else:
+                path.pop()
+                on_path.discard(g.out)
+                done.add(g.out)
+                order.append(g)
     nl._cache["topo"] = order
     return order
-
-
-def _find_cycle(leftover: dict[str, Gate], produced_by: dict[str, Gate]) -> list[str]:
-    # Walk within the leftover gates until a gate repeats; return the loop.
-    start = next(iter(leftover.values()))
-    path: list[str] = []
-    seen: dict[str, int] = {}
-    g = start
-    while g.name not in seen:
-        seen[g.name] = len(path)
-        path.append(g.name)
-        nxt = None
-        for n in g.ins:
-            src = produced_by.get(n)
-            if src is not None and src.name in leftover:
-                nxt = src
-                break
-        if nxt is None:
-            return path
-        g = nxt
-    return path[seen[g.name]:]
 
 
 def eval_comb(nl: Netlist, assignment: Mapping[str, int]) -> dict[str, int]:

@@ -57,6 +57,7 @@ from .graph import (
     build_ff_graph,
     control_signals,
     tarjan_scc,
+    _bits,
     _net_support,
 )
 from .netlist import Netlist
@@ -439,10 +440,10 @@ def zscores(
         feats[lo : lo + len(block), 1] = 1.0 - top.mean(axis=1)
     controls = control_signals(nl)
     support = _net_support(nl)
-    touched = Counter(ff for c in controls for ff in support[c][0])
+    touched = Counter(i for c in controls for i in _bits(support.ff_mask(c)))
     on_cycle = build_ff_graph(nl).on_cycle
     if controls:
-        feats[:, 2] = [touched[name] / len(controls) for name in ffs]
+        feats[:, 2] = [touched[support.ff_bit[name]] / len(controls) for name in ffs]
     feats[:, 3] = [1.0 if name in on_cycle else 0.0 for name in ffs]
     zcols = np.column_stack([_standardize(feats[:, j]) for j in range(4)])
     weights = np.asarray(params.weights)

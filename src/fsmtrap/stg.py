@@ -107,8 +107,9 @@ def extract_stg(
             raise StgError(
                 f"reset state for {f.name} contradicts its declared reset value"
             )
+    known = set(ff_names)
     for name in sffs:
-        if name not in set(ff_names):
+        if name not in known:
             raise StgError(f"unknown state flip-flop {name}")
 
     cn = compile_netlist(nl)
@@ -151,7 +152,7 @@ def extract_stg(
     warnings: list[str] = []
     tracked = list(sffs)
 
-    from .graph import _net_support
+    from .graph import _bits, _net_support
 
     support = _net_support(nl)
 
@@ -160,15 +161,13 @@ def extract_stg(
         reset_full = tuple(reset[n] & 1 for n in ff_names)
         # FFs that can influence the tracked next-state cones; others cannot
         # cause projected divergence and are ignored by the revisit check.
-        influencers: set = set()
+        mask = 0
         for name in tracked:
-            influencers |= support[nl.ff_by_name(name).d][0]
-            en = nl.ff_by_name(name).en
-            if en is not None:
-                influencers |= support[en][0]
-        watched = [
-            (i, n) for i, n in enumerate(ff_names) if n in influencers and n not in tracked
-        ]
+            f = nl.ff_by_name(name)
+            mask |= support.ff_mask(f.d)
+            if f.en is not None:
+                mask |= support.ff_mask(f.en)
+        watched = [(i, ff_names[i]) for i in _bits(mask) if ff_names[i] not in tracked]
 
         def project(full: tuple) -> str:
             return "".join(str(full[i]) for i in proj_idx)

@@ -20,7 +20,8 @@ from fsmtrap.graph import (
     _net_support,
 )
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import eval_comb, parse
+from fsmtrap.netlist import Gate, Netlist, eval_comb, parse, topo_gates
+from fsmtrap.obfuscate import HoneypotParams, build_decoy
 from fsmtrap.synth import (
     Counter,
     DatapathSpec,
@@ -449,3 +450,128 @@ def test_label_sccs():
     assert "fsm" in labels and "data" in labels
     text = report.to_text()
     assert text.startswith("scc 0")
+
+
+# -- support masks and topological order --------------------------------------
+
+
+def _reference_support(nl):
+    """Oracle: every net's (FF names, PIs) as frozensets, each gate's the
+    union of its inputs'; gates are taken in sweeps over the list until every
+    one is done, so no topological sort is needed."""
+    support = {}
+    for n in nl.inputs:
+        support[n] = (frozenset(), frozenset([n]))
+    for n in nl.constants:
+        support[n] = (frozenset(), frozenset())
+    for f in nl.ffs:
+        support[f.q] = (frozenset([f.name]), frozenset())
+    pending = list(nl.gates)
+    while pending:
+        later = []
+        for g in pending:
+            if not all(n in support for n in g.ins):
+                later.append(g)
+                continue
+            ffs: set = set()
+            pis: set = set()
+            for src in g.ins:
+                a, b = support[src]
+                ffs |= a
+                pis |= b
+            support[g.out] = (frozenset(ffs), frozenset(pis))
+        assert len(later) < len(pending)
+        pending = later
+    return support
+
+
+def _attack_design(seed):
+    """One of the benchmark's attack designs (128 states, 32-bit data, 8 data
+    pairs, 8 inputs)."""
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(seed=seed, n_states=128, data_width=32, n_data_pairs=8, n_inputs=8)
+    )
+    return synthesize(fsm, dp)[0]
+
+
+def _mux_select_decoy():
+    """A decoy attached at MUX selects: the mix gate feeding each select is
+    listed after the MUX, so the gate list is not in topological order."""
+    base = random_seq_netlist(3, n_ffs=6, n_gates=30)
+    nets = [g.out for g in base.gates]
+    muxes = tuple(
+        Gate(f"m{k}", "MUX", f"m{k}", (nets[5 * k], nets[5 * k + 1], nets[-1 - k]))
+        for k in range(3)
+    )
+    ffs = tuple(replace(f, d=f"m{i % 3}") for i, f in enumerate(base.ffs))
+    design = Netlist("muxed", base.inputs, (), {}, base.gates + muxes, ffs)
+    fsm, _ = gen_benchmark(BenchmarkSpec(seed=0))
+    _, _, merged, _ = build_decoy(design, fsm, HoneypotParams())
+    return merged
+
+
+def _reversed(nl):
+    return Netlist(nl.name, nl.inputs, nl.outputs, nl.constants, nl.gates[::-1], nl.ffs)
+
+
+@pytest.fixture(scope="module")
+def attack_designs():
+    return [_attack_design(0), _attack_design(1)]
+
+
+@pytest.fixture(scope="module")
+def support_designs(attack_designs):
+    designs = [random_seq_netlist(seed, n_ffs=3 + seed % 6) for seed in range(40)]
+    return designs + attack_designs + [_mux_select_decoy()]
+
+
+def test_mux_select_decoy_is_out_of_order():
+    nl = _mux_select_decoy()
+    selects = {g.ins[0] for g in nl.gates if g.kind == "MUX"}
+    assert any(s.startswith("hp_mix_") for s in selects)
+    assert topo_gates(nl) != list(nl.gates)
+
+
+@pytest.mark.parametrize("listing", ["listed", "reversed"])
+def test_net_support_matches_reference(support_designs, listing):
+    for nl in support_designs:
+        if listing == "reversed":
+            nl = _reversed(nl)
+        expected = _reference_support(nl)
+        support = _net_support(nl)
+        assert set(support) == set(expected)
+        for net, pair in expected.items():
+            assert support[net] == pair, net
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_influences_matches_reference_support(seed):
+    nl = _reversed(random_seq_netlist(seed, n_ffs=5, n_gates=25))
+    expected = _reference_support(nl)
+    for f in nl.ffs:
+        for net, (ffs, _) in expected.items():
+            assert influences(nl, f.name, net) == (f.name in ffs)
+
+
+def test_topo_gates_keeps_synthesized_order(attack_designs):
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=2))
+    for nl in [synthesize(fsm, dp)[0]] + attack_designs:
+        assert topo_gates(nl) == list(nl.gates)
+
+
+def _assert_topological(nl, order):
+    assert sorted(g.name for g in order) == sorted(g.name for g in nl.gates)
+    done = set(nl.inputs) | set(nl.constants) | {f.q for f in nl.ffs}
+    for g in order:
+        assert done.issuperset(g.ins), g.name
+        done.add(g.out)
+
+
+def test_topo_gates_orders_shuffled_lists(support_designs):
+    rng = random.Random(17)
+    for nl in support_designs:
+        gates = list(nl.gates)
+        rng.shuffle(gates)
+        for listing in (tuple(gates), nl.gates[::-1]):
+            shuffled = Netlist(nl.name, nl.inputs, nl.outputs, nl.constants, listing, nl.ffs)
+            _assert_topological(shuffled, topo_gates(shuffled))

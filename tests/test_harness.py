@@ -19,6 +19,7 @@ from fsmtrap.netlist import Netlist, parse
 from fsmtrap.obfuscate import HoneypotParams, build_decoy, derive_honeypot, integrate_honeypot
 from fsmtrap.specio import design_text, parse_ground_truth
 from fsmtrap.synth import SynthOptions, synthesize
+from fsmtrap.topo import TopoParams
 
 
 def test_gen_deterministic():
@@ -268,3 +269,27 @@ def test_pipeline_keeps_stg_warnings(tmp_path, monkeypatch):
     assert [ln for ln in summary if ln.startswith("stg_warning")] == [
         f"stg_warning defended {warning}"
     ]
+
+
+def test_pipeline_keeps_topo_fallback_notes(tmp_path):
+    # With no free variables allowed, every functional control check of an
+    # FF inside a control cone falls back to the structural test and notes it.
+    plan = PipelinePlan(
+        benchmark=BenchmarkSpec(seed=4),
+        attacks=("topo",),
+        defense=DefensePlan(replicate_r=1),
+        topo_params=TopoParams(control_step="functional", functional_max_vars=0),
+    )
+    result = run_pipeline(plan, tmp_path / "run")
+    assert result.ok, result.notes
+    expected = []
+    summary_expected = []
+    for label in ("base", "defended"):
+        report = (tmp_path / "run" / "reports" / f"{label}_topo_groups.txt").read_text()
+        notes = [ln.split(" note=", 1)[1] for ln in report.splitlines() if " note=" in ln]
+        assert notes and all(n.endswith(":functional_fallback_structural") for n in notes)
+        expected += [f"topo {label}: {n}" for n in notes]
+        summary_expected += [f"topo_note {label} {n}" for n in notes]
+    assert result.notes == expected
+    summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+    assert [ln for ln in summary if ln.startswith("topo_note")] == summary_expected

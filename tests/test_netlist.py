@@ -199,16 +199,38 @@ def test_eval_comb_missing_assignment():
 
 
 def test_combinational_cycle_rejected():
-    text = (
-        "input a\n"
-        "gate AND g1 n1 a n2\n"
-        "gate BUF g2 n2 n1\n"
-        "output n1\n"
-    )
-    nl = parse(text)
-    with pytest.raises(CombinationalCycleError) as e:
-        eval_comb(nl, {"a": 1})
-    assert set(e.value.gates) <= {"g1", "g2"} and e.value.gates
+    cases = [
+        (
+            "input a\n"
+            "gate AND g1 n1 a n2\n"
+            "gate BUF g2 n2 n1\n"
+            "output n1\n",
+            {"g1", "g2"},
+        ),
+        # A 3-gate loop c1 -> c2 -> c3 -> c1 behind an acyclic prefix (p1,
+        # p2), listed out of order after a gate the loop drives.
+        (
+            "input a\ninput b\n"
+            "gate BUF d1 o l2\n"
+            "gate XOR c3 l3 l2 m2\n"
+            "gate AND p1 m1 a b\n"
+            "gate OR c1 l1 l3 m1\n"
+            "gate NOT p2 m2 m1\n"
+            "gate NAND c2 l2 l1 b\n"
+            "output o\n",
+            {"c1", "c2", "c3"},
+        ),
+    ]
+    for text, loop in cases:
+        nl = parse(text)
+        with pytest.raises(CombinationalCycleError) as e:
+            eval_comb(nl, {n: 1 for n in nl.inputs})
+        gates = e.value.gates
+        assert len(gates) == len(loop) and set(gates) == loop
+        by_name = {g.name: g for g in nl.gates}
+        # Each gate drives an input of the next, and the last the first.
+        for g, nxt in zip(gates, gates[1:] + gates[:1]):
+            assert by_name[g].out in by_name[nxt].ins
 
 
 def test_step_reset_dominates():
