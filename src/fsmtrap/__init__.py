@@ -6,17 +6,14 @@ from .netlist import (
     CombinationalCycleError,
     FlipFlop,
     Gate,
-    MissingAssignmentError,
     MultipleDriverError,
     Netlist,
     NetlistError,
     ParseError,
     UndrivenNetError,
-    eval_comb,
     parse,
     reset_state,
     serialize,
-    step,
 )
 from .synth import (
     AddOp,
@@ -41,7 +38,6 @@ from .synth import (
     synthesize,
 )
 from .graph import (
-    ConeTree,
     FeedbackClass,
     FfGraph,
     SccReport,
@@ -49,7 +45,6 @@ from .graph import (
     classify_feedback,
     control_signals,
     influences,
-    input_cone,
     label_sccs,
     tarjan_scc,
 )
@@ -59,7 +54,6 @@ from .relic import (
     SimilarityMatrix,
     ZScoreTable,
     evaluate,
-    pair_similarity,
     relic_tarjan,
     select_scc_by_z,
     similarity_matrix,

@@ -4,9 +4,10 @@ Subcommands: gen, synth, attack (relic|topo), defend (replicate|ra|rb|honeypot),
 stg, overhead, pipeline.  Every subcommand also accepts ``--plan FILE`` (JSON)
 and refuses keys it does not know.  For all but ``pipeline`` the keys mirror
 the flags, and explicit flags win.  A pipeline plan holds ``benchmark`` and
-``defense`` objects plus ``encoding``, ``attacks``, ``stg_max_inputs`` and
-``check_vectors``; ``--seed`` overrides the benchmark seed.  Exit code 0 only
-if all requested checks pass.
+``defense`` objects (the fields of ``BenchmarkSpec`` and ``DefensePlan``)
+plus ``encoding``, ``attacks`` and ``stg_max_inputs``; ``--seed`` overrides
+the benchmark seed.  ``defend honeypot`` runs the pipeline's defend stage
+on the synthesized design.  Exit code 0 only if all requested checks pass.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ from . import harness, specio
 from .netlist import parse as parse_netlist
 from .netlist import serialize
 from .obfuscate import (
-    HoneypotParams,
     ReplicationPlan,
-    build_decoy,
-    gt_with_honeypots,
     replicate_counter,
     replicate_state_bits,
     rewrite_ra,
     rewrite_rb,
-    tune_honeypot,
 )
 from .relic import RelicParams, relic_tarjan, zscores
 from .stg import extract_stg
@@ -37,15 +34,21 @@ from .synth import SynthOptions, synthesize
 from .topo import TopoParams, topo_attack
 
 
-def _plan_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
-    """The option values in the JSON plan file at ``path``, checked against
-    the options of subcommand ``sub``."""
+def _read_plan(path: str) -> dict:
+    """The JSON object in the plan file at ``path``."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as e:
         raise ValueError(f"cannot read plan {path}: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"plan {path} is not a JSON object")
+    return data
+
+
+def _plan_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
+    """The option values in the JSON plan file at ``path``, checked against
+    the options of subcommand ``sub``."""
+    data = _read_plan(path)
     options = {a.dest for a in sub._actions if a.option_strings} - {"help", "plan"}
     for key in data:
         if key not in options:
@@ -123,11 +126,10 @@ def cmd_attack(args) -> int:
 def cmd_defend(args) -> int:
     if args.mode == "replicate":
         fsm, dp = _read_design(args.design)
-        plan = ReplicationPlan(args.r, allow_one_hot=args.allow_one_hot)
-        fsm = replicate_state_bits(fsm, plan)
+        fsm = replicate_state_bits(fsm, ReplicationPlan(args.r, allow_one_hot=args.allow_one_hot))
         if args.counters:
             for c in dp.counters:
-                dp = replicate_counter(dp, c.name, plan)
+                dp = replicate_counter(dp, c.name, args.r)
         Path(args.out).write_text(specio.design_text(fsm, dp))
         print(f"wrote {args.out}")
         return 0
@@ -151,33 +153,29 @@ def cmd_defend(args) -> int:
             f"fp_after={report.fp_after.value})"
         )
         return 0
-    # honeypot: derive/tune against a synthesized design, then integrate.
+    # honeypot: the pipeline's defend stage on the synthesized design.
     fsm, dp = _read_design(args.design)
-    opts = SynthOptions(allow_reencode=args.reencode)
-    nl, gt = synthesize(fsm, dp, opts)
-    p = HoneypotParams(
-        mutation_seed=args.seed,
-        n_transition_mutations=args.tmut,
-        n_output_mutations=args.omut,
+    plan = harness.PipelinePlan(
+        encoding="one_hot" if args.reencode else "binary",
+        defense=harness.DefensePlan(
+            honeypot=True,
+            honeypot_tune=args.tune,
+            honeypot_seed=args.seed,
+            honeypot_transition_mutations=args.tmut,
+            honeypot_output_mutations=args.omut,
+            honeypot_max_iters=args.max_iters,
+            honeypot_require_selection=args.require_selection,
+        ),
     )
-    if args.tune:
-        report = tune_honeypot(
-            nl, gt.sffs, fsm, p, max_iters=args.max_iters,
-            require_selection=args.require_selection,
-        )
-        merged, hp_ffs = report.integrated, report.hp_ffs
-        print(f"tuned: found={report.found} seed={report.params.mutation_seed}")
-        ok = report.found
-    else:
-        _, _, merged, hp_ffs = build_decoy(nl, fsm, p)
-        ok = True
-    Path(args.out).write_text(serialize(merged))
+    nl, gt = synthesize(fsm, dp, SynthOptions(allow_reencode=args.reencode))
+    defense = harness.apply_defense(fsm, dp, nl, gt, plan)
+    if defense.tune is not None:
+        print(f"tuned: found={defense.tune.found} seed={defense.tune.params.mutation_seed}")
+    Path(args.out).write_text(serialize(defense.nl))
     if args.ground_truth:
-        Path(args.ground_truth).write_text(
-            specio.ground_truth_text(gt_with_honeypots(gt, hp_ffs))
-        )
-    print(f"wrote {args.out} ({len(hp_ffs)} decoy FFs)")
-    return 0 if ok else 1
+        Path(args.ground_truth).write_text(specio.ground_truth_text(defense.gt))
+    print(f"wrote {args.out} ({len(defense.gt.honeypots)} decoy FFs)")
+    return 0 if defense.ok else 1
 
 
 def cmd_stg(args) -> int:
@@ -204,15 +202,13 @@ def cmd_overhead(args) -> int:
 
 # Top-level keys of a ``pipeline --plan`` file: the nested benchmark and
 # defense specs, then PipelinePlan fields given as plain JSON values.
-_PIPELINE_PLAN_KEYS = (
-    "benchmark", "defense", "encoding", "attacks", "stg_max_inputs", "check_vectors"
-)
+_PIPELINE_PLAN_KEYS = ("benchmark", "defense", "encoding", "attacks", "stg_max_inputs")
 
 
 def cmd_pipeline(args) -> int:
     plan = harness.PipelinePlan()
     if args.plan:
-        data = json.loads(Path(args.plan).read_text())
+        data = _read_plan(args.plan)
         for key in data:
             if key not in _PIPELINE_PLAN_KEYS:
                 raise ValueError(f"plan key {key!r} is not a pipeline plan key")

@@ -1,6 +1,6 @@
 """Structural analyses over netlists: flip-flop dependency graphs, strongly
-connected components, fan-in cones, feedback-path strength, and control-signal
-influence.  Everything here is pure and deterministic.
+connected components, feedback-path strength, and control-signal influence.
+Everything here is pure and deterministic.
 
 Combinational support is held as Python-int masks per net, an FF mask (bit i
 is ``nl.ffs[i]``) and a PI mask (bit i is ``nl.inputs[i]``), packed into one
@@ -296,55 +296,6 @@ def has_high_fp(nl: Netlist, ff: str) -> bool:
 
 def has_any_fp(nl: Netlist, ff: str) -> bool:
     return ff in build_ff_graph(nl).on_cycle
-
-
-# -- fan-in cones -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConeNode:
-    kind: str  # gate kind, or PI / FF / CONST leaf
-    net: str
-    children: tuple = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass(frozen=True)
-class ConeTree:
-    root: ConeNode
-    depth_limit: int
-
-
-def input_cone(nl: Netlist, root: str, depth_limit: int) -> ConeTree:
-    """Depth-limited combinational fan-in tree.
-
-    Expansion stops at primary inputs, FF q-nets, constants, or the depth
-    limit; buffers are transparent and consume no depth.  Children are ordered
-    by (kind, net) so structurally equal cones serialize identically.
-    """
-    if root not in nl.driver:
-        raise AnalysisError(f"net {root} is not driven")
-    return ConeTree(_cone_node(nl.driver, root, depth_limit), depth_limit)
-
-
-def _cone_node(driver: dict, net: str, depth: int) -> ConeNode:
-    drv = driver[net]
-    if drv == "input":
-        return ConeNode("PI", net)
-    if drv == "const":
-        return ConeNode("CONST", net)
-    if hasattr(drv, "q"):
-        return ConeNode("FF", net)
-    if drv.kind == "BUF":
-        return _cone_node(driver, drv.ins[0], depth)
-    if depth <= 0:
-        return ConeNode(drv.kind, net)
-    children = [_cone_node(driver, n, depth - 1) for n in drv.ins]
-    children.sort(key=lambda c: (c.kind, c.net))
-    return ConeNode(drv.kind, net, tuple(children))
 
 
 def control_signals(nl: Netlist) -> set:

@@ -1,15 +1,17 @@
 """Benchmark generation, overhead proxies, and end-to-end attack/defense runs.
 
-A pipeline run synthesizes a baseline, attacks it, applies the requested
-defenses, re-synthesizes, verifies behavior preservation (aborting on any
-mismatch), re-attacks, and writes netlists/reports/STGs plus a summary into a
-run directory.  Runs are reproducible from (seed, plan, parameters).
+``run_pipeline`` chains plain stages: ``generate`` a seeded design (its
+binary netlist is the baseline's), ``run_attacks`` on it, ``apply_defense``
+(shared with ``fsmtrap defend honeypot``), ``verify_preservation`` (a
+mismatch withholds the defended metrics), ``run_attacks`` on the defended
+netlist and ``overhead``.  It writes netlists, reports, STGs and a summary
+into a run directory; runs are reproducible from (seed, plan).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -22,6 +24,7 @@ from .obfuscate import (
     HoneypotParams,
     ObfuscationError,
     ReplicationPlan,
+    TuneReport,
     build_decoy,
     gt_with_honeypots,
     replicate_counter,
@@ -40,6 +43,7 @@ from .synth import (
     DataReg,
     DatapathSpec,
     FsmSpec,
+    GroundTruth,
     PinRef,
     RegRef,
     SynthOptions,
@@ -66,9 +70,10 @@ class BenchmarkSpec:
     require_multi_scc: int = 2
 
 
-def gen_benchmark(spec: BenchmarkSpec) -> tuple[FsmSpec, DatapathSpec]:
+def generate(spec: BenchmarkSpec) -> tuple[FsmSpec, DatapathSpec, Netlist, GroundTruth]:
     """Seeded design family: an FSM driving a counter enable, feedback data
-    register pairs, and a word accumulator."""
+    register pairs, and a word accumulator.  Returns (FSM, datapath) and the
+    binary netlist and ground truth that checked ``require_multi_scc``."""
     if spec.n_states < 2 or spec.n_inputs < 2:
         raise InfeasibleProfileError("need at least 2 states and 2 inputs")
     if spec.require_multi_scc >= 2 and spec.n_data_pairs < 1:
@@ -134,7 +139,12 @@ def gen_benchmark(spec: BenchmarkSpec) -> tuple[FsmSpec, DatapathSpec]:
             f"profile yields {len(report.sccs)} multi-element components, "
             f"need {spec.require_multi_scc}"
         )
-    return fsm, dp
+    return fsm, dp, nl, gt
+
+
+def gen_benchmark(spec: BenchmarkSpec) -> tuple[FsmSpec, DatapathSpec]:
+    """The (FSM, datapath) of ``generate``'s design."""
+    return generate(spec)[:2]
 
 
 # -- overhead proxies ---------------------------------------------------------
@@ -285,7 +295,6 @@ class PipelinePlan:
     relic_params: RelicParams = RelicParams()
     topo_params: TopoParams = TopoParams()
     stg_max_inputs: int = 12
-    check_vectors: int = 1000
 
 
 @dataclass
@@ -304,66 +313,81 @@ def _attack_summary(result: AttackResult) -> str:
     return f"{result.attack} sensitivity={sens} precision={prec} identified={len(result.identified)}"
 
 
-def _keep_topo_notes(label: str, groups, res: PipelineResult, summary: list) -> None:
-    """Copy the topo attack's group notes (functional-control fallbacks) into
-    the result's notes and the summary."""
-    for grp in groups.groups:
-        for note in grp.notes:
-            res.notes.append(f"topo {label}: {note}")
-            summary.append(f"topo_note {label} {note}")
+def run_attacks(
+    nl: Netlist, gt: GroundTruth, plan: PipelinePlan, label: str, reports: Path,
+    summary: list, notes: list,
+) -> dict:
+    """The labelled SCC report and the plan's attacks on one netlist, written
+    to ``reports/<label>_*``; returns the attack results by name.
 
-
-def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
-    outdir = Path(outdir)
-    for sub in ("netlists", "reports", "stg"):
-        (outdir / sub).mkdir(parents=True, exist_ok=True)
-    res = PipelineResult(ok=True, outdir=outdir)
-    summary: list[str] = [f"plan seed={plan.benchmark.seed} encoding={plan.encoding}"]
-
-    fsm, dp = gen_benchmark(plan.benchmark)
-    (outdir / "design.txt").write_text(design_text(fsm, dp))
-    opts = SynthOptions(allow_reencode=(plan.encoding == "one_hot"))
-    base_nl, base_gt = synthesize(fsm, dp, opts)
-    (outdir / "netlists" / "base.nl").write_text(serialize(base_nl))
-    (outdir / "reports" / "base_gt.txt").write_text(ground_truth_text(base_gt))
-
-    base_sffs = sorted(base_gt.sffs)
-    scc_report = label_sccs(tarjan_scc(build_ff_graph(base_nl)), base_gt.sffs)
-    (outdir / "reports" / "base_scc.txt").write_text(scc_report.to_text())
-
+    Appends summary lines and notes.  Where ``gt`` names honeypot FFs, also
+    says whether relic selected the decoy and scores topo against it.
+    """
+    heading = "baseline" if label == "base" else label
+    hp_ffs = gt.honeypots
+    results: dict = {}
+    scc_report = label_sccs(tarjan_scc(build_ff_graph(nl)), gt.sffs, hp_ffs)
+    (reports / f"{label}_scc.txt").write_text(scc_report.to_text())
     if "relic" in plan.attacks:
-        table = zscores(base_nl, plan.relic_params)
-        (outdir / "reports" / "base_z.csv").write_text(table.to_csv())
-        r = relic_tarjan(base_nl, plan.relic_params, truth=base_gt.sffs)
-        (outdir / "reports" / "base_attack_relic.csv").write_text(r.to_csv("base"))
-        res.baseline["relic"] = r
-        summary.append("baseline " + _attack_summary(r))
+        table = zscores(nl, plan.relic_params)
+        (reports / f"{label}_z.csv").write_text(table.to_csv())
+        r = results["relic"] = relic_tarjan(nl, plan.relic_params, truth=gt.sffs)
+        (reports / f"{label}_attack_relic.csv").write_text(r.to_csv(label))
+        summary.append(f"{heading} {_attack_summary(r)}")
+        if hp_ffs:
+            summary.append(f"relic selected honeypot component: {bool(r.identified & hp_ffs)}")
     if "topo" in plan.attacks:
-        r, groups = topo_attack(base_nl, plan.topo_params, truth=base_gt.sffs)
-        (outdir / "reports" / "base_attack_topo.csv").write_text(r.to_csv("base"))
-        (outdir / "reports" / "base_topo_groups.txt").write_text(groups.to_text())
-        res.baseline["topo"] = r
-        summary.append("baseline " + _attack_summary(r))
-        _keep_topo_notes("base", groups, res, summary)
+        r, groups = topo_attack(nl, plan.topo_params, truth=gt.sffs)
+        results["topo"] = r
+        (reports / f"{label}_attack_topo.csv").write_text(r.to_csv(label))
+        (reports / f"{label}_topo_groups.txt").write_text(groups.to_text())
+        summary.append(f"{heading} {_attack_summary(r)}")
+        for grp in groups.groups:
+            for note in grp.notes:  # functional-control fallbacks
+                notes.append(f"topo {label}: {note}")
+                summary.append(f"topo_note {label} {note}")
+        if hp_ffs:
+            hp = results["topo_hp"] = with_metrics(AttackResult("topo", r.identified), hp_ffs)
+            summary.append(f"topo honeypot sensitivity={hp.sensitivity:.4f}")
+    return results
 
+
+@dataclass
+class Defense:
+    """A design after ``apply_defense``."""
+
+    nl: Netlist
+    gt: GroundTruth  # its honeypots are the decoy's FFs
+    pre_hp_nl: Netlist  # ``nl`` before the decoy was integrated
+    hp_nl: Optional[Netlist]  # the decoy alone
+    bit_map: dict  # defended state-bit index -> baseline state-bit index
+    frozen: dict  # input the defense added -> the value that keeps behaviour
+    summary: list
+    tune: Optional[TuneReport] = None
+
+    @property
+    def ok(self) -> bool:
+        """False when tuning found no decoy that meets the plan."""
+        return self.tune is None or self.tune.found
+
+
+def apply_defense(
+    fsm: FsmSpec, dp: Optional[DatapathSpec], nl: Netlist, gt: GroundTruth, plan: PipelinePlan
+) -> Defense:
+    """``plan.defense`` on (``fsm``, ``dp``), synthesized under ``plan`` as
+    (``nl``, ``gt``): replicate state bits (and counters), rewrite one
+    feedback path (RB on the spec, RA on the netlist), then integrate a tuned
+    or seeded decoy.  The spec is synthesized again only if replication or RB
+    changed it."""
     d = plan.defense
-    any_defense = d.replicate_r or d.fp_mode or d.honeypot
-    if not any_defense:
-        (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
-        return res
-
-    # -- apply defenses -------------------------------------------------
     fsm_d, dp_d = fsm, dp
-    base_width = len(base_sffs)
-    # defended bit index -> baseline bit index
-    bit_map_spec = {b: b for b in range(base_width)}
-
+    width = len(gt.sffs)
+    bit_map = {b: b for b in range(width)}
+    summary: list = []
     if d.replicate_r:
-        fsm_d = replicate_state_bits(
-            fsm_d, ReplicationPlan(d.replicate_r, allow_one_hot=True)
-        )
+        fsm_d = replicate_state_bits(fsm_d, ReplicationPlan(d.replicate_r, allow_one_hot=True))
         k = 1 + d.replicate_r
-        bit_map_spec = {j * k + t: j for j in range(base_width) for t in range(k)}
+        bit_map = {j * k + t: j for j in range(width) for t in range(k)}
         if d.replicate_counters:
             for c in dp.counters:
                 dp_d = replicate_counter(dp_d, c.name, d.replicate_r)
@@ -375,32 +399,28 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
     if fp_mode == "rb":
         if plan.encoding == "one_hot":
             raise ObfuscationError("dummy-transition rewrite needs a binary design")
-        width_now = len(bit_map_spec)
         fsm_d, rb_report = rewrite_rb(fsm_d, d.fp_target)
         if rb_report.extended_encoding:
-            bit_map_spec[width_now] = bit_map_spec[d.fp_target]
+            bit_map[len(bit_map)] = bit_map[d.fp_target]
 
-    opts_d = replace(opts, allow_reencode=(plan.encoding == "one_hot" and not d.replicate_r))
-    defended_nl, defended_gt = synthesize(fsm_d, dp_d, opts_d)
-
+    if (fsm_d, dp_d) != (fsm, dp):
+        reencode = plan.encoding == "one_hot" and not d.replicate_r
+        nl, gt = synthesize(fsm_d, dp_d, SynthOptions(allow_reencode=reencode))
     if rb_report is not None:
-        target_ff = sorted(defended_gt.sffs)[d.fp_target]
-        fp_after = classify_feedback(defended_nl, target_ff, defended_gt.sffs)
+        target_ff = sorted(gt.sffs)[d.fp_target]
+        fp_after = classify_feedback(nl, target_ff, gt.sffs)
         summary.append(
             f"rb target={target_ff} extended={rb_report.extended_encoding} "
             f"fp_after={fp_after.value}"
         )
-
-    ra_report = None
     if fp_mode == "ra":
-        target_ff = sorted(defended_gt.sffs)[d.fp_target]
-        defended_nl, ra_report = rewrite_ra(defended_nl, defended_gt.sffs, target_ff)
-        summary.append(
-            f"ra target={target_ff} fp_after={ra_report.fp_after.value}"
-        )
+        target_ff = sorted(gt.sffs)[d.fp_target]
+        nl, ra_report = rewrite_ra(nl, gt.sffs, target_ff)
+        summary.append(f"ra target={target_ff} fp_after={ra_report.fp_after.value}")
+    # RB's added input, held at 0, keeps the original behaviour.
+    frozen = {fsm_d.inputs[-1]: 0} if rb_report is not None and not rb_report.noop else {}
 
-    hp_ffs: frozenset = frozenset()
-    pre_hp_nl = defended_nl
+    defense = Defense(nl, gt, nl, None, bit_map, frozen, summary)
     if d.honeypot:
         p = HoneypotParams(
             mutation_seed=d.honeypot_seed,
@@ -408,111 +428,96 @@ def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
             n_output_mutations=d.honeypot_output_mutations,
         )
         if d.honeypot_tune:
-            tune = tune_honeypot(
-                defended_nl,
-                defended_gt.sffs,
-                fsm,
-                p,
-                relic_params=plan.relic_params,
-                max_iters=d.honeypot_max_iters,
-                require_selection=d.honeypot_require_selection,
+            tune = defense.tune = tune_honeypot(
+                nl, gt.sffs, fsm, p, relic_params=plan.relic_params,
+                max_iters=d.honeypot_max_iters, require_selection=d.honeypot_require_selection,
             )
-            defended_nl = tune.integrated
-            hp_ffs = tune.hp_ffs
-            hp_nl = tune.hp_netlist
+            defense.nl, defense.hp_nl, hp_ffs = tune.integrated, tune.hp_netlist, tune.hp_ffs
             summary.append(
                 f"honeypot found={tune.found} seed={tune.params.mutation_seed} "
                 f"iterations={len(tune.iterations)}"
             )
-            if not tune.found:
-                res.ok = False
-                res.notes.append("honeypot tuning failed")
         else:
-            _, hp_nl, defended_nl, hp_ffs = build_decoy(defended_nl, fsm, p)
+            _, defense.hp_nl, defense.nl, hp_ffs = build_decoy(nl, fsm, p)
             summary.append(f"honeypot seed={p.mutation_seed} (untuned)")
-        (outdir / "netlists" / "honeypot.nl").write_text(serialize(hp_nl))
+        defense.gt = gt_with_honeypots(gt, hp_ffs)
+    return defense
 
-    defended_gt = gt_with_honeypots(defended_gt, hp_ffs)
-    (outdir / "netlists" / "defended.nl").write_text(serialize(defended_nl))
-    (outdir / "reports" / "defended_gt.txt").write_text(ground_truth_text(defended_gt))
 
-    # -- behavior preservation -------------------------------------------
+def verify_preservation(
+    fsm: FsmSpec, nl: Netlist, gt: GroundTruth, defense: Defense, plan: PipelinePlan,
+    stg_dir: Path, summary: list, notes: list,
+) -> dict:
+    """Exhaustive STG equivalence of the baseline (``fsm`` synthesized as
+    ``nl``, ``gt``) and the defended state machine, STGs written to
+    ``stg_dir``, and, around a decoy, equal outputs and shared next states.
+    Returns the verdict of each check and appends summary lines and notes."""
     free = list(fsm.inputs)
-    base_stg = extract_stg(
-        base_nl, base_sffs, free_inputs=free, max_inputs=plan.stg_max_inputs
-    )
-    (outdir / "stg" / "base.txt").write_text(base_stg.to_text())
-    def_sffs = sorted(defended_gt.sffs)
-    frozen = {}
-    free_d = list(free)
-    rb_input = None
-    if rb_report is not None and not rb_report.noop:
-        rb_input = fsm_d.inputs[-1]
-        free_d.append(rb_input)
-        frozen[rb_input] = 0
+    base_sffs, def_sffs = sorted(gt.sffs), sorted(defense.gt.sffs)
+    base_stg = extract_stg(nl, base_sffs, free_inputs=free, max_inputs=plan.stg_max_inputs)
+    (stg_dir / "base.txt").write_text(base_stg.to_text())
     def_stg = extract_stg(
-        defended_nl, def_sffs, free_inputs=free_d, max_inputs=plan.stg_max_inputs
+        defense.nl, def_sffs, free_inputs=free + list(defense.frozen),
+        max_inputs=plan.stg_max_inputs,
     )
-    (outdir / "stg" / "defended.txt").write_text(def_stg.to_text())
+    (stg_dir / "defended.txt").write_text(def_stg.to_text())
     # Tracked-set enlargements: ``Stg.to_text`` does not write them.
     for label, stg in (("base", base_stg), ("defended", def_stg)):
         for warning in stg.warnings:
-            res.notes.append(f"stg {label}: {warning}")
+            notes.append(f"stg {label}: {warning}")
             summary.append(f"stg_warning {label} {warning}")
-    name_map = {
-        def_sffs[i]: base_sffs[bit_map_spec[i]] for i in range(len(def_sffs))
-    }
-    preserved = stg_equivalent(base_stg, def_stg, name_map, frozen_inputs=frozen)
-    res.preservation["stg"] = preserved
-    summary.append(f"stg_equivalent {preserved}")
-    if d.honeypot:
-        out_ok = outputs_match(pre_hp_nl, defended_nl, plan.check_vectors)
-        res.preservation["outputs"] = out_ok
-        summary.append(f"outputs_identical {out_ok}")
-        preserved = preserved and out_ok
-    if not preserved:
-        res.ok = False
-        res.notes.append("behavior preservation failed; attack metrics withheld")
+    name_map = {s: base_sffs[defense.bit_map[i]] for i, s in enumerate(def_sffs)}
+    verdicts = {"stg": stg_equivalent(base_stg, def_stg, name_map, frozen_inputs=defense.frozen)}
+    summary.append(f"stg_equivalent {verdicts['stg']}")
+    if plan.defense.honeypot:
+        verdicts["outputs"] = outputs_match(defense.pre_hp_nl, defense.nl)
+        summary.append(f"outputs_identical {verdicts['outputs']}")
+    return verdicts
+
+
+def run_pipeline(plan: PipelinePlan, outdir) -> PipelineResult:
+    outdir = Path(outdir)
+    netlists, reports = outdir / "netlists", outdir / "reports"
+    for sub in ("netlists", "reports", "stg"):
+        (outdir / sub).mkdir(parents=True, exist_ok=True)
+    res = PipelineResult(ok=True, outdir=outdir)
+    summary: list[str] = [f"plan seed={plan.benchmark.seed} encoding={plan.encoding}"]
+
+    def finish() -> PipelineResult:
         (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
         return res
 
-    # -- re-attack ---------------------------------------------------------
-    scc_report = label_sccs(
-        tarjan_scc(build_ff_graph(defended_nl)), defended_gt.sffs, hp_ffs
-    )
-    (outdir / "reports" / "defended_scc.txt").write_text(scc_report.to_text())
-    if "relic" in plan.attacks:
-        table = zscores(defended_nl, plan.relic_params)
-        (outdir / "reports" / "defended_z.csv").write_text(table.to_csv())
-        r = relic_tarjan(defended_nl, plan.relic_params, truth=defended_gt.sffs)
-        (outdir / "reports" / "defended_attack_relic.csv").write_text(r.to_csv("defended"))
-        res.defended["relic"] = r
-        summary.append("defended " + _attack_summary(r))
-        if hp_ffs:
-            hp_hit = bool(r.identified & hp_ffs)
-            summary.append(f"relic selected honeypot component: {hp_hit}")
-    if "topo" in plan.attacks:
-        r, groups = topo_attack(defended_nl, plan.topo_params, truth=defended_gt.sffs)
-        (outdir / "reports" / "defended_attack_topo.csv").write_text(r.to_csv("defended"))
-        (outdir / "reports" / "defended_topo_groups.txt").write_text(groups.to_text())
-        res.defended["topo"] = r
-        summary.append("defended " + _attack_summary(r))
-        _keep_topo_notes("defended", groups, res, summary)
-        if hp_ffs:
-            hp_result = with_metrics(
-                AttackResult("topo", r.identified), hp_ffs
-            )
-            res.defended["topo_hp"] = hp_result
-            summary.append(
-                f"topo honeypot sensitivity={hp_result.sensitivity:.4f}"
-            )
+    fsm, dp, nl, gt = generate(plan.benchmark)
+    (outdir / "design.txt").write_text(design_text(fsm, dp))
+    if plan.encoding == "one_hot":  # ``generate``'s netlist is binary
+        nl, gt = synthesize(fsm, dp, SynthOptions(allow_reencode=True))
+    (netlists / "base.nl").write_text(serialize(nl))
+    (reports / "base_gt.txt").write_text(ground_truth_text(gt))
+    res.baseline = run_attacks(nl, gt, plan, "base", reports, summary, res.notes)
 
-    oh = overhead(base_nl, defended_nl)
-    (outdir / "reports" / "overhead.txt").write_text(oh.to_text())
-    res.defended["overhead"] = oh
-    summary.append(
-        f"overhead area {oh.area_delta_pct:+.2f}% depth {oh.depth_delta_pct:+.2f}%"
-    )
+    d = plan.defense
+    if not (d.replicate_r or d.fp_mode or d.honeypot):
+        return finish()
+    defense = apply_defense(fsm, dp, nl, gt, plan)
+    summary += defense.summary
+    if not defense.ok:
+        res.ok = False
+        res.notes.append("honeypot tuning failed")
+    if d.honeypot:
+        (netlists / "honeypot.nl").write_text(serialize(defense.hp_nl))
+    (netlists / "defended.nl").write_text(serialize(defense.nl))
+    (reports / "defended_gt.txt").write_text(ground_truth_text(defense.gt))
 
-    (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
-    return res
+    res.preservation = verify_preservation(
+        fsm, nl, gt, defense, plan, outdir / "stg", summary, res.notes
+    )
+    if not all(res.preservation.values()):
+        res.ok = False
+        res.notes.append("behavior preservation failed; attack metrics withheld")
+        return finish()
+
+    res.defended = run_attacks(defense.nl, defense.gt, plan, "defended", reports, summary, res.notes)
+    oh = res.defended["overhead"] = overhead(nl, defense.nl)
+    (reports / "overhead.txt").write_text(oh.to_text())
+    summary.append(f"overhead area {oh.area_delta_pct:+.2f}% depth {oh.depth_delta_pct:+.2f}%")
+    return finish()

@@ -1,4 +1,4 @@
-"""Gate-level netlist model, textual format, and cycle-accurate simulation.
+"""Gate-level netlist model, textual format, topological order and reset state.
 
 The model is deliberately small: primary inputs, constants, nine combinational
 gate kinds, and D-flip-flops with optional reset/enable pins.  Every net has
@@ -55,12 +55,6 @@ class CombinationalCycleError(NetlistError):
     def __init__(self, gates: list[str]):
         super().__init__("combinational cycle through gates: " + " -> ".join(gates))
         self.gates = gates
-
-
-class MissingAssignmentError(NetlistError):
-    def __init__(self, net: str):
-        super().__init__(f"no value assigned for net {net}")
-        self.net = net
 
 
 @dataclass(frozen=True)
@@ -301,35 +295,7 @@ def serialize(nl: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- simulation --------------------------------------------------------------
-
-
-def _gate_fn(kind: str, vals: list[int]) -> int:
-    if kind == "NOT":
-        return 1 - vals[0]
-    if kind == "BUF":
-        return vals[0]
-    if kind == "AND":
-        return 1 if all(vals) else 0
-    if kind == "OR":
-        return 1 if any(vals) else 0
-    if kind == "NAND":
-        return 0 if all(vals) else 1
-    if kind == "NOR":
-        return 0 if any(vals) else 1
-    if kind == "XOR":
-        acc = 0
-        for v in vals:
-            acc ^= v
-        return acc
-    if kind == "XNOR":
-        acc = 0
-        for v in vals:
-            acc ^= v
-        return 1 - acc
-    if kind == "MUX":
-        return vals[1] if vals[0] == 0 else vals[2]
-    raise NetlistError(f"unknown gate kind {kind}")
+# -- evaluation order and reset ----------------------------------------------
 
 
 def topo_gates(nl: Netlist) -> list[Gate]:
@@ -380,56 +346,6 @@ def topo_gates(nl: Netlist) -> list[Gate]:
     return order
 
 
-def eval_comb(nl: Netlist, assignment: Mapping[str, int]) -> dict[str, int]:
-    """Evaluate all nets given values for primary inputs and FF q-nets.
-
-    Returns a complete net -> bit map.  Evaluation follows one topological
-    order; any other order yields identical values.
-    """
-    values: dict[str, int] = dict(nl.constants)
-    for n in nl.inputs:
-        if n not in assignment:
-            raise MissingAssignmentError(n)
-        values[n] = assignment[n] & 1
-    for f in nl.ffs:
-        if f.q not in assignment:
-            raise MissingAssignmentError(f.q)
-        values[f.q] = assignment[f.q] & 1
-    for g in topo_gates(nl):
-        try:
-            vals = [values[n] for n in g.ins]
-        except KeyError as e:  # pragma: no cover - guarded by validation
-            raise MissingAssignmentError(str(e.args[0]))
-        values[g.out] = _gate_fn(g.kind, vals)
-    return values
-
-
 def reset_state(nl: Netlist) -> BitState:
     """State after an asserted reset: rst_val for resettable FFs, 0 otherwise."""
     return {f.name: (f.rst_val if f.rst is not None else 0) for f in nl.ffs}
-
-
-def step(
-    nl: Netlist,
-    state: Mapping[str, int],
-    inputs: Mapping[str, int],
-    reset_asserted: bool = False,
-) -> BitState:
-    """One synchronous step: returns the next flip-flop state.
-
-    Reset dominates for resettable FFs; an enable evaluating to 0 holds the
-    previous bit; otherwise the FF captures its d input.
-    """
-    assignment = dict(inputs)
-    for f in nl.ffs:
-        assignment[f.q] = state[f.name] & 1
-    values = eval_comb(nl, assignment)
-    nxt: BitState = {}
-    for f in nl.ffs:
-        if reset_asserted and f.rst is not None:
-            nxt[f.name] = f.rst_val
-        elif f.en is not None and values[f.en] == 0:
-            nxt[f.name] = state[f.name] & 1
-        else:
-            nxt[f.name] = values[f.d]
-    return nxt

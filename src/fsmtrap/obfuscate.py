@@ -85,7 +85,7 @@ def replicate_state_bits(fsm: FsmSpec, plan) -> FsmSpec:
     return replace(fsm, encoding=tuple((s, new_codes[s]) for s in fsm.states))
 
 
-def replicate_counter(dp: DatapathSpec, counter: str, plan) -> DatapathSpec:
+def replicate_counter(dp: DatapathSpec, counter: str, r: int) -> DatapathSpec:
     """Mark a counter for replicated synthesis: the register widens to
     width*(1+r) and each step increments the widened value, then rewrites any
     replica group left in the broken-carry pattern to a uniform value.
@@ -93,7 +93,6 @@ def replicate_counter(dp: DatapathSpec, counter: str, plan) -> DatapathSpec:
     Valid while the counter does not wrap (callers bound cycle counts or
     request a saturation guard at the benchmark level).
     """
-    r = plan.replicas_per_bit if isinstance(plan, ReplicationPlan) else int(plan)
     if r < 1:
         raise ReplicationError("replica count must be >= 1")
     found = False

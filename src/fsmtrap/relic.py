@@ -12,8 +12,7 @@ pair of distinct root shapes (replicated bits and data words share one) and
 broadcast to the flip-flops.  Shapes are interned bottom-up without building
 cone trees: a memo per call holds, for each depth left and each net, the
 net's (kind, effective net after BUFs, shape id), so a net reached by many
-cones at one depth is interned once.  ``ConeNode`` trees (``input_cone``)
-serve only ``pair_similarity`` and the tests' oracle.
+cones at one depth is interned once.
 
 Every shape also has a class: its kind plus the sorted classes of its
 children.  Two shapes score exactly 1.0 iff they share a class (children
@@ -53,7 +52,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .graph import (
-    ConeTree,
     build_ff_graph,
     control_signals,
     tarjan_scc,
@@ -115,13 +113,9 @@ class _ShapeTable:
             classes.append(self._class_ids.setdefault(class_key, len(self._class_ids)))
         return cid
 
-    def canon(self, node) -> int:
-        return self.intern(node.kind, tuple(self.canon(c) for c in node.children))
-
     def cone_ids(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> list:
-        """Shape id of each root net's depth-limited input cone, the shape
-        ``canon(input_cone(nl, root, depth_limit).root)`` interns, built
-        bottom-up from a per-call memo instead of a ``ConeNode`` tree."""
+        """Shape id of each root net's depth-limited input cone, built
+        bottom-up from a per-call memo (see ``_intern_cone``)."""
         depth = max(depth_limit, 0)
         memo = [{} for _ in range(depth + 1)]
         return [_intern_cone(self, nl.driver, memo, net, depth)[2] for net in roots]
@@ -282,10 +276,12 @@ def _residual(ch_a: tuple, ch_b: tuple, classes: list) -> tuple:
 
 def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: int) -> tuple:
     """(kind, effective net after BUFs, shape id) of ``net``'s cone with
-    ``depth`` gate levels left, as ``graph._cone_node`` would build it.
+    ``depth`` gate levels left.
 
-    ``memo[depth]`` maps nets to their entries.  Children sort by (kind, net)
-    like ``_cone_node``'s; equal (kind, net) at one depth means equal shape.
+    The cone stops at PIs, FF Qs, constants and the depth limit; BUFs are
+    transparent and take no depth.  ``memo[depth]`` maps nets to their
+    entries.  Children sort by (kind, net); equal (kind, net) at one depth
+    means equal shape.
     """
     level = memo[depth]
     hit = level.get(net)
@@ -332,14 +328,6 @@ def _greedy_match_batch(sims: np.ndarray, start=0.0) -> np.ndarray:
         grid[which, rows, :] = -np.inf
         grid[which, :, cols] = -np.inf
     return matched
-
-
-def pair_similarity(a: ConeTree, b: ConeTree) -> float:
-    """Similarity in [0, 1] between two cones built with equal depth limits."""
-    if a.depth_limit != b.depth_limit:
-        raise ValueError("cones must be built with the same depth limit")
-    table = _ShapeTable()
-    return table.sim(table.canon(a.root), table.canon(b.root))
 
 
 @dataclass

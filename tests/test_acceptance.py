@@ -20,7 +20,7 @@ from fsmtrap.harness import (
     outputs_match,
     overhead,
 )
-from fsmtrap.netlist import eval_comb, reset_state, step
+from fsmtrap.netlist import reset_state
 from fsmtrap.obfuscate import (
     HoneypotParams,
     ReplicationPlan,
@@ -48,6 +48,7 @@ from test_graph import _closure_scc_oracle
 from test_netlist import _recursive_oracle
 from test_stg import _behavioral_stg
 from conftest import random_comb_netlist, random_fsm
+from oracles import eval_comb, step
 
 # Ten seeded benchmarks spanning 6..16 states.
 BENCH = [

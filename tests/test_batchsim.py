@@ -10,9 +10,10 @@ from fsmtrap.batchsim import (
     pack,
     unpack,
 )
-from fsmtrap.netlist import FlipFlop, Gate, Netlist, eval_comb, parse, step
+from fsmtrap.netlist import FlipFlop, Gate, Netlist, parse
 
 from conftest import random_comb_netlist, random_seq_netlist
+from oracles import eval_comb, step
 
 
 def _all_rows(cn):

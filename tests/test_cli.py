@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fsmtrap.cli import main
+from fsmtrap.harness import BenchmarkSpec, DefensePlan, PipelinePlan, run_pipeline
 
 
 def run(*argv) -> int:
@@ -83,6 +84,35 @@ def test_defend_honeypot_cli(design_file, tmp_path):
     assert "honeypot hp_fsm_st0" in gt.read_text()
 
 
+@pytest.mark.parametrize("tune", [False, True])
+def test_defend_honeypot_shares_the_pipeline_defense(design_file, tmp_path, tune):
+    # ``design_file`` is ``gen --seed 1``; the mutation counts are not the
+    # defaults, so both sides must follow the plan to agree.
+    out = tmp_path / "hp.nl"
+    gt = tmp_path / "gt.txt"
+    code = run(
+        "defend", "honeypot", "--design", str(design_file), "--out", str(out),
+        "--ground-truth", str(gt), "--seed", "2", "--tmut", "3", "--omut", "2",
+        *(["--tune"] if tune else []),
+    )
+    plan = PipelinePlan(
+        benchmark=BenchmarkSpec(seed=1),
+        attacks=(),
+        defense=DefensePlan(
+            honeypot=True,
+            honeypot_tune=tune,
+            honeypot_seed=2,
+            honeypot_transition_mutations=3,
+            honeypot_output_mutations=2,
+        ),
+    )
+    result = run_pipeline(plan, tmp_path / "run")
+    assert result.ok, result.notes
+    assert code == 0
+    assert out.read_text() == (tmp_path / "run" / "netlists" / "defended.nl").read_text()
+    assert gt.read_text() == (tmp_path / "run" / "reports" / "defended_gt.txt").read_text()
+
+
 def test_stg_cli(design_file, tmp_path):
     nl = tmp_path / "base.nl"
     gt = tmp_path / "gt.txt"
@@ -118,7 +148,7 @@ def test_pipeline_cli_with_plan(tmp_path, capsys):
     assert "stg_equivalent True" in out
 
 
-@pytest.mark.parametrize("key", ["encodng", "relic_params"])
+@pytest.mark.parametrize("key", ["encodng", "relic_params", "check_vectors"])
 def test_pipeline_plan_rejects_unknown_key(tmp_path, capsys, key):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({key: "one_hot"}))
@@ -175,12 +205,21 @@ def test_plan_rejects_keys_that_are_not_options(design_file, tmp_path, capsys, k
     assert f"error: plan key {key!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
-def test_unreadable_plan_is_a_clean_error(tmp_path, capsys, text):
+_UNREADABLE_PLANS = [None, "{not json", "[1, 2]"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [pytest.param("gen", t, id=str(t)) for t in _UNREADABLE_PLANS]
+    + [pytest.param("pipeline", t, id=f"pipeline-{t}") for t in _UNREADABLE_PLANS],
+)
+def test_unreadable_plan_is_a_clean_error(tmp_path, capsys, command, text):
     plan = tmp_path / "plan.json"
     if text is not None:
         plan.write_text(text)
-    assert run("gen", "--plan", str(plan), "--out", str(tmp_path / "d.txt")) == 2
+    out = tmp_path / ("d.txt" if command == "gen" else "run")
+    assert run(command, "--plan", str(plan), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert not (tmp_path / "d.txt").exists()
+    assert f"plan {plan}" in err
+    assert not out.exists()

@@ -14,13 +14,12 @@ from fsmtrap.graph import (
     has_any_fp,
     influences,
     influences_functional,
-    input_cone,
     label_sccs,
     tarjan_scc,
     _net_support,
 )
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import Gate, Netlist, eval_comb, parse, topo_gates
+from fsmtrap.netlist import Gate, Netlist, parse, topo_gates
 from fsmtrap.obfuscate import HoneypotParams, build_decoy
 from fsmtrap.synth import (
     Counter,
@@ -34,6 +33,7 @@ from fsmtrap.synth import (
 )
 
 from conftest import random_seq_netlist
+from oracles import eval_comb, input_cone
 
 
 def test_self_feedback_edge():

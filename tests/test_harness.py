@@ -293,3 +293,33 @@ def test_pipeline_keeps_topo_fallback_notes(tmp_path):
     assert result.notes == expected
     summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
     assert [ln for ln in summary if ln.startswith("topo_note")] == summary_expected
+
+
+@pytest.mark.parametrize(
+    "encoding, defense, calls",
+    [
+        ("binary", DefensePlan(honeypot=True), 1),
+        ("binary", DefensePlan(replicate_r=2), 2),
+        ("one_hot", DefensePlan(fp_mode="ra"), 2),
+    ],
+    ids=["honeypot", "replicate", "one_hot_ra"],
+)
+def test_pipeline_synthesizes_each_design_once(tmp_path, monkeypatch, encoding, defense, calls):
+    # A binary plan's baseline is the netlist ``generate`` checked, and the
+    # baseline is the defended one unless replication or RB changed the spec.
+    import fsmtrap.harness as harness_mod
+
+    synthesize_ = harness_mod.synthesize
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return synthesize_(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "synthesize", counting)
+    plan = PipelinePlan(
+        benchmark=BenchmarkSpec(seed=4), encoding=encoding, attacks=(), defense=defense
+    )
+    result = run_pipeline(plan, tmp_path / "run")
+    assert result.ok, result.notes
+    assert len(made) == calls

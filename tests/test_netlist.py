@@ -4,19 +4,17 @@ import pytest
 
 from fsmtrap.netlist import (
     CombinationalCycleError,
-    MissingAssignmentError,
     MultipleDriverError,
     ParseError,
     UndrivenNetError,
-    eval_comb,
     parse,
     reset_state,
     serialize,
-    step,
 )
 from fsmtrap.synth import SynthOptions, make_fsm, synthesize
 
 from conftest import random_comb_netlist
+from oracles import MissingAssignmentError, eval_comb, step
 
 
 def test_parse_minimal():

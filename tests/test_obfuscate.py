@@ -7,7 +7,7 @@ from fsmtrap.graph import (
     has_high_fp,
     tarjan_scc,
 )
-from fsmtrap.netlist import parse, reset_state, step
+from fsmtrap.netlist import parse, reset_state
 from fsmtrap.obfuscate import (
     HoneypotError,
     HoneypotParams,
@@ -24,7 +24,6 @@ from fsmtrap.obfuscate import (
     rewrite_rb,
     tune_honeypot,
 )
-from fsmtrap.relic import pair_similarity
 from fsmtrap.stg import extract_stg, stg_equivalent
 from fsmtrap.synth import (
     Counter,
@@ -36,6 +35,7 @@ from fsmtrap.synth import (
 )
 
 from conftest import random_fsm
+from oracles import pair_similarity, step
 
 
 def six_state_fsm():
@@ -77,7 +77,7 @@ def test_one_hot_replication_needs_opt_in():
 def test_replica_cones_identical_similarity_one():
     rep = replicate_state_bits(six_state_fsm(), 2)
     nl, gt = synthesize(rep, None, SynthOptions(allow_cse=False))
-    from fsmtrap.graph import input_cone
+    from oracles import input_cone
 
     sffs = sorted(gt.sffs)
     for group_start in range(0, 9, 3):

@@ -4,16 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from fsmtrap.graph import ConeNode, ConeTree, input_cone
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import FlipFlop, Gate, Netlist, parse
 import fsmtrap.relic as relic_mod
 from fsmtrap.relic import (
     RelicParams,
     _greedy_match_batch,
-    _ShapeTable,
     evaluate,
-    pair_similarity,
     relic_tarjan,
     select_scc_by_z,
     similarity_matrix,
@@ -33,6 +30,7 @@ from fsmtrap.synth import (
 from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits
 
 from conftest import random_seq_netlist
+from oracles import ConeNode, ConeTree, ShapeTable as _ShapeTable, input_cone, pair_similarity
 
 
 def leaf(kind, net="x"):
@@ -449,7 +447,7 @@ def test_cone_ids_match_input_cone_oracle(depth_limit):
 
 @pytest.mark.parametrize("profile", [(6, 6, 1, 3), (48, 12, 3, 6)])
 def test_cone_ids_match_input_cone_oracle_on_benchmarks(profile, monkeypatch):
-    import fsmtrap.graph as graph_mod
+    import oracles as graph_mod  # ConeNode trees are built only there
 
     states, width, pairs, inputs = profile
     fsm, dp = gen_benchmark(

@@ -6,7 +6,7 @@ import pytest
 
 from fsmtrap.graph import build_ff_graph, classify_feedback, FeedbackClass
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import reset_state, serialize, step
+from fsmtrap.netlist import reset_state, serialize
 from fsmtrap.obfuscate import HoneypotParams, tune_honeypot
 from fsmtrap.relic import relic_tarjan, zscores
 from fsmtrap.specio import design_text, parse_design
@@ -38,6 +38,7 @@ from fsmtrap.cubes import cover_minterms
 from fsmtrap.topo import topo_attack
 
 from conftest import random_fsm
+from oracles import step
 
 
 def six_state_fsm(**kw):
