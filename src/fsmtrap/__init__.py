@@ -34,7 +34,6 @@ from .synth import (
     XorOp,
     encode,
     make_fsm,
-    simulate_spec,
     synthesize,
 )
 from .graph import (

@@ -151,19 +151,14 @@ def batch_step(
     state: np.ndarray,
     pi_matrix: np.ndarray,
 ) -> np.ndarray:
-    """Step one clock for a batch: pi_matrix is (n_pis, n); state is one
-    (n_ffs,) state for every vector or an (n_ffs, n) matrix, one per vector.
+    """Step one clock for a batch: pi_matrix is (n_pis, n) and state is
+    (n_ffs, n), one state per vector.
 
     Returns the (n_ffs, n) 0/1 uint8 matrix of next states, one column per
     vector; no reset, and an FF whose enable is 0 holds its q.
     """
     n = pi_matrix.shape[1]
-    state = np.asarray(state, dtype=np.uint8)
-    if state.ndim == 1:
-        q_ints = [(1 << n) - 1 if b else 0 for b in state.tolist()]
-    else:
-        q_ints = pack(state)
-    values = _simulate(cn, pack(pi_matrix) + q_ints, n)
+    values = _simulate(cn, pack(pi_matrix) + pack(state), n)
     nxt = []
     for d, q, en in cn.ff_rows:
         if en is None:

@@ -61,10 +61,6 @@ def cover_complement(
     return cover_subtract([{}], cover, var_order)
 
 
-def cube_matches(cube: Mapping[str, int], assignment: Mapping[str, int]) -> bool:
-    return all(assignment[var] == val for var, val in cube.items())
-
-
 def cover_minterms(
     cover: Sequence[Mapping[str, int]], var_order: Sequence[str]
 ) -> frozenset:

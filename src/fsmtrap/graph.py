@@ -161,12 +161,10 @@ class SccReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def tarjan_scc(g: FfGraph, include_singletons: bool = False) -> SccReport:
-    """Strongly connected components of the comb graph, ordered by smallest
-    member; single FFs are dropped unless ``include_singletons``."""
-    comps = _tarjan(g)
-    if not include_singletons:
-        comps = [c for c in comps if len(c) > 1]
+def tarjan_scc(g: FfGraph) -> SccReport:
+    """Multi-member strongly connected components of the comb graph, ordered
+    by smallest member."""
+    comps = [c for c in _tarjan(g) if len(c) > 1]
     comps.sort(key=lambda c: c[0])
     return SccReport(sccs=comps)
 
@@ -224,27 +222,23 @@ def _tarjan(g: FfGraph) -> list:
     return comps
 
 
+def most_members(sccs, members) -> tuple[Optional[int], bool]:
+    """Index of the first component holding the most of ``members`` (None if
+    none holds any), and whether another component holds as many."""
+    members = set(members)
+    counts = [len(members.intersection(c)) for c in sccs]
+    best = max(counts, default=0)
+    if best == 0:
+        return None, False
+    return counts.index(best), counts.count(best) > 1
+
+
 def label_sccs(report: SccReport, sffs, honeypots=frozenset()) -> SccReport:
     """Label the component holding the most true SFFs as fsm, likewise fsm_hp;
     remaining multi-element components are data."""
     labels: dict[int, str] = {}
-    ambiguous = False
-
-    def pick(target) -> Optional[int]:
-        nonlocal ambiguous
-        best, best_count = None, 0
-        counts = []
-        for i, members in enumerate(report.sccs):
-            c = len(set(members) & set(target))
-            counts.append(c)
-            if c > best_count:
-                best, best_count = i, c
-        if best is not None and counts.count(best_count) > 1:
-            ambiguous = True
-        return best
-
-    fsm_i = pick(sffs) if sffs else None
-    hp_i = pick(honeypots) if honeypots else None
+    fsm_i, fsm_tie = most_members(report.sccs, sffs)
+    hp_i, hp_tie = most_members(report.sccs, honeypots)
     for i, members in enumerate(report.sccs):
         if i == fsm_i:
             labels[i] = "fsm"
@@ -252,7 +246,7 @@ def label_sccs(report: SccReport, sffs, honeypots=frozenset()) -> SccReport:
             labels[i] = "fsm_hp"
         elif len(members) > 1:
             labels[i] = "data"
-    return SccReport(sccs=report.sccs, labels=labels, ambiguous=ambiguous)
+    return SccReport(sccs=report.sccs, labels=labels, ambiguous=fsm_tie or hp_tie)
 
 
 def classify_feedback(
@@ -292,10 +286,6 @@ def classify_feedback(
 def has_high_fp(nl: Netlist, ff: str) -> bool:
     g = build_ff_graph(nl)
     return ff in g.comb.get(ff, frozenset())
-
-
-def has_any_fp(nl: Netlist, ff: str) -> bool:
-    return ff in build_ff_graph(nl).on_cycle
 
 
 def control_signals(nl: Netlist) -> set:

@@ -229,11 +229,9 @@ def overhead(before: Netlist, after: Netlist) -> OverheadReport:
 # -- functional checks --------------------------------------------------------
 
 
-def outputs_match(
-    before: Netlist, after: Netlist, n_vectors: int = 1000, seed: int = 7
-) -> bool:
-    """Equality of positional outputs and of every FF's next state on random
-    assignments of PIs and FF states.
+def outputs_match(before: Netlist, after: Netlist) -> bool:
+    """Equality of positional outputs and of every FF's next state on
+    1000 random assignments of PIs and FF states (seed 7).
 
     Every FF of ``before`` must exist in ``after`` under the same name, and
     its next state (``d`` where ``en`` is 1 and ``q`` elsewhere, or ``d``
@@ -246,9 +244,9 @@ def outputs_match(
     after_ffs = {f.name: f for f in after.ffs}
     if any(f.name not in after_ffs for f in before.ffs):
         return False
-    rng = np.random.default_rng(seed)
-    pi_vals = {n: rng.integers(0, 2, n_vectors, dtype=np.uint8) for n in after.inputs}
-    ff_vals = {f.name: rng.integers(0, 2, n_vectors, dtype=np.uint8) for f in after.ffs}
+    rng = np.random.default_rng(7)
+    pi_vals = {n: rng.integers(0, 2, 1000, dtype=np.uint8) for n in after.inputs}
+    ff_vals = {f.name: rng.integers(0, 2, 1000, dtype=np.uint8) for f in after.ffs}
     n_out = len(before.outputs)
 
     def observed(nl: Netlist, ffs) -> list:
@@ -438,7 +436,7 @@ def apply_defense(
                 f"iterations={len(tune.iterations)}"
             )
         else:
-            _, defense.hp_nl, defense.nl, hp_ffs = build_decoy(nl, fsm, p)
+            defense.hp_nl, defense.nl, hp_ffs = build_decoy(nl, fsm, p)
             summary.append(f"honeypot seed={p.mutation_seed} (untuned)")
         defense.gt = gt_with_honeypots(gt, hp_ffs)
     return defense

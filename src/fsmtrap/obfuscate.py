@@ -64,17 +64,16 @@ class ReplicationPlan:
     allow_one_hot: bool = False
 
 
-def replicate_state_bits(fsm: FsmSpec, plan) -> FsmSpec:
+def replicate_state_bits(fsm: FsmSpec, plan: ReplicationPlan) -> FsmSpec:
     """Repeat every state bit (1 + r) times in place, as explicit codes.
 
     Transitions are untouched; synthesized without re-encoding or sharing,
     each replica gets a structurally identical private cone.
     """
-    r = plan.replicas_per_bit if isinstance(plan, ReplicationPlan) else int(plan)
-    allow_one_hot = plan.allow_one_hot if isinstance(plan, ReplicationPlan) else False
+    r = plan.replicas_per_bit
     if r < 1:
         raise ReplicationError("replica count must be >= 1")
-    if fsm.encoding == ONE_HOT and not allow_one_hot:
+    if fsm.encoding == ONE_HOT and not plan.allow_one_hot:
         raise ReplicationError(
             "replicating a one-hot encoding must be explicitly allowed"
         )
@@ -116,14 +115,11 @@ def replicate_counter(dp: DatapathSpec, counter: str, r: int) -> DatapathSpec:
 @dataclass
 class RewriteReport:
     treated_ff: str
-    removed_edges: tuple = ()  # (gate name or 'd-pin', input position) use sites
-    replacement_net: Optional[str] = None
     added_transitions: int = 0
     extended_encoding: bool = False
     noop: bool = False
-    # Set by rewrite_ra.  rewrite_rb works on the spec and leaves them None:
+    # Set by rewrite_ra.  rewrite_rb works on the spec and leaves it None:
     # classify the treated FF of the synthesized result instead.
-    fp_before: Optional[FeedbackClass] = None
     fp_after: Optional[FeedbackClass] = None
 
 
@@ -195,25 +191,23 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> tuple[Netlist, RewriteReport]:
     else:
         new_gates.append(Gate(ind_name, "AND", ind_net, tuple(not_nets)))
 
-    removed = []
+    rewired = False
     rebuilt: list[Gate] = []
     for g in nl.gates:
         if g.name in cone and ff.q in g.ins:
             ins = tuple(ind_net if n == ff.q else n for n in g.ins)
-            for pos, n in enumerate(g.ins):
-                if n == ff.q:
-                    removed.append((g.name, pos))
             rebuilt.append(Gate(g.name, g.kind, g.out, ins))
+            rewired = True
         else:
             rebuilt.append(g)
     ffs = []
     for f in nl.ffs:
         if f.name == target and f.d == ff.q:
-            removed.append(("d-pin", 0))
             ffs.append(replace(f, d=ind_net))
+            rewired = True
         else:
             ffs.append(f)
-    if not removed:
+    if not rewired:
         raise RewriteError(f"{target} has no uses of its own Q inside its cone")
 
     out = Netlist(
@@ -225,11 +219,7 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> tuple[Netlist, RewriteReport]:
         ffs=tuple(ffs),
     )
     report = RewriteReport(
-        treated_ff=target,
-        removed_edges=tuple(removed),
-        replacement_net=ind_net,
-        fp_before=FeedbackClass.HIGH,
-        fp_after=classify_feedback(out, target, set(sffs)),
+        treated_ff=target, fp_after=classify_feedback(out, target, set(sffs))
     )
     return out, report
 
@@ -357,9 +347,6 @@ class HoneypotParams:
     mutation_seed: int = 0
     n_transition_mutations: int = 2
     n_output_mutations: int = 0
-    input_map: tuple = ()  # ordered (honeypot input, design input) pairs; empty -> auto
-    attach_mode: str = "never-activated-or"  # or standalone-marker
-    prefix: str = "hp"
 
 
 def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
@@ -426,6 +413,8 @@ def default_input_map(design: Netlist, hp: Netlist) -> tuple:
     i = 0
     for n in hp.inputs:
         if n == "clk" or n == "rst":
+            if n not in design.inputs:
+                raise IntegrationError(f"design has no {n} input for the decoy")
             mapping.append((n, n))
         else:
             if not pool:
@@ -440,31 +429,21 @@ def integrate_honeypot(
 ) -> tuple[Netlist, frozenset]:
     """Instantiate a decoy netlist inside a design.
 
-    Decoy inputs are fed from existing design inputs (clock and reset from the
-    design's own).  In never-activated-or mode each decoy output is ORed into
-    a control-adjacent site (flip-flop enable, MUX select, or an output port)
-    gated by a constant-0 net built from a two-gate chain, so the design
-    function is unchanged while the decoy acquires live-looking fanout.
+    Decoy inputs are fed from design inputs by ``default_input_map``, and
+    every other decoy name gets the prefix ``hp_``.  Each decoy output
+    is ORed into a control-adjacent site (flip-flop enable, MUX select, or an
+    output port) gated by a constant-0 net built from a two-gate chain, so
+    the design function is unchanged while the decoy acquires live-looking
+    fanout.  The result does not depend on ``p``, the decoy's derivation.
     """
     if not hp.ffs:
         raise IntegrationError("decoy netlist has no flip-flops")
-    if p.attach_mode not in ("never-activated-or", "standalone-marker"):
-        raise IntegrationError(f"unknown attach mode {p.attach_mode}")
-    input_map = dict(p.input_map) if p.input_map else dict(default_input_map(nl, hp))
-    for n in hp.inputs:
-        if n not in input_map:
-            raise IntegrationError(f"input map misses decoy input {n}")
-        if input_map[n] not in nl.inputs:
-            raise IntegrationError(
-                f"decoy input {n} maps to {input_map[n]}, not a design input"
-            )
-
-    pref = p.prefix
+    input_map = dict(default_input_map(nl, hp))
 
     def rename(net: str) -> str:
         if net in input_map:
             return input_map[net]
-        return f"{pref}_{net}"
+        return f"hp_{net}"
 
     taken = (
         set(nl.inputs)
@@ -484,13 +463,13 @@ def integrate_honeypot(
             raise IntegrationError(f"name collision on {new}")
         constants[new] = val
     for g in hp.gates:
-        name = f"{pref}_{g.name}"
+        name = f"hp_{g.name}"
         out = rename(g.out)
         if name in taken or out in taken:
             raise IntegrationError(f"name collision on {name}/{out}")
         gates.append(Gate(name, g.kind, out, tuple(rename(n) for n in g.ins)))
     for f in hp.ffs:
-        name = f"{pref}_{f.name}"
+        name = f"hp_{f.name}"
         q = rename(f.q)
         if name in taken or q in taken:
             raise IntegrationError(f"name collision on {name}/{q}")
@@ -510,23 +489,20 @@ def integrate_honeypot(
     outputs = list(nl.outputs)
     hp_outs = [rename(n) for n in hp.outputs]
 
-    if p.attach_mode == "standalone-marker":
-        for i, h in enumerate(hp_outs):
-            gates.append(Gate(f"{pref}_marker_{i}", "BUF", f"{pref}_dummy_contact_{i}", (h,)))
-    elif hp_outs:
+    if hp_outs:
         # Constant-0 through a two-gate chain, so the gating fan-in looks live.
         zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
-        zn = Gate(f"{pref}_zn", "NOT", f"{pref}_zn_o", (zsrc,))
-        zero = Gate(f"{pref}_zero", "AND", f"{pref}_zero_o", (zsrc, zn.out))
+        zn = Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,))
+        zero = Gate("hp_zero", "AND", "hp_zero_o", (zsrc, zn.out))
         gates.extend([zn, zero])
 
         # Control-adjacent sites first; output ports as a fallback.
         sites: list[tuple] = []
         for fi, f in enumerate(ffs):
-            if f.en is not None and not f.name.startswith(f"{pref}_"):
+            if f.en is not None and not f.name.startswith("hp_"):
                 sites.append(("en", fi))
         for gi, g in enumerate(gates):
-            if g.kind == "MUX" and not g.name.startswith(f"{pref}_"):
+            if g.kind == "MUX" and not g.name.startswith("hp_"):
                 sites.append(("mux", gi))
         if not sites:
             sites = [("out", i) for i in range(len(outputs))]
@@ -534,21 +510,21 @@ def integrate_honeypot(
             raise IntegrationError("no attachment site available")
 
         for i, h in enumerate(hp_outs):
-            gated = Gate(f"{pref}_gate_{i}", "AND", f"{pref}_gate_{i}_o", (h, zero.out))
+            gated = Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (h, zero.out))
             gates.append(gated)
             kind, idx = sites[i % len(sites)]
             if kind == "en":
                 f = ffs[idx]
-                mix = Gate(f"{pref}_mix_{i}", "OR", f"{pref}_mix_{i}_o", (f.en, gated.out))
+                mix = Gate(f"hp_mix_{i}", "OR", f"hp_mix_{i}_o", (f.en, gated.out))
                 gates.append(mix)
                 ffs[idx] = replace(f, en=mix.out)
             elif kind == "mux":
                 g = gates[idx]
-                mix = Gate(f"{pref}_mix_{i}", "OR", f"{pref}_mix_{i}_o", (g.ins[0], gated.out))
+                mix = Gate(f"hp_mix_{i}", "OR", f"hp_mix_{i}_o", (g.ins[0], gated.out))
                 gates.append(mix)
                 gates[idx] = Gate(g.name, g.kind, g.out, (mix.out,) + g.ins[1:])
             else:
-                mix = Gate(f"{pref}_mix_{i}", "OR", f"{pref}_mix_{i}_o", (outputs[idx], gated.out))
+                mix = Gate(f"hp_mix_{i}", "OR", f"hp_mix_{i}_o", (outputs[idx], gated.out))
                 gates.append(mix)
                 outputs[idx] = mix.out
 
@@ -565,16 +541,15 @@ def integrate_honeypot(
 
 def build_decoy(
     design_nl: Netlist, base_hp: FsmSpec, p: HoneypotParams
-) -> tuple[FsmSpec, Netlist, Netlist, frozenset]:
+) -> tuple[Netlist, Netlist, frozenset]:
     """Derive a decoy FSM from ``base_hp``, synthesize it with ``fsm``-prefixed
     flip-flops and integrate it into the design.
 
-    Returns (decoy FSM, decoy netlist, integrated netlist, decoy FF names).
+    Returns (decoy netlist, integrated netlist, decoy FF names).
     """
-    hp_fsm = derive_honeypot(base_hp, p)
-    hp_nl, _ = synthesize(hp_fsm, None, SynthOptions(name_prefix="fsm"))
+    hp_nl, _ = synthesize(derive_honeypot(base_hp, p), None, SynthOptions(name_prefix="fsm"))
     integrated, hp_ffs = integrate_honeypot(design_nl, hp_nl, p)
-    return hp_fsm, hp_nl, integrated, hp_ffs
+    return hp_nl, integrated, hp_ffs
 
 
 def gt_with_honeypots(gt: GroundTruth, hp_ffs) -> GroundTruth:
@@ -595,7 +570,6 @@ class TuneReport:
     found: bool
     iterations: list
     params: HoneypotParams
-    hp_fsm: Optional[FsmSpec] = None
     hp_netlist: Optional[Netlist] = None
     integrated: Optional[Netlist] = None
     hp_ffs: frozenset = frozenset()
@@ -622,7 +596,7 @@ def tune_honeypot(
     """
     if max_iters < 1:
         raise HoneypotError("max_iters must be >= 1")
-    from .graph import build_ff_graph, tarjan_scc
+    from .graph import build_ff_graph, most_members, tarjan_scc
 
     iterations: list[TuneIteration] = []
     best: Optional[TuneReport] = None
@@ -630,16 +604,14 @@ def tune_honeypot(
     shapes = _ShapeTable()
     for i in range(max_iters):
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
-        hp_fsm, hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
+        hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
         table = zscores(integrated, relic_params, shapes=shapes)
         report = tarjan_scc(build_ff_graph(integrated))
 
         def scc_max(members_of) -> float:
-            best_i, overlap = None, 0
-            for j, members in enumerate(report.sccs):
-                c = len(set(members) & set(members_of))
-                if c > overlap:
-                    best_i, overlap = j, c
+            """Top score in the component with most of ``members_of``, or
+            among ``members_of`` if no component holds any."""
+            best_i, _ = most_members(report.sccs, members_of)
             if best_i is None:
                 return max((table.scores[f] for f in members_of), default=float("-inf"))
             return max(table.scores[f] for f in report.sccs[best_i])
@@ -656,7 +628,6 @@ def tune_honeypot(
             found=success,
             iterations=iterations,
             params=params_i,
-            hp_fsm=hp_fsm,
             hp_netlist=hp_nl,
             integrated=integrated,
             hp_ffs=hp_ffs,

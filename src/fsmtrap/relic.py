@@ -65,7 +65,14 @@ from .netlist import Netlist
 class RelicParams:
     depth_limit: int = 6
     top_k: int = 5
-    weights: tuple = (1.0, 1.0, 0.5, 0.5)
+
+    def __post_init__(self):
+        if self.top_k < 1:
+            raise ValueError(f"RelicParams.top_k must be >= 1, got {self.top_k}")
+
+
+# Weights of the standardized features (f1, f2, f3, f4) in the composite.
+WEIGHTS = (1.0, 1.0, 0.5, 0.5)
 
 
 # Most entries (pairs x rows x columns) one greedy-match stack holds (128 KB
@@ -119,13 +126,6 @@ class _ShapeTable:
         depth = max(depth_limit, 0)
         memo = [{} for _ in range(depth + 1)]
         return [_intern_cone(self, nl.driver, memo, net, depth)[2] for net in roots]
-
-    def sim(self, ca: int, cb: int) -> float:
-        if ca == cb:
-            return 1.0
-        key = (ca, cb) if ca < cb else (cb, ca)
-        self._fill([key])
-        return self._memo[key]
 
     def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
         """The len(ids_a) x len(ids_b) matrix of shape similarities, each
@@ -336,11 +336,6 @@ class SimilarityMatrix:
     values: np.ndarray
     depth_limit: int
 
-    def of(self, a: str, b: str) -> float:
-        ia = self.ffs.index(a)
-        ib = self.ffs.index(b)
-        return float(self.values[ia, ib])
-
 
 def similarity_matrix(
     nl: Netlist, depth_limit: int = 6, *, shapes: Optional[_ShapeTable] = None
@@ -434,8 +429,7 @@ def zscores(
         feats[:, 2] = [touched[support.ff_bit[name]] / len(controls) for name in ffs]
     feats[:, 3] = [1.0 if name in on_cycle else 0.0 for name in ffs]
     zcols = np.column_stack([_standardize(feats[:, j]) for j in range(4)])
-    weights = np.asarray(params.weights)
-    scores = zcols @ weights
+    scores = zcols @ np.asarray(WEIGHTS)
     table = ZScoreTable(
         ffs=ffs,
         scores=MappingProxyType({f: float(scores[i]) for i, f in enumerate(ffs)}),

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .batchsim import batch_step, compile_netlist
-from .netlist import BitState, Netlist, reset_state
+from .netlist import Netlist, reset_state
 
 
 # Most columns (state x input vector pairs) one batch_step call simulates;
@@ -74,16 +74,14 @@ class Stg:
 def extract_stg(
     nl: Netlist,
     sffs: Sequence[str],
-    reset: Optional[BitState] = None,
     free_inputs: Optional[Sequence[str]] = None,
     max_inputs: int = 12,
-    frozen: Optional[Mapping[str, int]] = None,
 ) -> Stg:
-    """Exhaustive reachable-state enumeration projected onto ``sffs``.
+    """Exhaustive reachable-state enumeration projected onto ``sffs``, from
+    the netlist's reset state.
 
     ``free_inputs`` are enumerated exhaustively; all other primary inputs are
-    held at ``frozen`` values (default 0).  Exact for a correct SFF set and
-    reset state.
+    held at 0.  Exact for a correct SFF set.
     """
     if free_inputs is None:
         free_inputs = [n for n in nl.inputs if n not in ("clk", "rst")]
@@ -92,21 +90,14 @@ def extract_stg(
         raise InputBudgetError(
             f"{len(free_inputs)} free inputs exceed the budget of {max_inputs}"
         )
-    for n in free_inputs:
+    for i, n in enumerate(free_inputs):
         if n not in nl.inputs:
             raise StgError(f"free input {n} is not a primary input")
-    frozen = dict(frozen or {})
+        if n in free_inputs[:i]:
+            raise StgError(f"free input {n} is given twice")
 
-    if reset is None:
-        reset = reset_state(nl)
+    reset = reset_state(nl)
     ff_names = [f.name for f in nl.ffs]
-    if set(reset) != set(ff_names):
-        raise StgError("reset state must cover exactly the netlist flip-flops")
-    for f in nl.ffs:
-        if f.rst is not None and reset[f.name] != f.rst_val:
-            raise StgError(
-                f"reset state for {f.name} contradicts its declared reset value"
-            )
     known = set(ff_names)
     for name in sffs:
         if name not in known:
@@ -117,10 +108,6 @@ def extract_stg(
     n_vec = 1 << n_free
     pi_matrix = np.zeros((len(nl.inputs), n_vec), dtype=np.uint8)
     pi_pos = {n: i for i, n in enumerate(nl.inputs)}
-    for n, val in frozen.items():
-        if n not in pi_pos:
-            raise StgError(f"frozen input {n} is not a primary input")
-        pi_matrix[pi_pos[n], :] = val & 1
     # Vector v assigns free input i the bit i of v counted from the left.
     vec_ids = np.arange(n_vec)
     for i, n in enumerate(free_inputs):

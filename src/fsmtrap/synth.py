@@ -28,7 +28,6 @@ from .cubes import (
     cover_complement,
     cover_minterms,
     cover_subtract,
-    cube_matches,
     cubes_overlap,
 )
 from .netlist import FlipFlop, Gate, Netlist
@@ -302,12 +301,6 @@ class GroundTruth:
     counters: tuple = ()  # ordered (name, frozenset) pairs
     data: tuple = ()
     honeypots: frozenset = frozenset()
-
-    def counter_dict(self) -> dict:
-        return dict(self.counters)
-
-    def data_dict(self) -> dict:
-        return dict(self.data)
 
 
 def state_ff_name(prefix: str, bit: int, width: int) -> str:
@@ -766,39 +759,3 @@ def synthesize(
         data=tuple(gt_data),
     )
     return nl, gt
-
-
-# -- behavioral simulation ----------------------------------------------------
-
-
-def simulate_spec(fsm: FsmSpec, input_trace: Sequence[Mapping[str, int]]) -> list[str]:
-    """First-matching-transition semantics; unmatched input vectors hold."""
-    validate_fsm(fsm)
-    by_state: dict[str, list[Transition]] = {s: [] for s in fsm.states}
-    for t in fsm.transitions:
-        by_state[t.src].append(t)
-    state = fsm.reset_state
-    out = [state]
-    for vec in input_trace:
-        for var in fsm.inputs:
-            if var not in vec:
-                raise SpecError(f"trace vector missing input {var}")
-        for t in by_state[state]:
-            if cube_matches(t.guard_dict(), vec):
-                state = t.dst
-                break
-        out.append(state)
-    return out
-
-
-def decode_state(codes: Mapping[str, str], bits: str) -> Optional[str]:
-    for s, c in codes.items():
-        if c == bits:
-            return s
-    return None
-
-
-def state_bits_of(nl_state: Mapping[str, int], prefix: str, width: int) -> str:
-    return "".join(
-        str(nl_state[state_ff_name(prefix, b, width)]) for b in range(width)
-    )

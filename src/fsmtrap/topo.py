@@ -27,10 +27,8 @@ from .relic import AttackResult, with_metrics
 
 @dataclass(frozen=True)
 class TopoParams:
-    require_high_fp: bool = True
     influence_threshold: float = 0.5
     control_step: str = "structural"  # off | structural | functional
-    group_keys: tuple = ("ff-kind", "clk", "rst", "en")
     include_singletons: bool = False
     functional_max_vars: int = 10
 
@@ -79,27 +77,13 @@ class CandidateGroups:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def topo_group(nl: Netlist, params: TopoParams = TopoParams()) -> CandidateGroups:
-    """Partition flip-flops by the selected wiring-feature keys."""
-
-    def key_of(f):
-        parts = []
-        for k in params.group_keys:
-            if k == "ff-kind":
-                parts.append("dff" + ("_r" if f.rst is not None else "") + ("_e" if f.en is not None else ""))
-            elif k == "clk":
-                parts.append(f.clk)
-            elif k == "rst":
-                parts.append(f.rst if f.rst is not None else "-")
-            elif k == "en":
-                parts.append(f.en if f.en is not None else "-")
-            else:
-                raise ValueError(f"unknown group key {k}")
-        return tuple(parts)
-
+def topo_group(nl: Netlist) -> CandidateGroups:
+    """Partition flip-flops by wiring: (FF kind, clock, reset, enable)."""
     buckets: dict[tuple, list] = {}
     for f in nl.ffs:
-        buckets.setdefault(key_of(f), []).append(f.name)
+        kind = "dff" + ("_r" if f.rst is not None else "") + ("_e" if f.en is not None else "")
+        key = (kind, f.clk, f.rst if f.rst is not None else "-", f.en if f.en is not None else "-")
+        buckets.setdefault(key, []).append(f.name)
     groups = []
     for i, key in enumerate(sorted(buckets)):
         groups.append(CandidateGroup(gid=f"g{i}", members=tuple(sorted(buckets[key]))))
@@ -141,7 +125,7 @@ def topo_filter_fp_influence(
         gone: dict[str, str] = {}
         size = len(grp.members)
         for ff in grp.members:
-            if params.require_high_fp and ff not in g.comb.get(ff, frozenset()):
+            if ff not in g.comb.get(ff, frozenset()):
                 gone[ff] = "no_high_fp"
                 continue
             if size > 1:
@@ -193,7 +177,7 @@ def topo_attack(
     truth=None,
 ) -> tuple[AttackResult, CandidateGroups]:
     """Full pipeline; identified set is the union of surviving groups."""
-    groups = topo_group(nl, params)
+    groups = topo_group(nl)
     groups = topo_scc_split(groups, build_ff_graph(nl))
     groups = topo_filter_fp_influence(groups, nl, params)
     groups = topo_control_filter(groups, nl, params)

@@ -4,18 +4,23 @@
   assignment, the oracle of the bit-packed simulator in ``batchsim``.
 - ``input_cone`` and ``ConeNode`` trees: depth-limited fan-in cones built
   as explicit trees, the oracle of ``relic``'s bottom-up cone interning.
-- ``ShapeTable.canon`` and ``pair_similarity``: the similarity of two
-  ``ConeTree`` cones through ``relic``'s shape table.
+- ``ShapeTable.canon``, ``ShapeTable.sim`` and ``pair_similarity``: the
+  similarity of two shapes, or of two ``ConeTree`` cones, through
+  ``relic``'s shape table; ``similarity_of`` reads one FF pair of a
+  ``SimilarityMatrix``.
+- ``simulate_spec``, ``decode_state`` and ``state_bits_of``: the behavioural
+  FSM oracle of synthesized netlists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 from fsmtrap.graph import AnalysisError
 from fsmtrap.netlist import BitState, Netlist, NetlistError, topo_gates
-from fsmtrap.relic import _ShapeTable
+from fsmtrap.relic import SimilarityMatrix, _ShapeTable
+from fsmtrap.synth import FsmSpec, SpecError, Transition, state_ff_name, validate_fsm
 
 # -- scalar simulation ---------------------------------------------------------
 
@@ -157,10 +162,18 @@ def _cone_node(driver: dict, net: str, depth: int) -> ConeNode:
 
 
 class ShapeTable(_ShapeTable):
-    """``relic``'s shape table, which also interns ``ConeNode`` trees."""
+    """``relic``'s shape table, which also interns ``ConeNode`` trees and
+    scores one pair of shapes."""
 
     def canon(self, node: ConeNode) -> int:
         return self.intern(node.kind, tuple(self.canon(c) for c in node.children))
+
+    def sim(self, ca: int, cb: int) -> float:
+        if ca == cb:
+            return 1.0
+        key = (ca, cb) if ca < cb else (cb, ca)
+        self._fill([key])
+        return self._memo[key]
 
 
 def pair_similarity(a: ConeTree, b: ConeTree) -> float:
@@ -169,3 +182,48 @@ def pair_similarity(a: ConeTree, b: ConeTree) -> float:
         raise ValueError("cones must be built with the same depth limit")
     table = ShapeTable()
     return table.sim(table.canon(a.root), table.canon(b.root))
+
+
+def similarity_of(sm: SimilarityMatrix, a: str, b: str) -> float:
+    """The similarity of flip-flops ``a`` and ``b`` in ``sm``."""
+    return float(sm.values[sm.ffs.index(a), sm.ffs.index(b)])
+
+
+# -- behavioural FSM simulation --------------------------------------------------
+
+
+def cube_matches(cube: Mapping[str, int], assignment: Mapping[str, int]) -> bool:
+    return all(assignment[var] == val for var, val in cube.items())
+
+
+def simulate_spec(fsm: FsmSpec, input_trace: Sequence[Mapping[str, int]]) -> list[str]:
+    """First-matching-transition semantics; unmatched input vectors hold."""
+    validate_fsm(fsm)
+    by_state: dict[str, list[Transition]] = {s: [] for s in fsm.states}
+    for t in fsm.transitions:
+        by_state[t.src].append(t)
+    state = fsm.reset_state
+    out = [state]
+    for vec in input_trace:
+        for var in fsm.inputs:
+            if var not in vec:
+                raise SpecError(f"trace vector missing input {var}")
+        for t in by_state[state]:
+            if cube_matches(t.guard_dict(), vec):
+                state = t.dst
+                break
+        out.append(state)
+    return out
+
+
+def decode_state(codes: Mapping[str, str], bits: str) -> Optional[str]:
+    for s, c in codes.items():
+        if c == bits:
+            return s
+    return None
+
+
+def state_bits_of(nl_state: Mapping[str, int], prefix: str, width: int) -> str:
+    return "".join(
+        str(nl_state[state_ff_name(prefix, b, width)]) for b in range(width)
+    )

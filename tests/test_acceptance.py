@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from fsmtrap.graph import FeedbackClass, build_ff_graph, classify_feedback, tarjan_scc
+from fsmtrap.graph import FeedbackClass, build_ff_graph, classify_feedback
 from fsmtrap.harness import (
     BenchmarkSpec,
     gate_area,
@@ -314,7 +314,7 @@ def test_criterion_7_behavior_preservation():
         def_stg = extract_stg(d["tune"].integrated, def_sffs, free_inputs=list(fsm.inputs))
         bit_map = {def_sffs[j]: base_sffs[j // k] for j in range(len(def_sffs))}
         checks.append(stg_equivalent(base_stg, def_stg, bit_map))
-        checks.append(outputs_match(d["pre_hp_nl"], d["tune"].integrated, 1000))
+        checks.append(outputs_match(d["pre_hp_nl"], d["tune"].integrated))
 
         f = fp_defense(i)
         base_sffs = sorted(f["base_gt"].sffs)
@@ -333,7 +333,7 @@ def test_criterion_7_behavior_preservation():
             if f["rb_report"].extended_encoding:
                 bit_map[def_sffs[-1]] = base_sffs[0]
             checks.append(stg_equivalent(base_stg, def_stg, bit_map, frozen_inputs={o: 0}))
-        checks.append(outputs_match(f["pre_hp_nl"], f["merged"], 1000))
+        checks.append(outputs_match(f["pre_hp_nl"], f["merged"]))
     elapsed = time.monotonic() - t0
     ok = all(checks) and elapsed < 300.0
     _report(7, ok, f"{sum(checks)}/{len(checks)} preservation checks hold", t0)
@@ -373,7 +373,7 @@ def test_criterion_9_oracle_equivalences():
     rng = random.Random(20240)
 
     # Components against transitive closure on 200 digraphs.
-    from fsmtrap.graph import FfGraph
+    from fsmtrap.graph import FfGraph, _tarjan
 
     scc_ok = True
     for _ in range(200):
@@ -387,7 +387,7 @@ def test_criterion_9_oracle_equivalences():
             for i in range(n)
         }
         g = FfGraph(tuple(names), comb)
-        got = sorted(tarjan_scc(g, include_singletons=True).sccs)
+        got = sorted(_tarjan(g))
         expect = sorted(
             tuple(names[i] for i in grp) for grp in _closure_scc_oracle(n, edges)
         )

@@ -84,7 +84,7 @@ def test_packed_kernel_matches_scalar_across_word_edges(n):
     nets, rows = _all_rows(cn)
     values = eval_outputs(cn, np.concatenate([pis, states]), rows)
     per_vector = batch_step(cn, states, pis)
-    shared = batch_step(cn, states[:, 0], pis)
+    shared = batch_step(cn, np.repeat(states[:, :1], n, axis=1), pis)
     assert per_vector.dtype == shared.dtype == np.uint8
     assert per_vector.shape == shared.shape == (len(nl.ffs), n)
     for v in range(n):
@@ -119,7 +119,7 @@ def test_batch_step_matches_scalar_step():
     state = {f.name: int(rng.integers(0, 2)) for f in nl.ffs}
     pis = rng.integers(0, 2, (len(nl.inputs), 16), dtype=np.uint8)
     state_vec = np.array([state[f.name] for f in nl.ffs], dtype=np.uint8)
-    nxt = batch_step(cn, state_vec, pis)
+    nxt = batch_step(cn, np.repeat(state_vec[:, None], 16, axis=1), pis)
     for v in range(16):
         vec = {nl.inputs[i]: int(pis[i, v]) for i in range(len(nl.inputs))}
         ref = step(nl, state, vec)
@@ -134,7 +134,7 @@ def test_batch_step_respects_enable():
     )
     cn = compile_netlist(nl)
     pis = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
-    nxt = batch_step(cn, np.array([1], dtype=np.uint8), pis)
+    nxt = batch_step(cn, np.array([[1, 1, 1, 1]], dtype=np.uint8), pis)
     # en=0 holds the 1; en=1 captures d
     assert nxt.tolist() == [[1, 1, 0, 1]]
     # One state per vector: en=0 holds each column's own bit.

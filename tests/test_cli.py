@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -125,6 +126,26 @@ def test_stg_cli(design_file, tmp_path):
     ) == 0
     assert out.read_text().startswith("state ")
     assert dot.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("via_plan", [False, True], ids=["flag", "plan"])
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_attack_relic_rejects_top_k_below_one(design_file, tmp_path, capsys, via_plan, top_k):
+    nl = tmp_path / "base.nl"
+    run("synth", "--design", str(design_file), "--out", str(nl))
+    if via_plan:
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"top_k": top_k}))
+        option = ["--plan", str(plan)]
+    else:
+        option = [f"--top-k={top_k}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("attack", "relic", "--netlist", str(nl), *option)
+    assert code == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert f"error: RelicParams.top_k must be >= 1, got {top_k}" in err
 
 
 def test_overhead_cli(design_file, tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_overhead_honeypot_additivity_exact():
     attach = [
         g
         for g in merged.gates
-        if g.name.startswith(("hp_zn", "hp_zero", "hp_gate_", "hp_mix_", "hp_marker_"))
+        if g.name.startswith(("hp_zn", "hp_zero", "hp_gate_", "hp_mix_"))
     ]
     attach_area = sum(1 if g.kind in ("NOT", "BUF") else len(g.ins) for g in attach)
     assert report.area_after - report.area_before == gate_area(hp_nl) + attach_area
@@ -104,7 +104,7 @@ def test_outputs_match_checks_shared_next_state():
     # counter enables it is mixed into; no output port observes that.
     fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
     nl, _ = synthesize(fsm, dp)
-    _, _, merged, _ = build_decoy(
+    _, merged, _ = build_decoy(
         nl, fsm, HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
     )
     assert outputs_match(nl, merged)

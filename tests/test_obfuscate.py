@@ -61,7 +61,7 @@ def test_replication_worked_labels():
 
 def test_replication_requires_positive_r():
     with pytest.raises(ReplicationError):
-        replicate_state_bits(six_state_fsm(), 0)
+        replicate_state_bits(six_state_fsm(), ReplicationPlan(0))
 
 
 def test_one_hot_replication_needs_opt_in():
@@ -69,13 +69,13 @@ def test_one_hot_replication_needs_opt_in():
         "m", ["A", "B"], ["x"], "A", [("A", {"x": 1}, "B")], encoding="one_hot"
     )
     with pytest.raises(ReplicationError):
-        replicate_state_bits(fsm, 2)
+        replicate_state_bits(fsm, ReplicationPlan(2))
     rep = replicate_state_bits(fsm, ReplicationPlan(2, allow_one_hot=True))
     assert rep.explicit_codes()["A"] == "111000"
 
 
 def test_replica_cones_identical_similarity_one():
-    rep = replicate_state_bits(six_state_fsm(), 2)
+    rep = replicate_state_bits(six_state_fsm(), ReplicationPlan(2))
     nl, gt = synthesize(rep, None, SynthOptions(allow_cse=False))
     from oracles import input_cone
 
@@ -194,8 +194,8 @@ def test_ra_removes_high_fp_preserves_stg():
     nl, gt = _ring3_one_hot()
     target = sorted(gt.sffs)[0]
     before = extract_stg(nl, sorted(gt.sffs), free_inputs=["x"])
+    assert has_high_fp(nl, target)
     out, report = rewrite_ra(nl, gt.sffs, target)
-    assert report.fp_before is FeedbackClass.HIGH
     assert report.fp_after is not FeedbackClass.HIGH
     assert not has_high_fp(out, target)
     after = extract_stg(out, sorted(gt.sffs), free_inputs=["x"])
@@ -370,7 +370,7 @@ def test_integration_preserves_outputs():
     assert hp_ffs and all(f.startswith("hp_") for f in hp_ffs)
     from fsmtrap.harness import outputs_match
 
-    assert outputs_match(nl, merged, n_vectors=200)
+    assert outputs_match(nl, merged)
 
 
 def test_integration_maps_clk_rst():
@@ -390,20 +390,13 @@ def test_integration_rejects_empty_decoy():
         integrate_honeypot(nl, empty, HoneypotParams())
 
 
-def test_integration_incomplete_map_rejected():
-    fsm = hp_base()
-    nl, _ = synthesize(fsm)
-    hp_nl, _ = synthesize(fsm, None, SynthOptions(name_prefix="fsm"))
-    with pytest.raises(IntegrationError):
-        integrate_honeypot(nl, hp_nl, HoneypotParams(input_map=(("clk", "clk"),)))
-
-
-def test_standalone_marker_mode():
-    fsm = hp_base()
-    nl, _ = synthesize(fsm)
-    hp_nl, _ = synthesize(fsm, None, SynthOptions(name_prefix="fsm"))
-    merged, _ = integrate_honeypot(nl, hp_nl, HoneypotParams(attach_mode="standalone-marker"))
-    assert any(g.out.startswith("hp_dummy_contact_") for g in merged.gates)
+def test_integration_needs_design_clock_and_reset():
+    hp_nl, _ = synthesize(hp_base(), None, SynthOptions(name_prefix="fsm"))
+    no_reset = parse("input clk\ninput a\ngate NOT g o a\noutput o\n")
+    with pytest.raises(IntegrationError, match="design has no rst input"):
+        default_input_map(no_reset, hp_nl)
+    with pytest.raises(IntegrationError, match="design has no rst input"):
+        integrate_honeypot(no_reset, hp_nl, HoneypotParams())
 
 
 def test_tuner_bad_iters():
@@ -418,7 +411,7 @@ def test_tuner_reports_margins_and_determinism():
     from fsmtrap.obfuscate import ReplicationPlan
 
     fsm, dp = gen_benchmark(BenchmarkSpec(seed=3))
-    rep = replicate_state_bits(fsm, 2)
+    rep = replicate_state_bits(fsm, ReplicationPlan(2))
     nl, gt = synthesize(rep, dp)
     a = tune_honeypot(nl, gt.sffs, fsm, HoneypotParams(n_output_mutations=1), max_iters=5)
     b = tune_honeypot(nl, gt.sffs, fsm, HoneypotParams(n_output_mutations=1), max_iters=5)

@@ -30,7 +30,14 @@ from fsmtrap.synth import (
 from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits
 
 from conftest import random_seq_netlist
-from oracles import ConeNode, ConeTree, ShapeTable as _ShapeTable, input_cone, pair_similarity
+from oracles import (
+    ConeNode,
+    ConeTree,
+    ShapeTable as _ShapeTable,
+    input_cone,
+    pair_similarity,
+    similarity_of,
+)
 
 
 def leaf(kind, net="x"):
@@ -480,7 +487,7 @@ def test_similarity_matrix_cached_per_netlist_and_depth():
     with pytest.raises(ValueError):
         sm.values[0, 1] = 0.5
     a, b = sm.ffs[0], sm.ffs[1]
-    assert sm.of(a, b) == sm.values[0, 1]
+    assert similarity_of(sm, a, b) == sm.values[0, 1]
     first, second = zscores(nl), zscores(nl)
     assert first.scores == second.scores
     assert first.raw_features == second.raw_features
@@ -511,8 +518,8 @@ def test_zscores_cached_read_only_and_reused_by_relic_tarjan(monkeypatch):
 
 def _reference_features(nl, params: RelicParams) -> dict:
     """Oracle: the per-FF feature loop, one ``np.delete`` and sort per row,
-    every (FF, control signal) pair tested and ``has_any_fp`` per FF."""
-    from fsmtrap.graph import _net_support, control_signals, has_any_fp
+    every (FF, control signal) pair tested and FF graph cycle membership per FF."""
+    from fsmtrap.graph import _net_support, build_ff_graph, control_signals
 
     sim = similarity_matrix(nl, params.depth_limit)
     controls = sorted(control_signals(nl))
@@ -527,7 +534,7 @@ def _reference_features(nl, params: RelicParams) -> dict:
             1.0 - others.max(),
             1.0 - top.mean(),
             touched / len(controls) if controls else 0.0,
-            1.0 if has_any_fp(nl, name) else 0.0,
+            1.0 if name in build_ff_graph(nl).on_cycle else 0.0,
         )
     return feats
 
@@ -660,7 +667,7 @@ def test_replicas_f1_zero():
         group = sffs[3 * j : 3 * j + 3]
         for a in group:
             for b in group:
-                assert sm.of(a, b) == 1.0
+                assert similarity_of(sm, a, b) == 1.0
 
 
 def test_worked_selection_tables():

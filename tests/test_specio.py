@@ -51,8 +51,8 @@ def test_design_synthesizes():
     fsm, dp = parse_design(DOC)
     nl, gt = synthesize(fsm, dp)
     assert len(gt.sffs) == 2
-    assert set(gt.counter_dict()) == {"c"}
-    assert set(gt.data_dict()) == {"acc", "sum", "sh"}
+    assert set(dict(gt.counters)) == {"c"}
+    assert set(dict(gt.data)) == {"acc", "sum", "sh"}
 
 
 def test_replicated_counter_round_trips():
@@ -90,8 +90,8 @@ def test_ground_truth_round_trip():
     assert "honeypot hp_fsm_st0" in text
     again = parse_ground_truth(text)
     assert again.sffs == gt.sffs
-    assert again.counter_dict() == gt.counter_dict()
-    assert again.data_dict() == gt.data_dict()
+    assert dict(again.counters) == dict(gt.counters)
+    assert dict(again.data) == dict(gt.data)
     assert again.honeypots == gt.honeypots
 
 

@@ -19,7 +19,6 @@ from fsmtrap.synth import (
     SynthOptions,
     encode,
     make_fsm,
-    simulate_spec,
     synthesize,
 )
 from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits
@@ -103,13 +102,10 @@ def test_input_budget_enforced():
         extract_stg(nl, sorted(gt.sffs), free_inputs=list(fsm.inputs))
 
 
-def test_reset_consistency_checked():
+def test_repeated_free_input_rejected():
     nl, gt = synthesize(toggle())
-    bad = reset_state(nl)
-    (sff,) = gt.sffs
-    bad[sff] = 1  # contradicts rst_val 0
-    with pytest.raises(StgError):
-        extract_stg(nl, sorted(gt.sffs), reset=bad, free_inputs=["x"])
+    with pytest.raises(StgError, match="free input x is given twice"):
+        extract_stg(nl, sorted(gt.sffs), free_inputs=["x", "x"])
 
 
 def test_equivalence_reflexive():
@@ -141,7 +137,7 @@ def test_replicated_projection_equivalent():
 
 def test_replica_single_bit():
     fsm = toggle()
-    rep = replicate_state_bits(fsm, 1)
+    rep = replicate_state_bits(fsm, ReplicationPlan(1))
     assert rep.explicit_codes() == {"A": "00", "B": "11"}
     nl, gt = synthesize(rep)
     stg = extract_stg(nl, sorted(gt.sffs), free_inputs=["x"])
@@ -248,7 +244,8 @@ def _reference_extract_stg(nl, sffs, free_inputs):
             return "".join(str(full[i]) for i in proj_idx)
 
         def successors(full):
-            nxt = batch_step(cn, np.array(full, dtype=np.uint8), pi_matrix)
+            states = np.repeat(np.array(full, dtype=np.uint8)[:, None], n_vec, axis=1)
+            nxt = batch_step(cn, states, pi_matrix)
             return [tuple(int(x) for x in nxt[:, v]) for v in range(n_vec)]
 
         rep = {}

@@ -26,11 +26,8 @@ from fsmtrap.synth import (
     _bit_covers,
     _droppable_bits,
     _effective_covers,
-    decode_state,
     encode,
     make_fsm,
-    simulate_spec,
-    state_bits_of,
     state_ff_name,
     synthesize,
 )
@@ -38,7 +35,7 @@ from fsmtrap.cubes import cover_minterms
 from fsmtrap.topo import topo_attack
 
 from conftest import random_fsm
-from oracles import step
+from oracles import decode_state, simulate_spec, state_bits_of, step
 
 
 def six_state_fsm(**kw):
@@ -96,7 +93,7 @@ def test_six_state_with_datapath_has_three_sffs():
     )
     nl, gt = synthesize(six_state_fsm(), dp)
     assert len(gt.sffs) == 3
-    assert len(gt.data_dict()["acc"]) == 8
+    assert len(dict(gt.data)["acc"]) == 8
 
 
 def test_synthesis_deterministic_byte_identical():
@@ -251,7 +248,7 @@ def test_counter_enable_is_symbolic():
     fsm = six_state_fsm(moore_outputs={f"S{i}": "1" if i < 4 else "0" for i in range(1, 7)})
     dp = DatapathSpec(counters=(Counter("c", 3, enable="out0"),))
     nl, gt = synthesize(fsm, dp)
-    ens = {f.en for f in nl.ffs if f.name in gt.counter_dict()["c"]}
+    ens = {f.en for f in nl.ffs if f.name in dict(gt.counters)["c"]}
     assert ens == {"u0_out0"}
 
 

@@ -69,7 +69,7 @@ def test_group_splits_on_enable():
     for g in groups.groups:
         for m in g.members:
             key_of[m] = g.gid
-    counter_ffs = sorted(gt.counter_dict()["c"])
+    counter_ffs = sorted(dict(gt.counters)["c"])
     sff = sorted(gt.sffs)[0]
     assert key_of[counter_ffs[0]] != key_of[sff]
 
