@@ -150,7 +150,6 @@ def build_ff_graph(nl: Netlist) -> FfGraph:
 class SccReport:
     sccs: list  # list of tuples of FF names, each sorted
     labels: dict = field(default_factory=dict)  # index -> fsm | fsm_hp | data
-    ambiguous: bool = False
 
     def to_text(self) -> str:
         lines = []
@@ -222,23 +221,21 @@ def _tarjan(g: FfGraph) -> list:
     return comps
 
 
-def most_members(sccs, members) -> tuple[Optional[int], bool]:
-    """Index of the first component holding the most of ``members`` (None if
-    none holds any), and whether another component holds as many."""
+def most_members(sccs, members) -> Optional[int]:
+    """Index of the first component holding the most of ``members``, or None
+    if none holds any."""
     members = set(members)
     counts = [len(members.intersection(c)) for c in sccs]
     best = max(counts, default=0)
-    if best == 0:
-        return None, False
-    return counts.index(best), counts.count(best) > 1
+    return counts.index(best) if best else None
 
 
 def label_sccs(report: SccReport, sffs, honeypots=frozenset()) -> SccReport:
     """Label the component holding the most true SFFs as fsm, likewise fsm_hp;
     remaining multi-element components are data."""
     labels: dict[int, str] = {}
-    fsm_i, fsm_tie = most_members(report.sccs, sffs)
-    hp_i, hp_tie = most_members(report.sccs, honeypots)
+    fsm_i = most_members(report.sccs, sffs)
+    hp_i = most_members(report.sccs, honeypots)
     for i, members in enumerate(report.sccs):
         if i == fsm_i:
             labels[i] = "fsm"
@@ -246,7 +243,7 @@ def label_sccs(report: SccReport, sffs, honeypots=frozenset()) -> SccReport:
             labels[i] = "fsm_hp"
         elif len(members) > 1:
             labels[i] = "data"
-    return SccReport(sccs=report.sccs, labels=labels, ambiguous=fsm_tie or hp_tie)
+    return SccReport(sccs=report.sccs, labels=labels)
 
 
 def classify_feedback(

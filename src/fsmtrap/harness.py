@@ -11,7 +11,7 @@ into a run directory; runs are reproducible from (seed, plan).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +44,7 @@ from .synth import (
     DatapathSpec,
     FsmSpec,
     GroundTruth,
+    ONE_HOT,
     PinRef,
     RegRef,
     SynthOptions,
@@ -382,7 +383,18 @@ def apply_defense(
     width = len(gt.sffs)
     bit_map = {b: b for b in range(width)}
     summary: list = []
+    fp_mode = d.fp_mode
+    if fp_mode == "auto":
+        fp_mode = "ra" if plan.encoding == "one_hot" else "rb"
     if d.replicate_r:
+        if fp_mode == "ra":
+            raise ObfuscationError(
+                "replication and the RA rewrite do not combine: replicas leave "
+                "more than one state FF hot"
+            )
+        # Replicate the codes the baseline was synthesized with.
+        if plan.encoding == "one_hot":
+            fsm_d = replace(fsm_d, encoding=ONE_HOT)
         fsm_d = replicate_state_bits(fsm_d, ReplicationPlan(d.replicate_r, allow_one_hot=True))
         k = 1 + d.replicate_r
         bit_map = {j * k + t: j for j in range(width) for t in range(k)}
@@ -390,9 +402,6 @@ def apply_defense(
             for c in dp.counters:
                 dp_d = replicate_counter(dp_d, c.name, d.replicate_r)
 
-    fp_mode = d.fp_mode
-    if fp_mode == "auto":
-        fp_mode = "ra" if plan.encoding == "one_hot" else "rb"
     rb_report = None
     if fp_mode == "rb":
         if plan.encoding == "one_hot":

@@ -611,14 +611,14 @@ def tune_honeypot(
         def scc_max(members_of) -> float:
             """Top score in the component with most of ``members_of``, or
             among ``members_of`` if no component holds any."""
-            best_i, _ = most_members(report.sccs, members_of)
+            best_i = most_members(report.sccs, members_of)
             if best_i is None:
                 return max((table.scores[f] for f in members_of), default=float("-inf"))
             return max(table.scores[f] for f in report.sccs[best_i])
 
         hp_max = scc_max(hp_ffs)
         fsm_max = scc_max(design_sffs)
-        _, selected, _, _ = select_scc_by_z(table.scores, report.sccs)
+        _, selected, _ = select_scc_by_z(table.scores, report.sccs)
         selected_is_hp = bool(selected & hp_ffs)
         success = hp_max > fsm_max and (selected_is_hp or not require_selection)
         iterations.append(

@@ -446,7 +446,6 @@ class AttackResult:
     identified: frozenset
     selected_scc: Optional[int] = None
     argmax_ff: Optional[str] = None
-    tie: bool = False
     sensitivity: Optional[float] = None
     precision: Optional[float] = None
 
@@ -487,17 +486,15 @@ def with_metrics(result: AttackResult, truth) -> AttackResult:
 def select_scc_by_z(scores: Mapping[str, float], sccs: Sequence[Sequence[str]]):
     """The selection rule: take the component containing the top-scoring FF.
 
-    Returns (argmax_ff, identified members, scc index or None, tie flag).
+    Returns (argmax_ff, identified members, scc index or None).
     Ties on the score break toward the smallest FF name.
     """
     best = max(scores.values())
-    winners = sorted(f for f, s in scores.items() if s == best)
-    ff = winners[0]
-    tie = len(winners) > 1
+    ff = min(f for f, s in scores.items() if s == best)
     for i, members in enumerate(sccs):
         if ff in members:
-            return ff, frozenset(members), i, tie
-    return ff, frozenset([ff]), None, tie
+            return ff, frozenset(members), i
+    return ff, frozenset([ff]), None
 
 
 def relic_tarjan(
@@ -508,13 +505,12 @@ def relic_tarjan(
     """Score every FF, pick the top one, identify its whole component."""
     table = zscores(nl, params)
     report = tarjan_scc(build_ff_graph(nl))
-    ff, identified, scc_i, tie = select_scc_by_z(table.scores, report.sccs)
+    ff, identified, scc_i = select_scc_by_z(table.scores, report.sccs)
     result = AttackResult(
         attack="relic_tarjan",
         identified=identified,
         selected_scc=scc_i,
         argmax_ff=ff,
-        tie=tie,
     )
     if truth is not None:
         with_metrics(result, truth)

@@ -1,13 +1,21 @@
 """State transition graph extraction and behavior-preservation checking.
 
+An ``Stg`` is one table: ``states`` holds the projected code of every state,
+reset first, in discovery order, and ``succ[i, v]`` is the index of state
+``i``'s successor under input vector ``v``, which gives free input ``k`` the
+bit ``k`` of ``v`` counted from the left.  Extraction and equivalence work on
+the indices; the ``(src code, input bits) -> dst code`` strings of
+``Stg.edges`` are built on first read, for the text and dot renderings.
+
 Extraction is exhaustive: starting from the reset state it enumerates every
 combination of the free inputs per reachable state, stepping the full
 register file but projecting states onto the chosen state flip-flops.  The
 BFS is level-synchronous: one ``batch_step`` (split at ``MAX_COLUMNS``)
 steps every frontier state under every input vector, the distinct full
 successors are found with ``np.unique`` over their packed bytes, and new
-projected states are discovered in (state, vector) order, the order a
-one-state-at-a-time BFS would meet them.
+projected states are numbered in (state, vector) order, the order a
+one-state-at-a-time BFS would meet them; the level's rows of ``succ`` come
+from the same ``np.unique`` inverse.
 Non-state registers ride along; if two runs reach the same projected state
 through different full states, the full state that differs in a register
 feeding a tracked cone is checked once after its level: if its projected
@@ -18,7 +26,9 @@ warning).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -44,14 +54,25 @@ class ReplicaDisagreementError(StgError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Stg:
     sff_names: tuple
     input_names: tuple
-    reset: str
-    states: tuple  # discovery order; reset first
-    edges: dict  # (src code, input bits string) -> dst code
+    states: tuple  # projected codes, discovery order; reset first
+    succ: np.ndarray  # (states, input vectors): index of the successor state
     warnings: tuple = ()
+
+    @property
+    def reset(self) -> str:
+        return self.states[0]
+
+    @cached_property
+    def edges(self) -> dict:
+        """(src code, input bits string) -> dst code, one entry per ``succ`` cell."""
+        n = len(self.input_names)
+        vecs = [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
+        dsts = [self.states[d] for d in self.succ.ravel().tolist()]
+        return dict(zip(itertools.product(self.states, vecs), dsts))
 
     def to_text(self) -> str:
         lines = [f"state {s}" for s in self.states]
@@ -69,6 +90,12 @@ class Stg:
             lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _vector_bits(n: int) -> np.ndarray:
+    """(n, 2**n) 0/1 matrix: column v gives input k the bit k of v counted
+    from the left."""
+    return (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1
 
 
 def extract_stg(
@@ -107,12 +134,7 @@ def extract_stg(
     n_free = len(free_inputs)
     n_vec = 1 << n_free
     pi_matrix = np.zeros((len(nl.inputs), n_vec), dtype=np.uint8)
-    pi_pos = {n: i for i, n in enumerate(nl.inputs)}
-    # Vector v assigns free input i the bit i of v counted from the left.
-    vec_ids = np.arange(n_vec)
-    for i, n in enumerate(free_inputs):
-        pi_matrix[pi_pos[n]] = (vec_ids >> (n_free - 1 - i)) & 1
-    vec_strings = [format(v, f"0{n_free}b") if n_free else "" for v in range(n_vec)]
+    pi_matrix[[nl.inputs.index(n) for n in free_inputs]] = _vector_bits(n_free)
 
     n_ffs = len(ff_names)
     # At least one byte per state, so that a netlist without FFs still has
@@ -120,10 +142,9 @@ def extract_stg(
     key_bytes = max(1, (n_ffs + 7) // 8)
     key_dtype = np.dtype((np.void, key_bytes))
 
-    def successors(fulls: list) -> np.ndarray:
-        """Packed next full states of a list of full states: row
-        k * n_vec + v is state k under vector v."""
-        fulls = np.array(fulls, dtype=np.uint8).reshape(len(fulls), n_ffs)
+    def successors(fulls: np.ndarray) -> np.ndarray:
+        """Packed next full states of full-state rows: row k * n_vec + v is
+        state k under vector v."""
         n_cols = len(fulls) * n_vec
         packed = np.zeros((n_cols, key_bytes), dtype=np.uint8)
         for lo in range(0, n_cols, MAX_COLUMNS):
@@ -142,10 +163,10 @@ def extract_stg(
     from .graph import _bits, _net_support
 
     support = _net_support(nl)
+    reset_full = np.array([reset[n] & 1 for n in ff_names], dtype=np.uint8)
 
     for _round in range(5):
         proj_idx = [ff_pos[n] for n in tracked]
-        reset_full = tuple(reset[n] & 1 for n in ff_names)
         # FFs that can influence the tracked next-state cones; others cannot
         # cause projected divergence and are ignored by the revisit check.
         mask = 0
@@ -154,78 +175,72 @@ def extract_stg(
             mask |= support.ff_mask(f.d)
             if f.en is not None:
                 mask |= support.ff_mask(f.en)
-        watched = [(i, ff_names[i]) for i in _bits(mask) if ff_names[i] not in tracked]
+        watched = np.array(
+            [i for i in _bits(mask) if ff_names[i] not in tracked], dtype=np.intp
+        )
 
-        def project(full: tuple) -> str:
-            return "".join(str(full[i]) for i in proj_idx)
+        def projected_successors(fulls: list) -> np.ndarray:
+            """Per full state, its projected successors under every vector."""
+            bits = np.unpackbits(successors(np.array(fulls)), axis=1, count=n_ffs)
+            return bits[:, proj_idx].reshape(len(fulls), -1)
 
-        def step_level(fulls: list) -> tuple:
-            """Step every full state under every input vector.  Returns the
-            distinct full successors in order of first occurrence in (state,
-            vector) order, their projected codes, and per state the list of
-            its projected successors by vector."""
-            packed = successors(fulls)
-            keys = packed.view(key_dtype).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            by_first = np.argsort(first)
-            rank = np.empty_like(by_first)
-            rank[by_first] = np.arange(by_first.size)
-            bits = np.unpackbits(packed[first[by_first]], axis=1, count=n_ffs)
-            succ = [tuple(row) for row in bits.tolist()]
-            codes = [project(full) for full in succ]
-            col_codes = [codes[i] for i in rank[inverse.ravel()].tolist()]
-            rows = [col_codes[k * n_vec:(k + 1) * n_vec] for k in range(len(fulls))]
-            return succ, codes, rows
-
-        rep: dict[str, tuple] = {project(reset_full): reset_full}
-        order: list[str] = []
-        edges: dict = {}
+        reset_code = reset_full[proj_idx]
+        index = {reset_code.tobytes(): 0}  # projected bits -> state index
+        codes = ["".join(map(str, reset_code.tolist()))]
+        reps = [reset_full]  # per state, the first full state that reached it
+        succ: list = []  # per BFS level, its block of successor rows
         offenders: set = set()
         checked: set = set()
 
-        frontier = [reset_full]
-        while frontier:
-            src_codes = [project(full) for full in frontier]
-            order.extend(src_codes)
-            fulls, codes, rows = step_level(frontier)
-            for src, row in zip(src_codes, rows):
-                edges.update(zip([(src, vec) for vec in vec_strings], row))
+        lo = 0
+        while lo < len(reps):
+            packed = successors(np.array(reps[lo:]))
+            lo = len(reps)
+            keys = packed.view(key_dtype).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            # Distinct full successors in (state, vector) order: the first
+            # full state reaching a new projected state represents it.
+            by_first = np.argsort(first)
+            rank = np.empty_like(by_first)
+            rank[by_first] = np.arange(by_first.size)
+            distinct = first[by_first]
+            fulls = np.unpackbits(packed[distinct], axis=1, count=n_ffs)
+            ids = np.empty(len(fulls), dtype=np.int32)
+            for j, row in enumerate(fulls[:, proj_idx]):
+                i = index.setdefault(row.tobytes(), len(reps))
+                if i == len(reps):
+                    codes.append("".join(map(str, row.tolist())))
+                    reps.append(fulls[j])
+                ids[j] = i
+            succ.append(ids[rank[inverse.ravel()]].reshape(-1, n_vec))
 
-            # Distinct successors in (state, vector) order: the first full
-            # state reaching a new code represents it.  A later, different
-            # full state with the same code is checked once per round (the
-            # code is a function of the full state).
-            frontier = []
+            # A full state with a known projected state that differs from
+            # its representative in a watched register is checked once per
+            # round (the projected state is a function of the full state):
+            # its projected successors must be the representative's.
+            differs = fulls[:, watched] != np.array(reps)[ids][:, watched]
             revisits = []
-            for full, code in zip(fulls, codes):
-                r = rep.get(code)
-                if r is None:
-                    rep[code] = full
-                    frontier.append(full)
-                elif r != full and full not in checked:
-                    checked.add(full)
-                    diff = {n for i, n in watched if full[i] != r[i]}
-                    if diff:
-                        revisits.append((code, full, diff))
-
+            for j in np.flatnonzero(differs.any(axis=1)).tolist():
+                key = keys[distinct[j]].tobytes()
+                if key not in checked:
+                    checked.add(key)
+                    revisits.append((j, {ff_names[w] for w in watched[differs[j]]}))
             if revisits:
-                # Same projected state via a different full state that feeds
-                # a tracked cone: compare one successor level with that of
-                # the representative.
-                reps = list(dict.fromkeys(code for code, _, _ in revisits))
-                _, _, sim = step_level([f for _, f, _ in revisits] + [rep[c] for c in reps])
-                canon = dict(zip(reps, sim[len(revisits):]))
-                for (code, _, diff), alt in zip(revisits, sim):
-                    if alt != canon[code]:
+                canon = list(dict.fromkeys(ids[j] for j, _ in revisits))
+                sim = projected_successors(
+                    [fulls[j] for j, _ in revisits] + [reps[i] for i in canon]
+                )
+                canon_sim = dict(zip(canon, sim[len(revisits):]))
+                for (j, diff), alt in zip(revisits, sim):
+                    if not np.array_equal(alt, canon_sim[ids[j]]):
                         offenders |= diff
 
         if not offenders:
             return Stg(
                 sff_names=tuple(tracked),
                 input_names=tuple(free_inputs),
-                reset=project(reset_full),
-                states=tuple(order),
-                edges=edges,
+                states=tuple(codes),
+                succ=np.concatenate(succ),
                 warnings=tuple(warnings),
             )
         extra = sorted(offenders)
@@ -247,7 +262,8 @@ def stg_equivalent(
     ``bit_map`` sends every state FF of ``b`` to the FF of ``a`` it mirrors
     (replicas map to their original).  Inputs private to ``b`` must appear in
     ``frozen_inputs``; only edges agreeing with the frozen values are kept.
-    Raises ReplicaDisagreementError if replicas disagree in a reachable state.
+    Raises ReplicaDisagreementError naming the first state, in BFS order over
+    the kept edges, whose replicas disagree, before any edge is compared.
     """
     frozen_inputs = dict(frozen_inputs or {})
     if set(bit_map) != set(b.sff_names):
@@ -262,66 +278,41 @@ def stg_equivalent(
         if n not in frozen_inputs:
             raise StgError(f"input {n} private to b must be frozen")
 
-    b_pos = {n: i for i, n in enumerate(b.sff_names)}
-    groups = {a_ff: [b_pos[x] for x in b.sff_names if bit_map[x] == a_ff] for a_ff in a.sff_names}
+    # Per vector of a, the vector of b that agrees with it and with the
+    # frozen values; b's successors in a's vector order.
+    a_bits = _vector_bits(len(a.input_names))
+    b_vec = np.zeros(a_bits.shape[1], dtype=np.intp)
+    for n in b.input_names:
+        bit = a_bits[a.input_names.index(n)] if n in a.input_names else frozen_inputs[n] & 1
+        b_vec = (b_vec << 1) | bit
+    succ = b.succ[:, b_vec]
 
-    projected: dict[str, str] = {}
+    order = [0]
+    seen = {0}
+    for s in order:
+        for d in succ[s].tolist():
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
 
-    def project(code: str) -> str:
-        p = projected.get(code)
-        if p is None:
-            out = []
-            for a_ff in a.sff_names:
-                vals = {code[i] for i in groups[a_ff]}
-                if len(vals) != 1:
-                    raise ReplicaDisagreementError(
-                        f"replicas of {a_ff} disagree in reachable state {code}"
-                    )
-                out.append(vals.pop())
-            p = projected[code] = "".join(out)
-        return p
+    # Code bits of the reached states, and per bit of b the bit of a it
+    # mirrors.
+    bits = np.array([[int(c) for c in b.states[s]] for s in order], dtype=np.uint8)
+    owner = np.array([a.sff_names.index(bit_map[x]) for x in b.sff_names], dtype=np.intp)
+    proj = bits[:, [owner.tolist().index(k) for k in range(len(a.sff_names))]]
+    disagree = bits != proj[:, owner]
+    bad = np.flatnonzero(disagree.any(axis=1))
+    if bad.size:
+        s = bad[0]
+        raise ReplicaDisagreementError(
+            f"replicas of {a.sff_names[owner[disagree[s]].min()]} disagree in "
+            f"reachable state {b.states[order[s]]}"
+        )
 
-    b_in_pos = {n: i for i, n in enumerate(b.input_names)}
-    # Per input string of b: None if it breaks a frozen value, else the
-    # string restricted to a's inputs.
-    shared: dict[str, Optional[str]] = {}
-
-    def shared_vec(vec: str) -> Optional[str]:
-        if vec not in shared:
-            ok = all(int(vec[b_in_pos[n]]) == (frozen_inputs[n] & 1) for n in extra)
-            shared[vec] = "".join(vec[b_in_pos[n]] for n in a.input_names) if ok else None
-        return shared[vec]
-
-    by_src: dict[str, list] = {}
-    for (src, vec), dst in b.edges.items():
-        by_src.setdefault(src, []).append((vec, dst))
-
-    # BFS over b restricted to frozen-consistent edges.
-    proj_edges: dict = {}
-    seen = {b.reset}
-    queue = [b.reset]
-    proj_states: set = set()
-    while queue:
-        code = queue.pop(0)
-        pcode = project(code)
-        proj_states.add(pcode)
-        for vec, dst in by_src.get(code, ()):
-            svec = shared_vec(vec)
-            if svec is None:
-                continue
-            key = (pcode, svec)
-            pdst = project(dst)
-            if key in proj_edges and proj_edges[key] != pdst:
-                return False
-            proj_edges[key] = pdst
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-
-    if project(b.reset) != a.reset:
+    a_index = {code: i for i, code in enumerate(a.states)}
+    to_a = np.full(len(b.states), -1, dtype=np.intp)
+    to_a[order] = [a_index.get("".join(map(str, row)), -1) for row in proj.tolist()]
+    mapped = to_a[order]
+    if mapped[0] != 0 or set(mapped.tolist()) != set(range(len(a.states))):
         return False
-    if proj_states != set(a.states):
-        return False
-    if proj_edges != a.edges:
-        return False
-    return True
+    return bool(np.array_equal(a.succ[mapped], to_a[succ[order]]))

@@ -10,6 +10,9 @@
   ``SimilarityMatrix``.
 - ``simulate_spec``, ``decode_state`` and ``state_bits_of``: the behavioural
   FSM oracle of synthesized netlists.
+- ``stg_equivalent``, ``stg_text`` and ``stg_dot``: equivalence and the text
+  renderings over string-keyed STG edge dicts, the oracle of ``stg``'s
+  successor-index table.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Mapping, Optional, Sequence
 from fsmtrap.graph import AnalysisError
 from fsmtrap.netlist import BitState, Netlist, NetlistError, topo_gates
 from fsmtrap.relic import SimilarityMatrix, _ShapeTable
+from fsmtrap.stg import ReplicaDisagreementError, Stg, StgError
 from fsmtrap.synth import FsmSpec, SpecError, Transition, state_ff_name, validate_fsm
 
 # -- scalar simulation ---------------------------------------------------------
@@ -227,3 +231,105 @@ def state_bits_of(nl_state: Mapping[str, int], prefix: str, width: int) -> str:
     return "".join(
         str(nl_state[state_ff_name(prefix, b, width)]) for b in range(width)
     )
+
+
+# -- string-keyed STGs -----------------------------------------------------------
+
+
+def stg_equivalent(
+    a: Stg,
+    b: Stg,
+    bit_map: Mapping[str, str],
+    frozen_inputs: Optional[Mapping[str, int]] = None,
+) -> bool:
+    """``stg.stg_equivalent`` over the ``(src, vec) -> dst`` strings of
+    ``Stg.edges``: a BFS over b's frozen-consistent edges that projects
+    every code as it meets it, so an edge conflicting with an earlier one
+    returns False before a later state's replica disagreement raises."""
+    frozen_inputs = dict(frozen_inputs or {})
+    if set(bit_map) != set(b.sff_names):
+        raise StgError("bit_map must cover exactly b's state flip-flops")
+    if set(bit_map.values()) != set(a.sff_names):
+        raise StgError("bit_map must cover all of a's state flip-flops")
+    extra = [n for n in b.input_names if n not in a.input_names]
+    missing = [n for n in a.input_names if n not in b.input_names]
+    if missing:
+        raise StgError(f"b lacks inputs of a: {missing}")
+    for n in extra:
+        if n not in frozen_inputs:
+            raise StgError(f"input {n} private to b must be frozen")
+
+    b_pos = {n: i for i, n in enumerate(b.sff_names)}
+    groups = {a_ff: [b_pos[x] for x in b.sff_names if bit_map[x] == a_ff] for a_ff in a.sff_names}
+
+    def project(code: str) -> str:
+        out = []
+        for a_ff in a.sff_names:
+            vals = {code[i] for i in groups[a_ff]}
+            if len(vals) != 1:
+                raise ReplicaDisagreementError(
+                    f"replicas of {a_ff} disagree in reachable state {code}"
+                )
+            out.append(vals.pop())
+        return "".join(out)
+
+    b_in_pos = {n: i for i, n in enumerate(b.input_names)}
+
+    def shared_vec(vec: str) -> Optional[str]:
+        """None if ``vec`` breaks a frozen value, else its bits of a's inputs."""
+        if any(int(vec[b_in_pos[n]]) != (frozen_inputs[n] & 1) for n in extra):
+            return None
+        return "".join(vec[b_in_pos[n]] for n in a.input_names)
+
+    by_src: dict[str, list] = {}
+    for (src, vec), dst in b.edges.items():
+        by_src.setdefault(src, []).append((vec, dst))
+
+    proj_edges: dict = {}
+    b_reset = b.states[0]
+    seen = {b_reset}
+    queue = [b_reset]
+    proj_states: set = set()
+    while queue:
+        code = queue.pop(0)
+        pcode = project(code)
+        proj_states.add(pcode)
+        for vec, dst in by_src.get(code, ()):
+            svec = shared_vec(vec)
+            if svec is None:
+                continue
+            key = (pcode, svec)
+            pdst = project(dst)
+            if key in proj_edges and proj_edges[key] != pdst:
+                return False
+            proj_edges[key] = pdst
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+
+    if project(b_reset) != a.states[0]:
+        return False
+    if proj_states != set(a.states):
+        return False
+    return proj_edges == a.edges
+
+
+def stg_text(states: Sequence[str], edges: Mapping) -> str:
+    """``Stg.to_text`` of a state list and a ``(src, vec) -> dst`` dict."""
+    lines = [f"state {s}" for s in states]
+    for (src, vec), dst in sorted(edges.items()):
+        lines.append(f"edge {src} {vec if vec else '-'} {dst}")
+    return "\n".join(lines) + "\n"
+
+
+def stg_dot(reset: str, states: Sequence[str], edges: Mapping) -> str:
+    """``Stg.to_dot`` of a state list and a ``(src, vec) -> dst`` dict."""
+    lines = ["digraph stg {"]
+    for s in states:
+        shape = "doublecircle" if s == reset else "circle"
+        lines.append(f'  "{s}" [shape={shape}];')
+    for (src, vec), dst in sorted(edges.items()):
+        label = vec if vec else ""
+        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -223,8 +223,8 @@ def test_criterion_3_selection_rule():
     scc = [["F1s", "F2s", "F1", "F2", "F3"]]
     before = {"F1s": 512.0, "F2s": 622.0, "F1": 84.0, "F2": 389.0, "F3": 110.0}
     after = {"F1s": 178.0, "F2s": 209.0, "F1": 84.0, "F2": 389.0, "F3": 110.0}
-    ff1, sel1, idx1, _ = select_scc_by_z(before, scc)
-    ff2, sel2, idx2, _ = select_scc_by_z(after, scc)
+    ff1, sel1, idx1 = select_scc_by_z(before, scc)
+    ff2, sel2, idx2 = select_scc_by_z(after, scc)
     ok = (
         ff1 == "F2s"
         and ff2 == "F2"

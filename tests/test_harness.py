@@ -16,7 +16,13 @@ from fsmtrap.harness import (
     run_pipeline,
 )
 from fsmtrap.netlist import Netlist, parse
-from fsmtrap.obfuscate import HoneypotParams, build_decoy, derive_honeypot, integrate_honeypot
+from fsmtrap.obfuscate import (
+    HoneypotParams,
+    ObfuscationError,
+    build_decoy,
+    derive_honeypot,
+    integrate_honeypot,
+)
 from fsmtrap.specio import design_text, parse_ground_truth
 from fsmtrap.synth import SynthOptions, synthesize
 from fsmtrap.topo import TopoParams
@@ -206,6 +212,33 @@ def test_pipeline_ra_honeypot(tmp_path):
     assert result.ok, result.notes
     assert result.defended["topo"].sensitivity < 1.0
     assert result.defended["topo_hp"].sensitivity == 1.0
+
+
+def test_pipeline_one_hot_replicate_honeypot(tmp_path):
+    # Replication copies the one-hot codes the baseline was synthesized with.
+    plan = PipelinePlan(
+        benchmark=BenchmarkSpec(seed=4),
+        encoding="one_hot",
+        defense=DefensePlan(replicate_r=1, honeypot=True, honeypot_tune=False),
+    )
+    result = run_pipeline(plan, tmp_path / "run")
+    assert result.ok, result.notes
+    assert result.preservation == {"stg": True, "outputs": True}
+    reports = tmp_path / "run" / "reports"
+    base_gt = parse_ground_truth((reports / "base_gt.txt").read_text())
+    defended_gt = parse_ground_truth((reports / "defended_gt.txt").read_text())
+    assert len(defended_gt.sffs) == 2 * len(base_gt.sffs) == 2 * plan.benchmark.n_states
+
+
+@pytest.mark.parametrize("fp_mode", ["ra", "auto"])
+def test_pipeline_one_hot_replicate_rejects_ra(tmp_path, fp_mode):
+    plan = PipelinePlan(
+        benchmark=BenchmarkSpec(seed=4),
+        encoding="one_hot",
+        defense=DefensePlan(replicate_r=1, fp_mode=fp_mode, honeypot=True, honeypot_tune=False),
+    )
+    with pytest.raises(ObfuscationError, match="replication and the RA rewrite"):
+        run_pipeline(plan, tmp_path / "run")
 
 
 def test_pipeline_replicate_wide_register(tmp_path):

@@ -673,23 +673,23 @@ def test_replicas_f1_zero():
 def test_worked_selection_tables():
     scc = [["F1s", "F2s", "F1", "F2", "F3"]]
     before = {"F1s": 512.0, "F2s": 622.0, "F1": 84.0, "F2": 389.0, "F3": 110.0}
-    ff, members, idx, tie = select_scc_by_z(before, scc)
-    assert ff == "F2s" and members == frozenset(scc[0]) and not tie
+    ff, members, idx = select_scc_by_z(before, scc)
+    assert ff == "F2s" and members == frozenset(scc[0])
     after = {"F1s": 178.0, "F2s": 209.0, "F1": 84.0, "F2": 389.0, "F3": 110.0}
-    ff2, members2, _, _ = select_scc_by_z(after, scc)
+    ff2, members2, _ = select_scc_by_z(after, scc)
     assert ff2 == "F2" and members2 == frozenset(scc[0])
     # the state FFs are still swept up either way
     assert {"F1s", "F2s"} <= members and {"F1s", "F2s"} <= members2
 
 
 def test_selection_argmax_outside_any_component():
-    ff, members, idx, tie = select_scc_by_z({"a": 2.0, "b": 1.0}, [["b", "c"]])
+    ff, members, idx = select_scc_by_z({"a": 2.0, "b": 1.0}, [["b", "c"]])
     assert ff == "a" and members == frozenset({"a"}) and idx is None
 
 
 def test_selection_tie_breaks_to_smallest_name():
-    ff, _, _, tie = select_scc_by_z({"b": 1.0, "a": 1.0}, [])
-    assert ff == "a" and tie
+    ff, _, _ = select_scc_by_z({"b": 1.0, "a": 1.0}, [])
+    assert ff == "a"
 
 
 def test_evaluate_metrics():

@@ -1,7 +1,11 @@
 import itertools
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import oracles
 
 from fsmtrap.batchsim import batch_step, compile_netlist
 from fsmtrap.graph import _net_support
@@ -21,7 +25,7 @@ from fsmtrap.synth import (
     make_fsm,
     synthesize,
 )
-from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits
+from fsmtrap.obfuscate import ReplicationPlan, replicate_state_bits, rewrite_rb
 
 from conftest import random_fsm, random_seq_netlist
 
@@ -168,19 +172,101 @@ def test_private_inputs_must_be_frozen():
     assert not stg_equivalent(stg, stg2, bit_map, frozen_inputs={"o": 1})
 
 
+def replace_succ(stg, succ):
+    """``stg`` with the successor table ``succ``."""
+    return Stg(stg.sff_names, stg.input_names, stg.states, np.array(succ), stg.warnings)
+
+
 def test_first_replica_disagreement_is_reported():
-    a = Stg(("s0",), ("x",), "0", ("0",), {("0", "0"): "0", ("0", "1"): "0"})
-    # Both successors of the reset break the replica pair; the edge met first
-    # in BFS order (vector 0, to 10) is the one reported.
-    b = Stg(
-        ("r0", "r1"),
-        ("x",),
-        "00",
-        ("00", "10", "01"),
-        {("00", "0"): "10", ("00", "1"): "01", ("10", "0"): "10", ("01", "1"): "01"},
-    )
+    a = Stg(("s0",), ("x",), ("0",), np.array([[0, 0]]))
+    # Both successors of the reset break the replica pair; the state met
+    # first in BFS order (vector 0, to 10) is the one reported.
+    b = Stg(("r0", "r1"), ("x",), ("00", "10", "01"), np.array([[1, 2], [1, 1], [2, 2]]))
     with pytest.raises(ReplicaDisagreementError, match="state 10$"):
         stg_equivalent(a, b, {"r0": "s0", "r1": "s0"})
+
+
+def test_replica_disagreement_raises_even_where_an_edge_differs():
+    a = Stg(("s0",), ("x",), ("0", "1"), np.array([[0, 1], [1, 0]]))
+    # The reset's vector-0 edge goes to 11 where a stays in 0, and 11 leads
+    # on to 10, whose replicas disagree: the disagreement is reported, not
+    # the differing edge.
+    b = Stg(
+        ("r0", "r1"), ("x",), ("00", "11", "10"), np.array([[1, 1], [2, 0], [2, 2]])
+    )
+    with pytest.raises(ReplicaDisagreementError, match="replicas of s0 .* state 10$"):
+        stg_equivalent(a, b, {"r0": "s0", "r1": "s0"})
+    # Without the way to 10, the differing edge alone makes them differ.
+    b_ok = replace_succ(b, [[1, 1], [1, 0], [2, 2]])
+    assert not stg_equivalent(a, b_ok, {"r0": "s0", "r1": "s0"})
+
+
+def _verdict(check, a, b, bit_map, frozen=None):
+    try:
+        return check(a, b, bit_map, frozen_inputs=frozen)
+    except StgError as e:
+        return type(e).__name__, str(e)
+
+
+def _equivalence_cases():
+    """(a, b, bit_map, frozen inputs): the equivalence cases above, replicas
+    and dummy-transition rewrites of random FSMs, and mutated copies of the
+    replicas' STGs."""
+    nl, gt = synthesize(toggle())
+    stg = extract_stg(nl, sorted(gt.sffs), free_inputs=["x"])
+    yield stg, stg, {f: f for f in stg.sff_names}, None
+    fsm2 = make_fsm(
+        "t2", ["A", "B"], ["x", "o"], "A",
+        [("A", {"x": 1, "o": 0}, "B"), ("B", {"x": 1, "o": 0}, "A")],
+    )
+    nl2, gt2 = synthesize(fsm2)
+    stg2 = extract_stg(nl2, sorted(gt2.sffs), free_inputs=["x", "o"])
+    bit_map = {sorted(gt2.sffs)[0]: sorted(gt.sffs)[0]}
+    for frozen in (None, {"o": 0}, {"o": 1}):
+        yield stg, stg2, bit_map, frozen
+
+    for seed in range(12):
+        fsm = toggle() if seed == 0 else random_fsm(seed, max_states=8, max_inputs=3)
+        base_nl, base_gt = synthesize(fsm)
+        base_sffs = sorted(base_gt.sffs)
+        base = extract_stg(base_nl, base_sffs, free_inputs=list(fsm.inputs))
+        for r in (1, 2):
+            rep_nl, rep_gt = synthesize(replicate_state_bits(fsm, ReplicationPlan(r)))
+            rep_sffs = sorted(rep_gt.sffs)
+            rep = extract_stg(rep_nl, rep_sffs, free_inputs=list(fsm.inputs))
+            rep_map = {f: base_sffs[i // (1 + r)] for i, f in enumerate(rep_sffs)}
+            yield base, rep, rep_map, None
+            if r == 1:
+                rng = random.Random(seed)
+                succ = rep.succ.copy()
+                s, v = rng.randrange(succ.shape[0]), rng.randrange(succ.shape[1])
+                succ[s, v] = (succ[s, v] + 1) % succ.shape[0]
+                yield base, replace_succ(rep, succ), rep_map, None
+                if len(rep.states) > 1:
+                    # Every edge into ``gone`` goes to the reset instead.
+                    gone = rng.randrange(1, len(rep.states))
+                    unreachable = replace_succ(rep, np.where(rep.succ == gone, 0, rep.succ))
+                    yield base, unreachable, rep_map, None
+
+        fsm_rb, report = rewrite_rb(fsm, 0)
+        rb_nl, rb_gt = synthesize(fsm_rb)
+        rb_sffs = sorted(rb_gt.sffs)
+        rb = extract_stg(rb_nl, rb_sffs, free_inputs=list(fsm_rb.inputs))
+        rb_map = dict(zip(rb_sffs, base_sffs))
+        if report.extended_encoding:
+            rb_map[rb_sffs[-1]] = base_sffs[0]
+        for value in (() if report.noop else (0, 1)):
+            yield base, rb, rb_map, {fsm_rb.inputs[-1]: value}
+
+
+def test_equivalence_matches_string_oracle():
+    verdicts = []
+    for a, b, bit_map, frozen in _equivalence_cases():
+        got = _verdict(stg_equivalent, a, b, bit_map, frozen)
+        assert got == _verdict(oracles.stg_equivalent, a, b, bit_map, frozen)
+        verdicts.append(got if isinstance(got, bool) else got[0])
+    # Every outcome is exercised.
+    assert {True, False, "StgError", "ReplicaDisagreementError"} <= set(verdicts)
 
 
 def test_text_and_dot_outputs():
@@ -213,7 +299,8 @@ def test_nondeterminism_enlarges_tracked_set():
 def _reference_extract_stg(nl, sffs, free_inputs):
     """The per-state BFS that level-synchronous extraction replaced: one
     batch_step per reachable state and a revisit check per successor column,
-    with the reset state and frozen inputs at their defaults."""
+    with the reset state and frozen inputs at their defaults.  Returns the
+    ``Stg`` fields with ``edges`` as a ``(src, vec) -> dst`` string dict."""
     cn = compile_netlist(nl)
     reset = reset_state(nl)
     n_free = len(free_inputs)
@@ -283,7 +370,7 @@ def _reference_extract_stg(nl, sffs, free_inputs):
                             offenders |= diff & influencers
                 edges[(code, vec_strings[v])] = s_code
         if not offenders:
-            return Stg(
+            return SimpleNamespace(
                 sff_names=tuple(tracked),
                 input_names=tuple(free_inputs),
                 reset=project(reset_full),
@@ -305,6 +392,15 @@ def _same_stg(got, ref):
     assert got.warnings == ref.warnings
     assert got.sff_names == ref.sff_names
     assert got.reset == ref.reset
+
+
+def _reference_cases():
+    """(netlist, state FFs, free inputs) of the random-netlist comparison."""
+    for seed in range(200):
+        nl = random_seq_netlist(seed, n_ffs=4 + seed % 5)
+        names = [f.name for f in nl.ffs]
+        for sffs in (names[:1], names[: len(names) // 2]):
+            yield nl, sffs, ["a", "b"]
 
 
 def test_level_bfs_matches_per_state_reference_on_random_netlists():
@@ -332,6 +428,26 @@ def test_level_bfs_matches_per_state_reference_on_benchmark_design():
     sffs = sorted(gt.sffs)
     free = list(fsm.inputs)
     _same_stg(extract_stg(nl, sffs, free_inputs=free), _reference_extract_stg(nl, sffs, free))
+
+
+def test_text_and_dot_match_reference_rendering():
+    # The benchmark-design and random-netlist cases of the two tests above.
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0, n_states=8, n_inputs=4))
+    nl, gt = synthesize(fsm, dp)
+    cases = [(nl, sorted(gt.sffs), list(fsm.inputs))]
+    for seed in range(200):
+        nl = random_seq_netlist(seed, n_ffs=4 + seed % 5)
+        names = [f.name for f in nl.ffs]
+        cases += [(nl, sffs, ["a", "b"]) for sffs in (names[:1], names[: len(names) // 2])]
+    for nl, sffs, free in cases:
+        try:
+            ref = _reference_extract_stg(nl, sffs, free)
+        except StgError:
+            continue
+        got = extract_stg(nl, sffs, free_inputs=free)
+        assert got.to_text() == oracles.stg_text(ref.states, ref.edges)
+        assert got.to_dot() == oracles.stg_dot(ref.reset, ref.states, ref.edges)
+        assert len(got.edges) == got.succ.size
 
 
 def test_level_bfs_splits_wide_levels(monkeypatch):
