@@ -215,7 +215,7 @@ def cmd_pipeline(args) -> int:
         bench = harness.BenchmarkSpec(**data.get("benchmark", {}))
         defense = harness.DefensePlan(**data.get("defense", {}))
         fields = {k: v for k, v in data.items() if k not in ("benchmark", "defense")}
-        if "attacks" in fields:
+        if isinstance(fields.get("attacks"), list):
             fields["attacks"] = tuple(fields["attacks"])
         plan = harness.PipelinePlan(benchmark=bench, defense=defense, **fields)
     if args.seed is not None:

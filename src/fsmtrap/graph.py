@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .batchsim import compile_netlist, eval_outputs
-from .netlist import Netlist
+from .netlist import Netlist, topo_gates
 
 
 class FeedbackClass(Enum):
@@ -89,7 +89,6 @@ def _net_support(nl: Netlist) -> NetSupport:
     cached = nl._cache.get("support")
     if cached is not None:
         return cached
-    from .netlist import topo_gates
 
     n_ffs = len(nl.ffs)
     masks: dict[str, int] = {}

@@ -19,21 +19,21 @@ import numpy as np
 
 from .batchsim import compile_netlist, eval_outputs
 from .graph import build_ff_graph, classify_feedback, label_sccs, tarjan_scc
-from .netlist import Netlist, serialize
+from .netlist import Netlist, serialize, topo_gates
 from .obfuscate import (
     HoneypotParams,
     ObfuscationError,
     ReplicationPlan,
+    RewriteError,
     TuneReport,
     build_decoy,
-    gt_with_honeypots,
     replicate_counter,
     replicate_state_bits,
     rewrite_ra,
     rewrite_rb,
     tune_honeypot,
 )
-from .relic import AttackResult, RelicParams, relic_tarjan, with_metrics, zscores
+from .relic import AttackResult, relic_tarjan, with_metrics, zscores
 from .specio import design_text, ground_truth_text
 from .stg import extract_stg, stg_equivalent
 from .synth import (
@@ -171,8 +171,6 @@ def gate_area(nl: Netlist) -> int:
 
 def comb_depth(nl: Netlist) -> int:
     """Maximum combinational level count over all gate outputs."""
-    from .netlist import topo_gates
-
     level: dict[str, int] = {}
     for n in nl.inputs:
         level[n] = 0
@@ -284,6 +282,14 @@ class DefensePlan:
     honeypot_max_iters: int = 10
     honeypot_require_selection: bool = False
 
+    def __post_init__(self):
+        if self.fp_mode not in (None, "auto", "ra", "rb"):
+            raise ValueError(
+                f"DefensePlan.fp_mode must be 'auto', 'ra', 'rb' or None, got {self.fp_mode!r}"
+            )
+        if self.fp_target < 0:
+            raise ValueError(f"DefensePlan.fp_target must be >= 0, got {self.fp_target}")
+
 
 @dataclass(frozen=True)
 class PipelinePlan:
@@ -291,9 +297,18 @@ class PipelinePlan:
     encoding: str = "binary"  # binary | one_hot (synthesis re-encoding)
     attacks: tuple = ("relic", "topo")
     defense: DefensePlan = DefensePlan()
-    relic_params: RelicParams = RelicParams()
     topo_params: TopoParams = TopoParams()
     stg_max_inputs: int = 12
+
+    def __post_init__(self):
+        if self.encoding not in ("binary", "one_hot"):
+            raise ValueError(
+                f"PipelinePlan.encoding must be 'binary' or 'one_hot', got {self.encoding!r}"
+            )
+        if not isinstance(self.attacks, tuple) or not set(self.attacks) <= {"relic", "topo"}:
+            raise ValueError(
+                f"PipelinePlan.attacks must be a tuple of 'relic' and 'topo', got {self.attacks!r}"
+            )
 
 
 @dataclass
@@ -328,9 +343,9 @@ def run_attacks(
     scc_report = label_sccs(tarjan_scc(build_ff_graph(nl)), gt.sffs, hp_ffs)
     (reports / f"{label}_scc.txt").write_text(scc_report.to_text())
     if "relic" in plan.attacks:
-        table = zscores(nl, plan.relic_params)
+        table = zscores(nl)
         (reports / f"{label}_z.csv").write_text(table.to_csv())
-        r = results["relic"] = relic_tarjan(nl, plan.relic_params, truth=gt.sffs)
+        r = results["relic"] = relic_tarjan(nl, truth=gt.sffs)
         (reports / f"{label}_attack_relic.csv").write_text(r.to_csv(label))
         summary.append(f"{heading} {_attack_summary(r)}")
         if hp_ffs:
@@ -421,6 +436,11 @@ def apply_defense(
             f"fp_after={fp_after.value}"
         )
     if fp_mode == "ra":
+        if d.fp_target >= len(gt.sffs):
+            raise RewriteError(
+                f"fp_target {d.fp_target} is out of range 0..{len(gt.sffs) - 1} "
+                "for the design's state FFs"
+            )
         target_ff = sorted(gt.sffs)[d.fp_target]
         nl, ra_report = rewrite_ra(nl, gt.sffs, target_ff)
         summary.append(f"ra target={target_ff} fp_after={ra_report.fp_after.value}")
@@ -436,8 +456,8 @@ def apply_defense(
         )
         if d.honeypot_tune:
             tune = defense.tune = tune_honeypot(
-                nl, gt.sffs, fsm, p, relic_params=plan.relic_params,
-                max_iters=d.honeypot_max_iters, require_selection=d.honeypot_require_selection,
+                nl, gt.sffs, fsm, p, max_iters=d.honeypot_max_iters,
+                require_selection=d.honeypot_require_selection,
             )
             defense.nl, defense.hp_nl, hp_ffs = tune.integrated, tune.hp_netlist, tune.hp_ffs
             summary.append(
@@ -447,7 +467,7 @@ def apply_defense(
         else:
             defense.hp_nl, defense.nl, hp_ffs = build_decoy(nl, fsm, p)
             summary.append(f"honeypot seed={p.mutation_seed} (untuned)")
-        defense.gt = gt_with_honeypots(gt, hp_ffs)
+        defense.gt = replace(gt, honeypots=hp_ffs)
     return defense
 
 

@@ -158,25 +158,6 @@ class Netlist:
             self._cache["ff_idx"] = idx
         return idx[name]
 
-    def structural_key(self):
-        # Declaration order of blocks is presentational; compare canonically.
-        return (
-            self.name,
-            tuple(sorted(self.inputs)),
-            tuple(sorted(self.outputs)),
-            tuple(sorted(self.constants.items())),
-            tuple(sorted(self.gates, key=lambda g: g.name)),
-            tuple(sorted(self.ffs, key=lambda f: f.name)),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Netlist):
-            return NotImplemented
-        return self.structural_key() == other.structural_key()
-
-    def __hash__(self):
-        return hash(self.structural_key())
-
 
 # -- parsing / serialization ------------------------------------------------
 
@@ -201,75 +182,72 @@ def parse(text: str, name: str = "netlist") -> Netlist:
             continue
         toks = line.split()
         stmt = toks[0]
-        try:
-            if stmt == "input":
-                if len(toks) != 2:
-                    raise ParseError(lineno, "input takes one net")
-                inputs.append(_check_token(toks[1], lineno))
-            elif stmt == "output":
-                if len(toks) != 2:
-                    raise ParseError(lineno, "output takes one net")
-                outputs.append(_check_token(toks[1], lineno))
-            elif stmt == "const":
-                if len(toks) != 3 or toks[2] not in ("0", "1"):
-                    raise ParseError(lineno, "const takes a net and 0|1")
-                net = _check_token(toks[1], lineno)
-                if net in constants:
-                    raise MultipleDriverError(net)
-                constants[net] = int(toks[2])
-            elif stmt == "gate":
-                if len(toks) < 5:
-                    raise ParseError(lineno, "gate takes KIND name out in...")
-                kind = toks[1]
-                if kind not in GATE_KINDS:
-                    raise ParseError(lineno, f"unknown gate kind {kind}")
-                gname = _check_token(toks[2], lineno)
-                out = _check_token(toks[3], lineno)
-                ins = tuple(_check_token(t, lineno) for t in toks[4:])
-                gates.append(Gate(gname, kind, out, ins))
-            elif stmt == "dff":
-                if len(toks) < 2:
-                    raise ParseError(lineno, "dff takes a name and pin assignments")
-                fname = _check_token(toks[1], lineno)
-                pins: dict[str, str] = {}
-                for t in toks[2:]:
-                    if "=" not in t:
-                        raise ParseError(lineno, f"bad dff pin {t!r}")
-                    key, val = t.split("=", 1)
-                    if key not in ("q", "d", "clk", "rst", "rstval", "en"):
-                        raise ParseError(lineno, f"unknown dff pin {key}")
-                    if key in pins:
-                        raise ParseError(lineno, f"duplicate dff pin {key}")
-                    pins[key] = val
-                for req in ("q", "d", "clk"):
-                    if req not in pins:
-                        raise ParseError(lineno, f"dff missing {req}=")
-                rst = pins.get("rst")
-                if "rstval" in pins and rst is None:
-                    raise ParseError(lineno, "rstval given without rst")
-                rst_val = 0
-                if "rstval" in pins:
-                    if pins["rstval"] not in ("0", "1"):
-                        raise ParseError(lineno, "rstval must be 0|1")
-                    rst_val = int(pins["rstval"])
-                for key in ("q", "d", "clk", "rst", "en"):
-                    if key in pins:
-                        _check_token(pins[key], lineno)
-                ffs.append(
-                    FlipFlop(
-                        fname,
-                        q=pins["q"],
-                        d=pins["d"],
-                        clk=pins["clk"],
-                        rst=rst,
-                        rst_val=rst_val,
-                        en=pins.get("en"),
-                    )
+        if stmt == "input":
+            if len(toks) != 2:
+                raise ParseError(lineno, "input takes one net")
+            inputs.append(_check_token(toks[1], lineno))
+        elif stmt == "output":
+            if len(toks) != 2:
+                raise ParseError(lineno, "output takes one net")
+            outputs.append(_check_token(toks[1], lineno))
+        elif stmt == "const":
+            if len(toks) != 3 or toks[2] not in ("0", "1"):
+                raise ParseError(lineno, "const takes a net and 0|1")
+            net = _check_token(toks[1], lineno)
+            if net in constants:
+                raise MultipleDriverError(net)
+            constants[net] = int(toks[2])
+        elif stmt == "gate":
+            if len(toks) < 5:
+                raise ParseError(lineno, "gate takes KIND name out in...")
+            kind = toks[1]
+            if kind not in GATE_KINDS:
+                raise ParseError(lineno, f"unknown gate kind {kind}")
+            gname = _check_token(toks[2], lineno)
+            out = _check_token(toks[3], lineno)
+            ins = tuple(_check_token(t, lineno) for t in toks[4:])
+            gates.append(Gate(gname, kind, out, ins))
+        elif stmt == "dff":
+            if len(toks) < 2:
+                raise ParseError(lineno, "dff takes a name and pin assignments")
+            fname = _check_token(toks[1], lineno)
+            pins: dict[str, str] = {}
+            for t in toks[2:]:
+                if "=" not in t:
+                    raise ParseError(lineno, f"bad dff pin {t!r}")
+                key, val = t.split("=", 1)
+                if key not in ("q", "d", "clk", "rst", "rstval", "en"):
+                    raise ParseError(lineno, f"unknown dff pin {key}")
+                if key in pins:
+                    raise ParseError(lineno, f"duplicate dff pin {key}")
+                pins[key] = val
+            for req in ("q", "d", "clk"):
+                if req not in pins:
+                    raise ParseError(lineno, f"dff missing {req}=")
+            rst = pins.get("rst")
+            if "rstval" in pins and rst is None:
+                raise ParseError(lineno, "rstval given without rst")
+            rst_val = 0
+            if "rstval" in pins:
+                if pins["rstval"] not in ("0", "1"):
+                    raise ParseError(lineno, "rstval must be 0|1")
+                rst_val = int(pins["rstval"])
+            for key in ("q", "d", "clk", "rst", "en"):
+                if key in pins:
+                    _check_token(pins[key], lineno)
+            ffs.append(
+                FlipFlop(
+                    fname,
+                    q=pins["q"],
+                    d=pins["d"],
+                    clk=pins["clk"],
+                    rst=rst,
+                    rst_val=rst_val,
+                    en=pins.get("en"),
                 )
-            else:
-                raise ParseError(lineno, f"unknown statement {stmt!r}")
-        except NetlistError:
-            raise
+            )
+        else:
+            raise ParseError(lineno, f"unknown statement {stmt!r}")
     return Netlist(name, tuple(inputs), tuple(outputs), constants, tuple(gates), tuple(ffs))
 
 

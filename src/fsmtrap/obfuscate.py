@@ -5,8 +5,9 @@ tuning.
 Every transform preserves behavior at its declared interface: replication up
 to projection onto the original bits, one-hot rewiring exactly, dummy
 transitions with the obfuscation input frozen to 0, and decoy integration on
-all original outputs (the decoy only reaches them through a
-constant-0-gated path).
+all original outputs and next states.  An integrated decoy reads the design
+inputs of the same names and reaches the design only through constant-0-gated
+ORs into flip-flop enables, or into output ports where no flip-flop has one.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graph import FeedbackClass, classify_feedback, has_high_fp
-from .netlist import FlipFlop, Gate, Netlist
-from .relic import RelicParams, _ShapeTable, select_scc_by_z, zscores
+from .netlist import Gate, Netlist, NetlistError
+from .relic import _ShapeTable, select_scc_by_z, zscores
 from .synth import (
     DatapathSpec,
     FsmSpec,
-    GroundTruth,
     ONE_HOT,
     SpecError,
     SynthOptions,
@@ -406,137 +406,73 @@ def _all_states_reachable(fsm: FsmSpec) -> bool:
     return seen == set(fsm.states)
 
 
-def default_input_map(design: Netlist, hp: Netlist) -> tuple:
-    """clk->clk, rst->rst, remaining decoy inputs cycle through design inputs."""
-    pool = [n for n in design.inputs if n not in ("clk", "rst")]
-    mapping = []
-    i = 0
-    for n in hp.inputs:
-        if n == "clk" or n == "rst":
-            if n not in design.inputs:
-                raise IntegrationError(f"design has no {n} input for the decoy")
-            mapping.append((n, n))
-        else:
-            if not pool:
-                raise IntegrationError("design has no inputs to feed the decoy")
-            mapping.append((n, pool[i % len(pool)]))
-            i += 1
-    return tuple(mapping)
-
-
 def integrate_honeypot(
     nl: Netlist, hp: Netlist, p: HoneypotParams
 ) -> tuple[Netlist, frozenset]:
     """Instantiate a decoy netlist inside a design.
 
-    Decoy inputs are fed from design inputs by ``default_input_map``, and
-    every other decoy name gets the prefix ``hp_``.  Each decoy output
-    is ORed into a control-adjacent site (flip-flop enable, MUX select, or an
-    output port) gated by a constant-0 net built from a two-gate chain, so
-    the design function is unchanged while the decoy acquires live-looking
-    fanout.  The result does not depend on ``p``, the decoy's derivation.
+    Each decoy input is the design input of the same name; every other decoy
+    name gets the prefix ``hp_``.  Each decoy output is ANDed with a
+    constant-0 net built from a two-gate chain and ORed into a design
+    flip-flop's enable, or into an output port if no design flip-flop has an
+    enable (sites taken in order, cycling), so the design function is
+    unchanged while the decoy acquires live-looking fanout.  A missing input
+    or a name the design already uses raises ``IntegrationError``.  The
+    result does not depend on ``p``, the decoy's derivation.
     """
     if not hp.ffs:
         raise IntegrationError("decoy netlist has no flip-flops")
-    input_map = dict(default_input_map(nl, hp))
+    for n in hp.inputs:
+        if n not in nl.inputs:
+            raise IntegrationError(f"design has no {n} input for the decoy")
 
-    def rename(net: str) -> str:
-        if net in input_map:
-            return input_map[net]
-        return f"hp_{net}"
+    def rename(net: Optional[str]) -> Optional[str]:
+        return net if net is None or net in hp.inputs else f"hp_{net}"
 
-    taken = (
-        set(nl.inputs)
-        | set(nl.constants)
-        | {g.out for g in nl.gates}
-        | {f.q for f in nl.ffs}
-        | {g.name for g in nl.gates}
-        | {f.name for f in nl.ffs}
-    )
-    gates = list(nl.gates)
+    # Constants are dict keys, so the merged Netlist cannot see a clash.
+    constants = {rename(n): v for n, v in hp.constants.items()}
+    if constants.keys() & nl.constants.keys():
+        raise IntegrationError("decoy constants collide with the design's")
+    constants = {**nl.constants, **constants}
+    gates = list(nl.gates) + [
+        Gate(f"hp_{g.name}", g.kind, rename(g.out), tuple(map(rename, g.ins))) for g in hp.gates
+    ]
     ffs = list(nl.ffs)
-    constants = dict(nl.constants)
-    hp_ffs = []
-    for net, val in hp.constants.items():
-        new = rename(net)
-        if new in taken:
-            raise IntegrationError(f"name collision on {new}")
-        constants[new] = val
-    for g in hp.gates:
-        name = f"hp_{g.name}"
-        out = rename(g.out)
-        if name in taken or out in taken:
-            raise IntegrationError(f"name collision on {name}/{out}")
-        gates.append(Gate(name, g.kind, out, tuple(rename(n) for n in g.ins)))
-    for f in hp.ffs:
-        name = f"hp_{f.name}"
-        q = rename(f.q)
-        if name in taken or q in taken:
-            raise IntegrationError(f"name collision on {name}/{q}")
-        ffs.append(
-            FlipFlop(
-                name,
-                q=q,
-                d=rename(f.d),
-                clk=rename(f.clk),
-                rst=rename(f.rst) if f.rst is not None else None,
-                rst_val=f.rst_val,
-                en=rename(f.en) if f.en is not None else None,
-            )
-        )
-        hp_ffs.append(name)
-
     outputs = list(nl.outputs)
-    hp_outs = [rename(n) for n in hp.outputs]
+    hp_ffs = [
+        replace(f, name=f"hp_{f.name}", q=rename(f.q), d=rename(f.d), clk=rename(f.clk),
+                rst=rename(f.rst), en=rename(f.en))
+        for f in hp.ffs
+    ]
 
-    if hp_outs:
+    if hp.outputs:
         # Constant-0 through a two-gate chain, so the gating fan-in looks live.
         zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
-        zn = Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,))
-        zero = Gate("hp_zero", "AND", "hp_zero_o", (zsrc, zn.out))
-        gates.extend([zn, zero])
-
-        # Control-adjacent sites first; output ports as a fallback.
-        sites: list[tuple] = []
-        for fi, f in enumerate(ffs):
-            if f.en is not None and not f.name.startswith("hp_"):
-                sites.append(("en", fi))
-        for gi, g in enumerate(gates):
-            if g.kind == "MUX" and not g.name.startswith("hp_"):
-                sites.append(("mux", gi))
-        if not sites:
-            sites = [("out", i) for i in range(len(outputs))]
-        if not sites:
-            raise IntegrationError("no attachment site available")
-
-        for i, h in enumerate(hp_outs):
-            gated = Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (h, zero.out))
-            gates.append(gated)
-            kind, idx = sites[i % len(sites)]
-            if kind == "en":
-                f = ffs[idx]
-                mix = Gate(f"hp_mix_{i}", "OR", f"hp_mix_{i}_o", (f.en, gated.out))
-                gates.append(mix)
-                ffs[idx] = replace(f, en=mix.out)
-            elif kind == "mux":
-                g = gates[idx]
-                mix = Gate(f"hp_mix_{i}", "OR", f"hp_mix_{i}_o", (g.ins[0], gated.out))
-                gates.append(mix)
-                gates[idx] = Gate(g.name, g.kind, g.out, (mix.out,) + g.ins[1:])
+        gates += [
+            Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,)),
+            Gate("hp_zero", "AND", "hp_zero_o", (zsrc, "hp_zn_o")),
+        ]
+        enabled = [i for i, f in enumerate(ffs) if f.en is not None]
+        if not enabled and not outputs:
+            raise IntegrationError("design has no flip-flop enable or output port")
+        for i, h in enumerate(hp.outputs):
+            mix = f"hp_mix_{i}_o"
+            if enabled:
+                j = enabled[i % len(enabled)]
+                site, ffs[j] = ffs[j].en, replace(ffs[j], en=mix)
             else:
-                mix = Gate(f"hp_mix_{i}", "OR", f"hp_mix_{i}_o", (outputs[idx], gated.out))
-                gates.append(mix)
-                outputs[idx] = mix.out
+                j = i % len(outputs)
+                site, outputs[j] = outputs[j], mix
+            gates += [
+                Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (rename(h), "hp_zero_o")),
+                Gate(f"hp_mix_{i}", "OR", mix, (site, f"hp_gate_{i}_o")),
+            ]
 
-    merged = Netlist(
-        name=nl.name,
-        inputs=nl.inputs,
-        outputs=tuple(outputs),
-        constants=constants,
-        gates=tuple(gates),
-        ffs=tuple(ffs),
-    )
-    return merged, frozenset(hp_ffs)
+    try:
+        merged = Netlist(nl.name, nl.inputs, outputs, constants, gates, ffs + hp_ffs)
+    except NetlistError as e:
+        raise IntegrationError(f"decoy collides with the design: {e}") from e
+    return merged, frozenset(f.name for f in hp_ffs)
 
 
 def build_decoy(
@@ -550,10 +486,6 @@ def build_decoy(
     hp_nl, _ = synthesize(derive_honeypot(base_hp, p), None, SynthOptions(name_prefix="fsm"))
     integrated, hp_ffs = integrate_honeypot(design_nl, hp_nl, p)
     return hp_nl, integrated, hp_ffs
-
-
-def gt_with_honeypots(gt: GroundTruth, hp_ffs) -> GroundTruth:
-    return replace(gt, honeypots=frozenset(hp_ffs))
 
 
 @dataclass
@@ -580,7 +512,6 @@ def tune_honeypot(
     design_sffs,
     base_hp: FsmSpec,
     p: HoneypotParams,
-    relic_params: RelicParams = RelicParams(),
     max_iters: int = 10,
     require_selection: bool = False,
 ) -> TuneReport:
@@ -605,7 +536,7 @@ def tune_honeypot(
     for i in range(max_iters):
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
         hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
-        table = zscores(integrated, relic_params, shapes=shapes)
+        table = zscores(integrated, shapes=shapes)
         report = tarjan_scc(build_ff_graph(integrated))
 
         def scc_max(members_of) -> float:

@@ -34,10 +34,10 @@ pre-matched count) scores a whole stack.
 Shape ids depend only on structure, so one shape table can score several
 netlists: ``obfuscate.tune_honeypot`` passes one table through ``zscores``
 for all of its candidates, and the similarities of the design's cones, which
-every candidate shares, are evaluated once per tuning run.  The matrix is
-cached on the netlist, next to its support and FF graph, and so is the
-z-score table, so ``zscores`` and ``relic_tarjan`` on one netlist build each
-once.
+every candidate shares, are evaluated once per tuning run.  The z-score
+table is cached on the netlist per ``RelicParams``, next to its support and
+FF graph, so ``zscores`` and ``relic_tarjan`` on one netlist build the
+similarity matrix once.
 """
 
 from __future__ import annotations
@@ -334,7 +334,6 @@ def _greedy_match_batch(sims: np.ndarray, start=0.0) -> np.ndarray:
 class SimilarityMatrix:
     ffs: tuple
     values: np.ndarray
-    depth_limit: int
 
 
 def similarity_matrix(
@@ -343,20 +342,14 @@ def similarity_matrix(
     """Pairwise cone similarity over all flip-flops, ordered by name.
 
     ``shapes`` is the shape table to score against (a fresh one by default).
-    Cached on the netlist per depth limit; ``values`` is read-only.
+    ``values`` is read-only.
     """
-    key = ("similarity", depth_limit)
-    cached = nl._cache.get(key)
-    if cached is not None:
-        return cached
     ffs = tuple(sorted(f.name for f in nl.ffs))
     table = _ShapeTable() if shapes is None else shapes
     cids = table.cone_ids(nl, [nl.ff_by_name(name).d for name in ffs], depth_limit)
     values = table.sims(cids, cids)
     values.flags.writeable = False
-    sm = SimilarityMatrix(ffs=ffs, values=values, depth_limit=depth_limit)
-    nl._cache[key] = sm
-    return sm
+    return SimilarityMatrix(ffs=ffs, values=values)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .batchsim import batch_step, compile_netlist
+from .graph import _bits, _net_support
 from .netlist import Netlist, reset_state
 
 
@@ -159,8 +160,6 @@ def extract_stg(
     ff_pos = {n: i for i, n in enumerate(ff_names)}
     warnings: list[str] = []
     tracked = list(sffs)
-
-    from .graph import _bits, _net_support
 
     support = _net_support(nl)
     reset_full = np.array([reset[n] & 1 for n in ff_names], dtype=np.uint8)

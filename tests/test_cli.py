@@ -179,6 +179,29 @@ def test_pipeline_plan_rejects_unknown_key(tmp_path, capsys, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "plan, key",
+    [
+        ({"attacks": "relic"}, "PipelinePlan.attacks"),
+        ({"attacks": ["relik"]}, "PipelinePlan.attacks"),
+        ({"encoding": "onehot"}, "PipelinePlan.encoding"),
+        ({"defense": {"fp_mode": "rc"}}, "DefensePlan.fp_mode"),
+        ({"defense": {"fp_target": -1}}, "DefensePlan.fp_target"),
+        ({"encoding": "one_hot", "defense": {"fp_mode": "ra", "fp_target": 99}},
+         "fp_target 99 is out of range 0..5"),
+    ],
+    ids=["attacks-string", "attacks-unknown", "encoding", "fp_mode", "fp_target-negative",
+         "fp_target-past-ra-range"],
+)
+def test_pipeline_plan_rejects_values_it_would_ignore(tmp_path, capsys, plan, key):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    code = run("pipeline", "--plan", str(plan_file), "--out", str(tmp_path / "run"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert run("synth", "--design", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err

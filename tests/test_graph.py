@@ -19,8 +19,7 @@ from fsmtrap.graph import (
     _tarjan,
 )
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import Gate, Netlist, parse, topo_gates
-from fsmtrap.obfuscate import HoneypotParams, build_decoy
+from fsmtrap.netlist import FlipFlop, Gate, Netlist, parse, topo_gates
 from fsmtrap.synth import (
     Counter,
     DatapathSpec,
@@ -494,19 +493,28 @@ def _attack_design(seed):
 
 
 def _mux_select_decoy():
-    """A decoy attached at MUX selects: the mix gate feeding each select is
-    listed after the MUX, so the gate list is not in topological order."""
+    """A hand-built decoy attached at MUX selects: each select is an OR mix
+    of a live net and a constant-0-gated decoy flip-flop, and the mix gates
+    are listed after the MUXes, so the gate list is not in topological order."""
     base = random_seq_netlist(3, n_ffs=6, n_gates=30)
     nets = [g.out for g in base.gates]
     muxes = tuple(
-        Gate(f"m{k}", "MUX", f"m{k}", (nets[5 * k], nets[5 * k + 1], nets[-1 - k]))
+        Gate(f"m{k}", "MUX", f"m{k}", (f"hp_mix_{k}_o", nets[5 * k + 1], nets[-1 - k]))
         for k in range(3)
     )
+    decoy = (
+        Gate("hp_d", "XOR", "hp_d_o", ("hp_st_q", "b")),
+        Gate("hp_zn", "NOT", "hp_zn_o", ("a",)),
+        Gate("hp_zero", "AND", "hp_zero_o", ("a", "hp_zn_o")),
+    )
+    mixes = []
+    for k in range(3):
+        mixes.append(Gate(f"hp_gate_{k}", "AND", f"hp_gate_{k}_o", ("hp_st_q", "hp_zero_o")))
+        mixes.append(Gate(f"hp_mix_{k}", "OR", f"hp_mix_{k}_o", (nets[5 * k], f"hp_gate_{k}_o")))
     ffs = tuple(replace(f, d=f"m{i % 3}") for i, f in enumerate(base.ffs))
-    design = Netlist("muxed", base.inputs, (), {}, base.gates + muxes, ffs)
-    fsm, _ = gen_benchmark(BenchmarkSpec(seed=0))
-    _, merged, _ = build_decoy(design, fsm, HoneypotParams())
-    return merged
+    hp_st = FlipFlop("hp_st", q="hp_st_q", d="hp_d_o", clk="clk", rst="rst")
+    gates = base.gates + muxes + decoy + tuple(mixes)
+    return Netlist("muxed", base.inputs, (), {}, gates, ffs + (hp_st,))
 
 
 def _reversed(nl):

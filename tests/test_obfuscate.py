@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from fsmtrap.graph import (
@@ -15,7 +17,6 @@ from fsmtrap.obfuscate import (
     ReplicationError,
     ReplicationPlan,
     RewriteError,
-    default_input_map,
     derive_honeypot,
     integrate_honeypot,
     replicate_counter,
@@ -381,6 +382,9 @@ def test_integration_maps_clk_rst():
     for f in merged.ffs:
         if f.name in hp_ffs:
             assert f.clk == "clk" and f.rst == "rst"
+    # Every decoy input is the design input of the same name.
+    read = {n for g in merged.gates if g.name.startswith("hp_") for n in g.ins}
+    assert read & set(merged.inputs) == {"a", "b"}
 
 
 def test_integration_rejects_empty_decoy():
@@ -392,11 +396,61 @@ def test_integration_rejects_empty_decoy():
 
 def test_integration_needs_design_clock_and_reset():
     hp_nl, _ = synthesize(hp_base(), None, SynthOptions(name_prefix="fsm"))
-    no_reset = parse("input clk\ninput a\ngate NOT g o a\noutput o\n")
-    with pytest.raises(IntegrationError, match="design has no rst input"):
-        default_input_map(no_reset, hp_nl)
+    no_reset = parse("input clk\ninput a\ninput b\ngate NOT g o a\noutput o\n")
     with pytest.raises(IntegrationError, match="design has no rst input"):
         integrate_honeypot(no_reset, hp_nl, HoneypotParams())
+    no_clock = parse("input rst\ninput a\ninput b\ngate NOT g o a\noutput o\n")
+    with pytest.raises(IntegrationError, match="design has no clk input"):
+        integrate_honeypot(no_clock, hp_nl, HoneypotParams())
+
+
+def test_integration_needs_each_decoy_input_by_name():
+    hp_nl, _ = synthesize(hp_base(), None, SynthOptions(name_prefix="fsm"))
+    no_b = parse("input clk\ninput rst\ninput a\ninput c\ngate NOT g o a\noutput o\n")
+    with pytest.raises(IntegrationError, match="design has no b input"):
+        integrate_honeypot(no_b, hp_nl, HoneypotParams())
+
+
+def test_integrating_twice_is_an_integration_error():
+    fsm = hp_base()
+    nl, _ = synthesize(fsm, DatapathSpec(counters=(Counter("c", 3, enable="out0"),)))
+    hp_nl, _ = synthesize(fsm, None, SynthOptions(name_prefix="fsm"))
+    once, _ = integrate_honeypot(nl, hp_nl, HoneypotParams())
+    with pytest.raises(IntegrationError, match="decoy collides with the design"):
+        integrate_honeypot(once, hp_nl, HoneypotParams())
+
+
+def test_integration_rejects_clashing_constants():
+    design = parse("input clk\ninput a\nconst hp_k 1\ngate AND g o a hp_k\noutput o\n")
+    decoy = parse("input clk\ninput a\nconst k 0\ngate XOR x n a k\ndff s q=sq d=n clk=clk\n")
+    with pytest.raises(IntegrationError, match="constants collide"):
+        integrate_honeypot(design, decoy, HoneypotParams())
+
+
+def test_integration_without_enables_attaches_to_output_ports():
+    fsm = hp_base()
+    # One output port for the decoy's two outputs.
+    one_port = replace(fsm, moore_outputs=tuple((s, o[:1]) for s, o in fsm.moore_outputs))
+    nl, _ = synthesize(one_port)
+    assert all(f.en is None for f in nl.ffs)
+    hp_nl, _ = synthesize(
+        derive_honeypot(fsm, HoneypotParams(mutation_seed=2, n_transition_mutations=2)),
+        None,
+        SynthOptions(name_prefix="fsm"),
+    )
+    merged, hp_ffs = integrate_honeypot(nl, hp_nl, HoneypotParams())
+    # One OR mix per decoy output, cycling over the design's output ports.
+    assert len(hp_nl.outputs) > len(nl.outputs)
+    ports = list(nl.outputs)
+    for i in range(len(hp_nl.outputs)):
+        mix = merged.driver[f"hp_mix_{i}_o"]
+        assert mix.kind == "OR" and mix.ins == (ports[i % len(ports)], f"hp_gate_{i}_o")
+        ports[i % len(ports)] = mix.out
+    assert merged.outputs == tuple(ports)
+    assert [f.en for f in merged.ffs if f.name not in hp_ffs] == [None] * len(nl.ffs)
+    from fsmtrap.harness import outputs_match
+
+    assert outputs_match(nl, merged)
 
 
 def test_tuner_bad_iters():
@@ -445,7 +499,7 @@ def _scored_alone(monkeypatch):
     import fsmtrap.obfuscate as obf
     from fsmtrap.relic import zscores
 
-    monkeypatch.setattr(obf, "zscores", lambda nl, params, shapes: zscores(nl, params))
+    monkeypatch.setattr(obf, "zscores", lambda nl, shapes: zscores(nl))
 
 
 @pytest.mark.parametrize("replicated", [False, True])

@@ -475,14 +475,10 @@ def test_cone_ids_match_input_cone_oracle_on_benchmarks(profile, monkeypatch):
     assert np.array_equal(similarity_matrix(nl).values, want)
 
 
-def test_similarity_matrix_cached_per_netlist_and_depth():
+def test_similarity_matrix_read_only_and_zscores_repeatable():
     fsm, dp = gen_benchmark(BenchmarkSpec(seed=4))
     nl, _ = synthesize(fsm, dp)
     sm = similarity_matrix(nl)
-    assert similarity_matrix(nl) is sm
-    shallow = similarity_matrix(nl, depth_limit=3)
-    assert shallow is not sm and shallow.depth_limit == 3
-    assert similarity_matrix(nl, depth_limit=3) is shallow
     assert not sm.values.flags.writeable
     with pytest.raises(ValueError):
         sm.values[0, 1] = 0.5

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -81,9 +82,7 @@ def test_missing_reset_rejected():
 def test_ground_truth_round_trip():
     fsm, dp = parse_design(DOC)
     _, gt = synthesize(fsm, dp)
-    from fsmtrap.obfuscate import gt_with_honeypots
-
-    gt = gt_with_honeypots(gt, {"hp_fsm_st0"})
+    gt = replace(gt, honeypots=frozenset({"hp_fsm_st0"}))
     text = ground_truth_text(gt)
     assert "sff u0_st0" in text
     assert "counter c u0_c_0" in text
