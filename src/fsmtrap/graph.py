@@ -119,10 +119,16 @@ class FfGraph:
     comb: dict
 
     @cached_property
+    def components(self) -> tuple:
+        """Every strongly connected component as a sorted tuple, in the
+        order ``_tarjan`` finds them; computed once per graph."""
+        return tuple(_tarjan(self))
+
+    @cached_property
     def on_cycle(self) -> frozenset:
         """FFs with a feedback path: a comb self-loop or a multi-member SCC."""
         cyclic = {n for n in self.nodes if n in self.comb.get(n, ())}
-        for comp in _tarjan(self):
+        for comp in self.components:
             if len(comp) > 1:
                 cyclic.update(comp)
         return frozenset(cyclic)
@@ -161,8 +167,9 @@ class SccReport:
 
 def tarjan_scc(g: FfGraph) -> SccReport:
     """Multi-member strongly connected components of the comb graph, ordered
-    by smallest member."""
-    comps = [c for c in _tarjan(g) if len(c) > 1]
+    by smallest member, in a new list per call (``g.components`` is
+    computed once)."""
+    comps = [c for c in g.components if len(c) > 1]
     comps.sort(key=lambda c: c[0])
     return SccReport(sccs=comps)
 

@@ -421,6 +421,11 @@ def apply_defense(
     if fp_mode == "rb":
         if plan.encoding == "one_hot":
             raise ObfuscationError("dummy-transition rewrite needs a binary design")
+        if d.fp_target >= len(bit_map):
+            raise RewriteError(
+                f"fp_target {d.fp_target} is out of range 0..{len(bit_map) - 1} "
+                "for the design's state bits"
+            )
         fsm_d, rb_report = rewrite_rb(fsm_d, d.fp_target)
         if rb_report.extended_encoding:
             bit_map[len(bit_map)] = bit_map[d.fp_target]

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .graph import FeedbackClass, classify_feedback, has_high_fp
 from .netlist import Gate, Netlist, NetlistError
-from .relic import _ShapeTable, select_scc_by_z, zscores
+from .relic import RelicParams, _ShapeTable, select_scc_by_z, zscores
 from .synth import (
     DatapathSpec,
     FsmSpec,
@@ -416,9 +416,10 @@ def integrate_honeypot(
     constant-0 net built from a two-gate chain and ORed into a design
     flip-flop's enable, or into an output port if no design flip-flop has an
     enable (sites taken in order, cycling), so the design function is
-    unchanged while the decoy acquires live-looking fanout.  A missing input
-    or a name the design already uses raises ``IntegrationError``.  The
-    result does not depend on ``p``, the decoy's derivation.
+    unchanged while the decoy acquires live-looking fanout.  A decoy with no
+    outputs, a missing input or a name the design already uses raises
+    ``IntegrationError``.  The result does not depend on ``p``, the decoy's
+    derivation.
     """
     if not hp.ffs:
         raise IntegrationError("decoy netlist has no flip-flops")
@@ -434,6 +435,8 @@ def integrate_honeypot(
     if constants.keys() & nl.constants.keys():
         raise IntegrationError("decoy constants collide with the design's")
     constants = {**nl.constants, **constants}
+    if not hp.outputs:
+        raise IntegrationError("decoy netlist has no outputs to attach")
     gates = list(nl.gates) + [
         Gate(f"hp_{g.name}", g.kind, rename(g.out), tuple(map(rename, g.ins))) for g in hp.gates
     ]
@@ -445,28 +448,27 @@ def integrate_honeypot(
         for f in hp.ffs
     ]
 
-    if hp.outputs:
-        # Constant-0 through a two-gate chain, so the gating fan-in looks live.
-        zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
+    # Constant-0 through a two-gate chain, so the gating fan-in looks live.
+    zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
+    gates += [
+        Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,)),
+        Gate("hp_zero", "AND", "hp_zero_o", (zsrc, "hp_zn_o")),
+    ]
+    enabled = [i for i, f in enumerate(ffs) if f.en is not None]
+    if not enabled and not outputs:
+        raise IntegrationError("design has no flip-flop enable or output port")
+    for i, h in enumerate(hp.outputs):
+        mix = f"hp_mix_{i}_o"
+        if enabled:
+            j = enabled[i % len(enabled)]
+            site, ffs[j] = ffs[j].en, replace(ffs[j], en=mix)
+        else:
+            j = i % len(outputs)
+            site, outputs[j] = outputs[j], mix
         gates += [
-            Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,)),
-            Gate("hp_zero", "AND", "hp_zero_o", (zsrc, "hp_zn_o")),
+            Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (rename(h), "hp_zero_o")),
+            Gate(f"hp_mix_{i}", "OR", mix, (site, f"hp_gate_{i}_o")),
         ]
-        enabled = [i for i, f in enumerate(ffs) if f.en is not None]
-        if not enabled and not outputs:
-            raise IntegrationError("design has no flip-flop enable or output port")
-        for i, h in enumerate(hp.outputs):
-            mix = f"hp_mix_{i}_o"
-            if enabled:
-                j = enabled[i % len(enabled)]
-                site, ffs[j] = ffs[j].en, replace(ffs[j], en=mix)
-            else:
-                j = i % len(outputs)
-                site, outputs[j] = outputs[j], mix
-            gates += [
-                Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (rename(h), "hp_zero_o")),
-                Gate(f"hp_mix_{i}", "OR", mix, (site, f"hp_gate_{i}_o")),
-            ]
 
     try:
         merged = Netlist(nl.name, nl.inputs, outputs, constants, gates, ffs + hp_ffs)
@@ -522,6 +524,10 @@ def tune_honeypot(
     Shape ids depend only on structure, so the design's cones, shared by all
     candidates, have their similarities evaluated once per call rather than
     once per candidate; the scores are those of scoring each candidate alone.
+    The design's FF D-cones are also interned once per call, so a candidate
+    interns only its decoy FFs' cones: integration never re-drives a design
+    net, and the decoy reaches the design only through ORs into FF enables
+    or output ports, which no D-cone contains.
 
     Returns the first success, else the best candidate with found=False.
     """
@@ -533,6 +539,7 @@ def tune_honeypot(
     best: Optional[TuneReport] = None
     best_margin = float("-inf")
     shapes = _ShapeTable()
+    shapes.carry_cones(design_nl, [f.d for f in design_nl.ffs], RelicParams().depth_limit)
     for i in range(max_iters):
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
         hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)

@@ -19,25 +19,30 @@ children.  Two shapes score exactly 1.0 iff they share a class (children
 listed in another order give another shape id but the same class), and the
 greedy match takes every 1.0 pair before any smaller one.  So children of one
 class are matched up front, and only the residual children, which share no
-class, go to the greedy match.
+class, go to the greedy match.  Each shape keeps its children's classes,
+their ranks within their class and the count per class, so the pre-match of
+a pair reads them instead of counting classes again.
 
 Pair similarities are filled bottom-up, not by recursion.  A walk down from
 the requested pairs pre-matches each pair's children by class, memoizes kind
-mismatches and pairs with no residual on one side at once, and buckets every
-other missing pair by (height, residual counts); it goes on only into
+mismatches, pairs of one class and pairs with no residual on one side at
+once, and buckets every other missing pair by height; it goes on only into
 residual x residual child pairs, which are lower than the pair itself.
-Buckets are evaluated in ascending height, each in stacks of equal-size
-residual matrices gathered from the memo, and one vectorized greedy match (an
-``argmax`` per round over every matrix of the stack, its sum started from the
-pre-matched count) scores a whole stack.
+Buckets are evaluated in ascending height, each in stacks of residual
+matrices gathered from the memo and padded with -inf to the stack's largest
+residual counts, and one vectorized greedy match (an ``argmax`` per round
+over every matrix of the stack, its sum started from the pre-matched count)
+scores a whole stack.
 
 Shape ids depend only on structure, so one shape table can score several
 netlists: ``obfuscate.tune_honeypot`` passes one table through ``zscores``
-for all of its candidates, and the similarities of the design's cones, which
-every candidate shares, are evaluated once per tuning run.  The z-score
-table is cached on the netlist per ``RelicParams``, next to its support and
-FF graph, so ``zscores`` and ``relic_tarjan`` on one netlist build the
-similarity matrix once.
+for all of its candidates, so the similarities of the design's cones, which
+every candidate shares, are evaluated once per tuning run, and it interns
+the design's FF D-cones once per run (``_ShapeTable.carry_cones``), so each
+candidate interns only its decoy's cones.  The z-score table is cached on
+the netlist per ``RelicParams``, next to its support and FF graph, so
+``zscores`` and ``relic_tarjan`` on one netlist build the similarity matrix
+once.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from .graph import (
     _bits,
     _net_support,
 )
-from .netlist import Netlist
+from .netlist import Gate, Netlist
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,14 @@ class _ShapeTable:
     Every shape also gets a class id, its kind plus the sorted class ids of
     its children: shapes whose children are the same up to order share a
     class, and two shapes score exactly 1.0 iff they share one (see
-    ``_fill``).  ``_fill`` evaluates the pairs a request needs bottom-up:
-    children of one class are matched up front, pairs with unmatched
-    children on both sides are bucketed by (height, residual row count,
-    residual column count), and every bucket is matched in stacks, one
-    vectorized greedy match per stack.
+    ``_fill``).  Each shape keeps its children's class data once: their
+    classes in child order, each child's rank among the earlier children of
+    its class, and the count per class, from which ``_residual`` reads the
+    children the class pre-match leaves over.  ``_fill`` evaluates the pairs
+    a request needs bottom-up: children of one class are matched up front,
+    pairs with unmatched children on both sides are bucketed by height, and
+    every bucket is matched in stacks padded to their largest residual
+    matrix, one vectorized greedy match per stack.
     """
 
     def __init__(self):
@@ -102,9 +110,15 @@ class _ShapeTable:
         self.nodes: list = []
         self.heights: list = []  # 0 for a leaf, else 1 + the largest child height
         self.classes: list = []  # class id per shape
+        # per shape: (child classes, child ranks within their class, count
+        # per child class), see ``_residual``
+        self.class_data: list = []
         # (smaller id, larger id) -> similarity, or while ``_fill`` runs the
         # (rows, columns) residual children of a pending pair
         self._memo: dict = {}
+        # (depth, net) -> shape id of a cone that every netlist scored on
+        # this table drives alike (see ``carry_cones``)
+        self._carried: dict = {}
 
     def intern(self, kind: str, child_ids: tuple) -> int:
         key = (kind, child_ids)
@@ -116,16 +130,43 @@ class _ShapeTable:
             heights = self.heights
             heights.append(1 + max(heights[c] for c in child_ids) if child_ids else 0)
             classes = self.classes
-            class_key = (kind, tuple(sorted(classes[c] for c in child_ids)))
+            child_classes = tuple(classes[c] for c in child_ids)
+            counts: dict = {}
+            ranks = []
+            for c in child_classes:
+                n = counts.get(c, 0)
+                ranks.append(n)
+                counts[c] = n + 1
+            self.class_data.append((child_classes, tuple(ranks), counts))
+            class_key = (kind, tuple(sorted(child_classes)))
             classes.append(self._class_ids.setdefault(class_key, len(self._class_ids)))
         return cid
 
     def cone_ids(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> list:
         """Shape id of each root net's depth-limited input cone, built
-        bottom-up from a per-call memo (see ``_intern_cone``)."""
+        bottom-up from a per-call memo (see ``_intern_cone``), or read from
+        the cones ``carry_cones`` interned."""
         depth = max(depth_limit, 0)
         memo = [{} for _ in range(depth + 1)]
-        return [_intern_cone(self, nl.driver, memo, net, depth)[2] for net in roots]
+        carried = self._carried
+        ids = []
+        for net in roots:
+            cid = carried.get((depth, net))
+            if cid is None:
+                cid = _intern_cone(self, nl.driver, memo, net, depth)[2]
+            ids.append(cid)
+        return ids
+
+    def carry_cones(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> None:
+        """Intern the cones of ``roots`` in ``nl`` once, so that ``cone_ids``
+        on a later netlist reads their ids instead of walking them again.
+
+        Valid only while every netlist scored on this table afterwards
+        drives each of these cones' nets as ``nl`` does.
+        """
+        depth = max(depth_limit, 0)
+        ids = self.cone_ids(nl, roots, depth_limit)
+        self._carried.update(zip([(depth, net) for net in roots], ids))
 
     def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
         """The len(ids_a) x len(ids_b) matrix of shape similarities, each
@@ -152,18 +193,25 @@ class _ShapeTable:
         before any smaller one, and the 1.0 entries are the child pairs of
         one class.  So a walk down from ``keys`` pre-matches each pair's
         children as the greedy would: rows in order, each taking the first
-        free column of its class.  The residual rows and columns left over
-        share no class.  The walk writes kind mismatches (0) at once, and so
-        pairs with no residual on one side (``(1 + matched) / (1 + max child
-        count)``: a leaf against a gate, or two shapes of one class, 1.0).
-        Every other missing pair is marked pending with its residual
-        children, in a bucket keyed by the larger of the two heights and the
-        residual counts (r_a, r_b), and the walk goes on only into its
-        residual x residual child pairs.  Child pairs are lower than their
-        pair, so buckets evaluated in ascending height find every child
-        similarity memoized.  A stack's greedy match starts its sums from the
-        pre-matched counts, the exact sums of the 1.0 picks, so it adds in
-        the order of a greedy match over the whole child matrix.
+        free column of its class (``_residual``).  The residual rows and
+        columns left over share no class.  The walk writes kind mismatches
+        (0) and pairs of one class (1.0: every child pre-matched) at once,
+        and so pairs with no residual on one side (``(1 + matched) / (1 +
+        max child count)``, such as a leaf against a gate).  Every other
+        missing pair is marked pending with its residual children, in a
+        bucket keyed by the larger of the two heights, and the walk goes on
+        only into its residual x residual child pairs.  Child pairs are
+        lower than their pair, so buckets evaluated in ascending height find
+        every child similarity memoized.
+
+        A bucket's pairs, sorted by residual counts (r_a, r_b), are cut into
+        chunks of at most ``MAX_STACK`` entries once each matrix is padded
+        to the chunk's largest r_a and r_b.  The padding is -inf, so the
+        greedy never picks it while a real entry is free, and every
+        matrix's real picks keep their row-major first-max order; a pick of
+        -inf adds exactly 0.0.  A stack's greedy match starts its sums from
+        the pre-matched counts, the exact sums of the 1.0 picks, so it adds
+        in the order of a greedy match over the whole child matrix.
 
         Why 1.0 means one class also in floating point: two shapes of one
         class score exactly 1.0, since every child is pre-matched and a sum
@@ -178,6 +226,7 @@ class _ShapeTable:
         nodes = self.nodes
         heights = self.heights
         classes = self.classes
+        class_data = self.class_data
         buckets: dict = {}
         todo = [key for key in keys if key not in memo]
         while todo:
@@ -190,22 +239,31 @@ class _ShapeTable:
             if kind_a != kind_b:
                 memo[key] = 0.0
                 continue
-            res_a, res_b = _residual(ch_a, ch_b, classes)
+            if classes[ca] == classes[cb]:
+                memo[key] = 1.0
+                continue
+            res_a, res_b = _residual(ch_a, ch_b, class_data[ca], class_data[cb])
             if not res_a or not res_b:
                 matched = len(ch_a) - len(res_a)
                 memo[key] = (1.0 + matched) / (1.0 + max(len(ch_a), len(ch_b)))
                 continue
             memo[key] = (res_a, res_b)
-            bucket = (max(heights[ca], heights[cb]), len(res_a), len(res_b))
-            buckets.setdefault(bucket, []).append(key)
+            buckets.setdefault(max(heights[ca], heights[cb]), []).append(key)
             for x in set(res_a):
                 for y in set(res_b):
                     child = (x, y) if x < y else (y, x)
                     if child not in memo:
                         todo.append(child)
-        for (_, r_a, r_b), pairs in sorted(buckets.items()):
-            per_stack = max(1, MAX_STACK // (r_a * r_b))
-            chunks = [pairs[lo : lo + per_stack] for lo in range(0, len(pairs), per_stack)]
+        for height in sorted(buckets):
+            sized = sorted((len(memo[key][0]), len(memo[key][1]), key) for key in buckets[height])
+            chunks = [[]]
+            top_a = top_b = 0
+            for r_a, r_b, key in sized:
+                top_a, top_b = max(top_a, r_a), max(top_b, r_b)
+                if chunks[-1] and (len(chunks[-1]) + 1) * top_a * top_b > MAX_STACK:
+                    chunks.append([])
+                    top_a, top_b = r_a, r_b
+                chunks[-1].append(key)
             while chunks:
                 chunk = chunks.pop()
                 stack = self._gather(chunk)
@@ -213,16 +271,19 @@ class _ShapeTable:
                     half = len(chunk) // 2
                     chunks += [chunk[:half], chunk[half:]]
                     continue
-                counts = np.array([(len(nodes[ca][1]), len(nodes[cb][1])) for ca, cb in chunk])
-                matched = _greedy_match_batch(stack, counts[:, 0] - r_a)
-                values = (1.0 + matched) / (1.0 + counts.max(axis=1))
+                counts = np.array(
+                    [(len(nodes[a][1]), len(nodes[b][1]), len(memo[a, b][0])) for a, b in chunk]
+                )
+                matched = _greedy_match_batch(stack, counts[:, 0] - counts[:, 2])
+                values = (1.0 + matched) / (1.0 + counts[:, :2].max(axis=1))
                 memo.update(zip(chunk, values.tolist()))
 
     def _gather(self, pairs: Sequence[tuple]) -> Optional[np.ndarray]:
         """The (len(pairs), r_a, r_b) stack of residual child similarity
-        matrices of pending pairs with equal residual counts, read from the
-        memo through a lookup over the distinct residual child shapes of the
-        rows and of the columns.
+        matrices of pending pairs, each padded with -inf to the largest
+        residual row count r_a and column count r_b among them, read from
+        the memo through a lookup over the distinct residual child shapes
+        of the rows and of the columns.
 
         None if that lookup would hold more than ``MAX_STACK`` entries and
         the pairs can be split; one pair's lookup is never larger than its
@@ -237,41 +298,35 @@ class _ShapeTable:
             return None
         # Child pairs that no matrix reads may be missing (or equal); they
         # become NaN and are never gathered.  Every child pair is lower than
-        # the stack's pairs, so none is pending.
-        lookup = np.array(
-            [[memo.get((x, y) if x < y else (y, x)) for y in ub] for x in ua],
-            dtype=float,
-        )
+        # the stack's pairs, so none is pending.  The last row and column
+        # are the -inf padding.
+        lookup = np.full((len(ua) + 1, len(ub) + 1), -np.inf)
+        lookup[:-1, :-1] = [[memo.get((x, y) if x < y else (y, x)) for y in ub] for x in ua]
         row_of = {x: i for i, x in enumerate(ua)}
         col_of = {y: j for j, y in enumerate(ub)}
-        rows = np.array([[row_of[x] for x in ch] for ch in rows_of], dtype=np.intp)
-        cols = np.array([[col_of[y] for y in ch] for ch in cols_of], dtype=np.intp)
+        pad_a = [len(ua)] * max(map(len, rows_of))
+        pad_b = [len(ub)] * max(map(len, cols_of))
+        rows = np.array(
+            [[row_of[x] for x in ch] + pad_a[len(ch) :] for ch in rows_of], dtype=np.intp
+        )
+        cols = np.array(
+            [[col_of[y] for y in ch] + pad_b[len(ch) :] for ch in cols_of], dtype=np.intp
+        )
         return lookup[rows[:, :, None], cols[:, None, :]]
 
 
-def _residual(ch_a: tuple, ch_b: tuple, classes: list) -> tuple:
+def _residual(ch_a: tuple, ch_b: tuple, data_a: tuple, data_b: tuple) -> tuple:
     """The children of ``ch_a`` and of ``ch_b`` (in order) that the greedy
     match does not pair with a child of their own class: per class, all but
-    the first min(count in ch_a, count in ch_b) on each side."""
-    cls_a = [classes[x] for x in ch_a]
-    cls_b = [classes[y] for y in ch_b]
-    left_a = Counter(cls_a)
-    left_b = Counter(cls_b)
-    res_a = []
-    for x, c in zip(ch_a, cls_a):
-        n = left_b.get(c)
-        if n:
-            left_b[c] = n - 1
-        else:
-            res_a.append(x)
-    res_b = []
-    for y, c in zip(ch_b, cls_b):
-        n = left_a.get(c)
-        if n:
-            left_a[c] = n - 1
-        else:
-            res_b.append(y)
-    return tuple(res_a), tuple(res_b)
+    the first min(count in ch_a, count in ch_b) on each side.  ``data_a``
+    and ``data_b`` are the shapes' ``_ShapeTable.class_data`` entries."""
+    cls_a, rank_a, count_a = data_a
+    cls_b, rank_b, count_b = data_b
+    get_a = count_a.get
+    get_b = count_b.get
+    res_a = tuple([x for x, c, r in zip(ch_a, cls_a, rank_a) if r >= get_b(c, 0)])
+    res_b = tuple([y for y, c, r in zip(ch_b, cls_b, rank_b) if r >= get_a(c, 0)])
+    return res_a, res_b
 
 
 def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: int) -> tuple:
@@ -280,41 +335,44 @@ def _intern_cone(table: _ShapeTable, driver: dict, memo: list, net: str, depth: 
 
     The cone stops at PIs, FF Qs, constants and the depth limit; BUFs are
     transparent and take no depth.  ``memo[depth]`` maps nets to their
-    entries.  Children sort by (kind, net); equal (kind, net) at one depth
-    means equal shape.
+    entries; a gate looks its inputs up there before walking them.
+    Children sort by (kind, net); equal (kind, net) at one depth means
+    equal shape.
     """
     level = memo[depth]
     hit = level.get(net)
     if hit is not None:
         return hit
     drv = driver[net]
-    if drv == "input":
-        entry = ("PI", net, table.intern("PI", ()))
-    elif drv == "const":
-        entry = ("CONST", net, table.intern("CONST", ()))
-    elif hasattr(drv, "q"):
-        entry = ("FF", net, table.intern("FF", ()))
+    if drv.__class__ is not Gate:
+        kind = "PI" if drv == "input" else "CONST" if drv == "const" else "FF"
+        entry = (kind, net, table.intern(kind, ()))
     elif drv.kind == "BUF":
         entry = _intern_cone(table, driver, memo, drv.ins[0], depth)
     elif depth == 0:
         entry = (drv.kind, net, table.intern(drv.kind, ()))
     else:
-        children = sorted(_intern_cone(table, driver, memo, n, depth - 1) for n in drv.ins)
-        entry = (drv.kind, net, table.intern(drv.kind, tuple(c[2] for c in children)))
+        below = memo[depth - 1]
+        children = sorted(
+            [below.get(n) or _intern_cone(table, driver, memo, n, depth - 1) for n in drv.ins]
+        )
+        entry = (drv.kind, net, table.intern(drv.kind, tuple([c[2] for c in children])))
     level[net] = entry
     return entry
 
 
 def _greedy_match_batch(sims: np.ndarray, start=0.0) -> np.ndarray:
     """Per (k_a, k_b) matrix of the (B, k_a, k_b) stack ``sims`` (values in
-    [0, 1], may be overwritten), ``start`` (a scalar or one value per
-    matrix) plus the greedily matched similarities: take the largest entry
-    whose row and column are both free, the first in row-major order among
-    equals.
+    [0, 1], or -inf for padding; may be overwritten), ``start`` (a scalar or
+    one value per matrix) plus the greedily matched similarities: take the
+    largest entry whose row and column are both free, the first in
+    row-major order among equals.
 
     Every round takes each matrix's ``argmax`` over its flattened entries,
     the first maximum in row-major order, adds it, and masks its row and
     column with -inf, so the picks and their sums are made in that order.
+    A matrix with no free entry left picks -inf, which adds exactly 0.0; the
+    rounds stop once every matrix does.
     """
     n, k_a, k_b = sims.shape
     flat = sims.reshape(n, k_a * k_b)
@@ -323,7 +381,10 @@ def _greedy_match_batch(sims: np.ndarray, start=0.0) -> np.ndarray:
     matched = np.full(n, start, dtype=float)
     for _ in range(min(k_a, k_b)):
         pick = flat.argmax(axis=1)
-        matched += flat[which, pick]
+        best = flat[which, pick]
+        if best.max() == -np.inf:
+            break
+        matched += np.maximum(best, 0.0)
         rows, cols = np.divmod(pick, k_b)
         grid[which, rows, :] = -np.inf
         grid[which, :, cols] = -np.inf

@@ -189,9 +189,13 @@ def test_pipeline_plan_rejects_unknown_key(tmp_path, capsys, key):
         ({"defense": {"fp_target": -1}}, "DefensePlan.fp_target"),
         ({"encoding": "one_hot", "defense": {"fp_mode": "ra", "fp_target": 99}},
          "fp_target 99 is out of range 0..5"),
+        ({"defense": {"fp_mode": "rb", "fp_target": 99}}, "fp_target 99 is out of range 0..2"),
+        ({"defense": {"fp_mode": "rb", "fp_target": 9, "replicate_r": 2}},
+         "fp_target 9 is out of range 0..8"),
     ],
     ids=["attacks-string", "attacks-unknown", "encoding", "fp_mode", "fp_target-negative",
-         "fp_target-past-ra-range"],
+         "fp_target-past-ra-range", "fp_target-past-rb-range",
+         "fp_target-past-replicated-rb-range"],
 )
 def test_pipeline_plan_rejects_values_it_would_ignore(tmp_path, capsys, plan, key):
     plan_file = tmp_path / "plan.json"

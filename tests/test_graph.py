@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,51 @@ def test_tarjan_matches_closure_oracle_on_200_digraphs():
         assert multi.sccs == sorted(
             [c for c in expected if len(c) > 1], key=lambda c: c[0]
         )
+
+
+def test_one_scc_pass_per_netlist_in_the_attack_recipe(monkeypatch):
+    # The recipe asks for components four times on one netlist: its own
+    # ``tarjan_scc``, ``zscores`` (``on_cycle``), ``relic_tarjan`` and
+    # ``topo_attack``'s split.  One Tarjan pass must serve all of them.
+    import fsmtrap.graph as graph_mod
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import recipes
+    from tracing import NullTracer
+
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
+    graphs = []
+    tarjan = graph_mod._tarjan
+
+    def counting(g):
+        graphs.append(g)
+        return tarjan(g)
+
+    monkeypatch.setattr(graph_mod, "_tarjan", counting)
+    built = []
+    build = recipes.build_ff_graph
+    monkeypatch.setattr(recipes, "build_ff_graph", lambda nl: built.append(nl) or build(nl))
+    digest = recipes.attack(NullTracer(), fsm, dp)
+    assert digest["relic"][1] == 1.0 and digest["topo"][1] == 1.0
+    assert len(built) == 1
+    assert graphs == [build_ff_graph(built[0])]
+
+
+def test_tarjan_scc_hands_out_fresh_lists():
+    nl = parse(
+        "input clk\n"
+        "gate BUF b0 n0 f1_q\n"
+        "gate BUF b1 n1 f0_q\n"
+        "dff f0 q=f0_q d=n0 clk=clk\n"
+        "dff f1 q=f1_q d=n1 clk=clk\n"
+    )
+    g = build_ff_graph(nl)
+    first = tarjan_scc(g)
+    first.sccs.append(("x",))
+    first.sccs.pop(0)
+    second = tarjan_scc(g)
+    assert second.sccs == [("f0", "f1")] and second.sccs is not first.sccs
+    assert g.on_cycle == frozenset({"f0", "f1"})
 
 
 def test_scc_invariants_on_synthesized_design():

@@ -8,6 +8,7 @@ from fsmtrap.harness import (
     DefensePlan,
     InfeasibleProfileError,
     PipelinePlan,
+    apply_defense,
     comb_depth,
     gate_area,
     gen_benchmark,
@@ -18,13 +19,14 @@ from fsmtrap.harness import (
 from fsmtrap.netlist import Netlist, parse
 from fsmtrap.obfuscate import (
     HoneypotParams,
+    IntegrationError,
     ObfuscationError,
     build_decoy,
     derive_honeypot,
     integrate_honeypot,
 )
 from fsmtrap.specio import design_text, parse_ground_truth
-from fsmtrap.synth import SynthOptions, synthesize
+from fsmtrap.synth import SynthOptions, make_fsm, synthesize
 from fsmtrap.topo import TopoParams
 
 
@@ -150,6 +152,22 @@ def test_outputs_match_next_state_with_and_without_enable():
     assert not outputs_match(base, d_changed)
     assert not outputs_match(base, no_enable)
     assert not outputs_match(base, renamed)
+
+
+@pytest.mark.parametrize("tune", [False, True], ids=["untuned", "tuned"])
+def test_apply_defense_rejects_a_decoy_without_outputs(tune):
+    # An FSM without Moore outputs and no output mutation derives a decoy
+    # with nothing to attach to the design.
+    fsm = make_fsm(
+        "m", ["S0", "S1", "S2"], ["a", "b"], "S0",
+        [("S0", {"a": 1}, "S1"), ("S1", {"a": 1}, "S2"), ("S2", {"b": 1}, "S0")],
+    )
+    nl, gt = synthesize(fsm)
+    plan = PipelinePlan(
+        defense=DefensePlan(honeypot=True, honeypot_tune=tune, honeypot_output_mutations=0)
+    )
+    with pytest.raises(IntegrationError, match="decoy netlist has no outputs"):
+        apply_defense(fsm, None, nl, gt, plan)
 
 
 def test_pipeline_baseline_only(tmp_path):

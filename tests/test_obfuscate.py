@@ -394,6 +394,20 @@ def test_integration_rejects_empty_decoy():
         integrate_honeypot(nl, empty, HoneypotParams())
 
 
+def test_integration_rejects_decoy_without_outputs():
+    # Without outputs the decoy would have no fanout into the design at all.
+    fsm = replace(hp_base(), moore_outputs=None)
+    nl, _ = synthesize(hp_base())
+    hp_nl, _ = synthesize(
+        derive_honeypot(fsm, HoneypotParams(n_output_mutations=0)),
+        None,
+        SynthOptions(name_prefix="fsm"),
+    )
+    assert hp_nl.ffs and not hp_nl.outputs
+    with pytest.raises(IntegrationError, match="decoy netlist has no outputs"):
+        integrate_honeypot(nl, hp_nl, HoneypotParams())
+
+
 def test_integration_needs_design_clock_and_reset():
     hp_nl, _ = synthesize(hp_base(), None, SynthOptions(name_prefix="fsm"))
     no_reset = parse("input clk\ninput a\ninput b\ngate NOT g o a\noutput o\n")
@@ -474,10 +488,18 @@ def test_tuner_reports_margins_and_determinism():
     assert all(i.hp_scc_max is not None for i in a.iterations)
 
 
+def _tiny_fsm():
+    """One state bit; its output gives a decoy copy a site to attach at."""
+    return make_fsm(
+        "t", ["A", "B"], ["x"], "A", [("A", {"x": 1}, "B"), ("B", {"x": 1}, "A")],
+        moore_outputs={"A": "0", "B": "1"},
+    )
+
+
 def test_tuner_small_fsm_can_fail_with_flag():
     # A single-bit decoy copied from a single-bit design ties every score:
     # no strict win is possible and the tuner must report failure.
-    tiny = make_fsm("t", ["A", "B"], ["x"], "A", [("A", {"x": 1}, "B"), ("B", {"x": 1}, "A")])
+    tiny = _tiny_fsm()
     nl, gt = synthesize(tiny)
     p = HoneypotParams(n_transition_mutations=0, n_output_mutations=0)
     report = tune_honeypot(nl, gt.sffs, tiny, p, max_iters=2)
@@ -527,6 +549,49 @@ def test_tuner_shared_shape_table_scores_like_fresh_tables(monkeypatch, replicat
     assert za.scores == zb.scores
     assert za.raw_features == zb.raw_features
     assert za.z_features == zb.z_features
+
+
+@pytest.mark.parametrize(
+    "design, r",
+    [("defend", 0), ("defend", 2), (0, 0), (3, 2), (6, 2), (9, 2), ("tiny", 0)],
+    ids=["defend", "defend-r2", "seed0", "seed3-r2", "seed6-r2", "seed9-r2", "tiny"],
+)
+def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
+    # tune_honeypot interns the design's D-cones once per call; on every
+    # candidate the ids read back must be the ids a fresh walk of the
+    # integrated netlist interns into the same table.  The designs are
+    # those the tuner and pipeline tests tune.
+    import fsmtrap.obfuscate as obf
+    from fsmtrap.harness import BenchmarkSpec, gen_benchmark
+    from fsmtrap.relic import RelicParams, zscores
+
+    if design == "tiny":
+        fsm, dp = _tiny_fsm(), None
+    elif design == "defend":
+        fsm, dp = _defend_design()
+    else:
+        fsm, dp = gen_benchmark(BenchmarkSpec(seed=design))
+    nl, gt = synthesize(replicate_state_bits(fsm, ReplicationPlan(r)) if r else fsm, dp)
+    scored = []
+
+    def spy(integrated, shapes):
+        scored.append((integrated, shapes))
+        return zscores(integrated, shapes=shapes)
+
+    monkeypatch.setattr(obf, "zscores", spy)
+    p = HoneypotParams(n_transition_mutations=0 if design == "tiny" else 2)
+    report = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10)
+    assert len(scored) == len(report.iterations)
+    depth = RelicParams().depth_limit
+    design_roots = {(depth, f.d) for f in nl.ffs}
+    for integrated, shapes in scored:
+        assert set(shapes._carried) == design_roots
+        roots = [f.d for f in integrated.ffs]
+        reused = shapes.cone_ids(integrated, roots, depth)
+        carried, shapes._carried = shapes._carried, {}
+        walked = shapes.cone_ids(integrated, roots, depth)
+        shapes._carried = carried
+        assert reused == walked
 
 
 def test_tuner_builds_one_shape_table_per_call(monkeypatch):

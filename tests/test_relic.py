@@ -190,16 +190,17 @@ def test_similarity_matrix_equals_all_pairs_reference(profile):
     assert np.array_equal(similarity_matrix(nl).values, _reference_matrix(nl))
 
 
-def _reference_greedy(sims: np.ndarray) -> float:
+def _reference_greedy(sims: np.ndarray, start: float = 0.0) -> float:
     """Oracle: the scalar greedy match, one stable sort of the negated matrix
-    scanned for the first entry whose row and column are both free."""
+    scanned for the first entry whose row and column are both free, its sum
+    started from ``start``."""
     k_a, k_b = sims.shape
     order = np.argsort(-sims, axis=None, kind="stable")
     rows, cols = np.divmod(order, k_b)
     row_free = [True] * k_a
     col_free = [True] * k_b
     left = min(k_a, k_b)
-    matched = 0.0
+    matched = float(start)
     for i, j, v in zip(rows.tolist(), cols.tolist(), sims.ravel()[order].tolist()):
         if row_free[i] and col_free[j]:
             matched += v
@@ -259,6 +260,65 @@ def test_greedy_match_batch_start_equals_full_matrix_reference(pool):
             want.append(_reference_greedy(full))
         got = _greedy_match_batch(residual.copy(), starts)
         assert got.tolist() == want, (r_a, r_b, starts)
+
+
+@pytest.mark.parametrize("pool", ["ties", "uniform"])
+def test_greedy_match_batch_padded_stack_equals_per_matrix(pool):
+    # Matrices of mixed residual sizes padded with -inf to the stack's
+    # largest (r_a, r_b): each sum must be bit for bit the sum of its own
+    # matrix matched alone, started from the same pre-matched count.
+    rng = np.random.default_rng(13)
+    ties = np.array([0.0, 1 / 3, 0.25, 0.5, 1.0])
+    for trial in range(80):
+        n = int(rng.integers(1, 9))
+        sizes = [tuple(int(x) for x in rng.integers(1, 14, size=2)) for _ in range(n)]
+        if trial % 4 == 0:
+            sizes[0] = (1, 1)
+        starts = rng.integers(0, 6, size=n)
+        if pool == "ties":
+            mats = [rng.choice(ties, size=size) for size in sizes]
+        else:
+            mats = [rng.random(size) for size in sizes]
+        top_a = max(r_a for r_a, _ in sizes)
+        top_b = max(r_b for _, r_b in sizes)
+        stack = np.full((n, top_a, top_b), -np.inf)
+        for i, m in enumerate(mats):
+            stack[i, : m.shape[0], : m.shape[1]] = m
+        got = _greedy_match_batch(stack, starts).tolist()
+        alone = [_greedy_match_batch(m[None].copy(), s)[0] for m, s in zip(mats, starts.tolist())]
+        want = [_reference_greedy(m, s) for m, s in zip(mats, starts.tolist())]
+        assert got == alone == want, sizes
+
+
+def test_fill_matches_one_padded_stack_per_height(monkeypatch):
+    # Three pending pairs of height 2 with residuals (1, 2), (2, 1) and
+    # (2, 3): one greedy call over a (3, 2, 3) stack, each matrix padded
+    # with -inf, each value equal to the reference.  Their five pending
+    # child pairs (1 x 1 residuals) make one stack of height 1 before it.
+    table = _ShapeTable()
+    pi, ff, const = (table.intern(k, ()) for k in ("PI", "FF", "CONST"))
+    mids = [table.intern(k, c) for k in ("AND", "OR") for c in ((pi, ff), (pi, const), (ff, const))]
+    and_pf, and_pc, and_fc, or_pf, or_pc, or_fc = mids
+    pairs = [
+        (table.intern("XOR", (and_pf,)), table.intern("XOR", (and_pc, and_fc))),
+        (table.intern("XOR", (or_pf, or_pc)), table.intern("XOR", (or_fc,))),
+        (table.intern("NAND", (and_pf, or_pf)), table.intern("NAND", (and_pc, or_pc, and_fc))),
+    ]
+    stacks = []
+    greedy = relic_mod._greedy_match_batch
+
+    def spy(sims, start=0.0):
+        stacks.append(sims.copy())
+        return greedy(sims, start)
+
+    monkeypatch.setattr(relic_mod, "_greedy_match_batch", spy)
+    table._fill([(a, b) if a < b else (b, a) for a, b in pairs])
+    assert [s.shape for s in stacks] == [(5, 1, 1), (3, 2, 3)]
+    assert sorted(int(np.isinf(m).sum()) for m in stacks[1]) == [0, 4, 4]
+    assert _no_pending(table)
+    memo: dict = {}
+    for a, b in pairs:
+        assert table.sim(a, b) == _reference_sim(table.nodes, a, b, memo)
 
 
 def test_prematch_pairs_one_class_and_matches_the_residual(monkeypatch):
