@@ -1,33 +1,38 @@
-"""Netlist evaluation over batches of vectors, one Python int per net.
+"""Netlist evaluation over batches of vectors, one Python int per row.
 
 State-transition-graph extraction and functional-equivalence checks evaluate
 the same combinational network over many vectors; this module compiles a
 netlist into a flat gate program once and propagates a whole batch with one
-interpreted loop.  The kernel holds one Python int per net; bit j of every
-int is vector j, so every gate is a few int operations over the whole batch.
-A constant-1 net and an inverted gate output use the batch's all-ones
-``mask`` (``(1 << n) - 1``), which keeps every value in ``[0, mask]``.
-Callers pass and receive 0/1 ``uint8`` matrices with one column per vector;
+interpreted loop.  Compilation hash-conses the program, as logic tools'
+structural hashing does: a BUF output shares its input's row, and gates of
+one kind over the same input rows (in any order, except a MUX's) share one
+row, so each distinct gate is evaluated once however many nets it drives.
+The kernel holds one Python int per row; bit j of every int is vector j, so
+every gate is a few int operations over the whole batch.  A constant-1 net
+and an inverted gate output use the batch's all-ones ``mask``
+(``(1 << n) - 1``), which keeps every value in ``[0, mask]``.  Callers pass
+and receive 0/1 ``uint8`` matrices with one column per vector;
 ``batch_step`` and ``eval_outputs`` pack on the way in and unpack on the way
 out.  ``stg.extract_stg`` steps one BFS level (every frontier state under
-every input vector) per ``batch_step`` call.
+every input vector) per ``batch_step`` call, on a program cut to the
+sequential cone of the flip-flops it tracks (``_restrict``).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .netlist import Netlist, topo_gates
 
 # Per gate kind: the int operation folded over its inputs (None for MUX) and
-# whether the result is then inverted.  NOT and BUF have one input, so their
-# fold never runs.
+# whether the result is then inverted.  NOT has one input, so its fold never
+# runs; BUF compiles to no gate at all.
 _KIND = {
     "NOT": (operator.and_, True),
-    "BUF": (operator.and_, False),
     "AND": (operator.and_, False),
     "OR": (operator.or_, False),
     "NAND": (operator.and_, True),
@@ -40,15 +45,15 @@ _KIND = {
 
 @dataclass(eq=False)
 class CompiledNetlist:
-    """Flat form of a netlist: a gate program in topological order."""
+    """Flat form of a netlist: a hash-consed gate program in topological
+    order over ``n_rows`` value rows."""
 
-    nl: Netlist
-    net_index: dict
-    n_nets: int
-    gates: tuple  # (fold, inverted, output row, input rows) per gate, topological
+    net_index: dict  # net -> its row; nets with the same function may share one
+    n_rows: int
+    gates: tuple  # (fold, inverted, output row, input rows) per distinct gate, topological
     pi_rows: tuple
     one_rows: tuple  # rows of constant-1 nets
-    q_rows: tuple
+    q_rows: tuple  # one per FF, in the netlist's FF order
     ff_rows: tuple  # (d row, q row, enable row or None) per FF
 
     def row(self, net: str) -> int:
@@ -59,39 +64,28 @@ def compile_netlist(nl: Netlist) -> CompiledNetlist:
     cached = nl._cache.get("compiled")
     if cached is not None:
         return cached
-    order = topo_gates(nl)
-    net_index: dict[str, int] = {}
-
-    def idx(net: str) -> int:
-        i = net_index.get(net)
-        if i is None:
-            i = len(net_index)
-            net_index[net] = i
-        return i
-
-    for n in nl.inputs:
-        idx(n)
-    for n in nl.constants:
-        idx(n)
-    for f in nl.ffs:
-        idx(f.q)
-    for g in order:
-        for n in g.ins:
-            idx(n)
-        idx(g.out)
-    for f in nl.ffs:
-        idx(f.d)
-        if f.en is not None:
-            idx(f.en)
+    # PIs, constants and q nets get a row each; a gate gets a new row only
+    # if no earlier gate has its kind and input rows.
+    sources = [*nl.inputs, *nl.constants, *(f.q for f in nl.ffs)]
+    net_index = {n: i for i, n in enumerate(sources)}
+    rows_of: dict = {}  # (kind, input rows) -> output row
+    gates = []
+    for g in topo_gates(nl):
+        ins = tuple(map(net_index.__getitem__, g.ins))
+        if g.kind == "BUF":
+            net_index[g.out] = ins[0]
+            continue
+        key = (g.kind, ins if g.kind == "MUX" else tuple(sorted(ins)))
+        row = rows_of.get(key)
+        if row is None:
+            row = rows_of[key] = len(sources) + len(gates)
+            gates.append((*_KIND[g.kind], row, key[1]))
+        net_index[g.out] = row
 
     cn = CompiledNetlist(
-        nl=nl,
         net_index=net_index,
-        n_nets=len(net_index),
-        gates=tuple(
-            (*_KIND[g.kind], net_index[g.out], tuple(net_index[n] for n in g.ins))
-            for g in order
-        ),
+        n_rows=len(sources) + len(gates),
+        gates=tuple(gates),
         pi_rows=tuple(net_index[n] for n in nl.inputs),
         one_rows=tuple(net_index[n] for n, v in nl.constants.items() if v & 1),
         q_rows=tuple(net_index[f.q] for f in nl.ffs),
@@ -102,6 +96,28 @@ def compile_netlist(nl: Netlist) -> CompiledNetlist:
     )
     nl._cache["compiled"] = cn
     return cn
+
+
+def _restrict(cn: CompiledNetlist, ffs: Sequence[int]) -> CompiledNetlist:
+    """``cn`` cut to the FFs at indices ``ffs``: only their q and next-state
+    rows, and only the gates in the fan-in of their d and enable rows.
+
+    ``batch_step`` on the result takes and returns those FFs' rows alone.
+    Exact when no other FF is in that fan-in: their q rows are never read.
+    """
+    ff_rows = tuple(cn.ff_rows[i] for i in ffs)
+    live = {r for d, _, en in ff_rows for r in (d, en) if r is not None}
+    kept = []
+    for gate in reversed(cn.gates):
+        if gate[2] in live:
+            live.update(gate[3])
+            kept.append(gate)
+    return replace(
+        cn,
+        gates=tuple(reversed(kept)),
+        q_rows=tuple(cn.q_rows[i] for i in ffs),
+        ff_rows=ff_rows,
+    )
 
 
 def pack(bits: np.ndarray) -> list:
@@ -120,7 +136,7 @@ def unpack(values: list, n: int) -> np.ndarray:
 
 
 def propagate(cn: CompiledNetlist, values: list, mask: int) -> None:
-    """Fill every gate-output entry of ``values`` (one int per net) from its
+    """Fill every gate-output entry of ``values`` (one int per row) from its
     assigned PI, constant and q entries; ``mask`` has one bit per vector."""
     for fold, inverted, out, ins in cn.gates:
         if fold is None:  # MUX: select, then the 0 and 1 data inputs
@@ -134,10 +150,10 @@ def propagate(cn: CompiledNetlist, values: list, mask: int) -> None:
 
 
 def _simulate(cn: CompiledNetlist, ints: list, n: int) -> list:
-    """Every net's int after propagation over ``n`` vectors, with the PI then
-    q nets set to ``ints`` and constant-1 nets to all ones."""
+    """Every row's int after propagation over ``n`` vectors, with the PI then
+    q rows set to ``ints`` and constant-1 rows to all ones."""
     mask = (1 << n) - 1
-    values = [0] * cn.n_nets
+    values = [0] * cn.n_rows
     for r in cn.one_rows:
         values[r] = mask
     for r, v in zip(cn.pi_rows + cn.q_rows, ints):
@@ -152,7 +168,8 @@ def batch_step(
     pi_matrix: np.ndarray,
 ) -> np.ndarray:
     """Step one clock for a batch: pi_matrix is (n_pis, n) and state is
-    (n_ffs, n), one state per vector.
+    (n_ffs, n), one state per vector, over the FFs of ``cn`` (all of the
+    netlist's, or those a ``_restrict`` kept).
 
     Returns the (n_ffs, n) 0/1 uint8 matrix of next states, one column per
     vector; no reset, and an FF whose enable is 0 holds its q.

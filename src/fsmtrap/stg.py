@@ -8,20 +8,25 @@ the indices; the ``(src code, input bits) -> dst code`` strings of
 ``Stg.edges`` are built on first read, for the text and dot renderings.
 
 Extraction is exhaustive: starting from the reset state it enumerates every
-combination of the free inputs per reachable state, stepping the full
-register file but projecting states onto the chosen state flip-flops.  The
-BFS is level-synchronous: one ``batch_step`` (split at ``MAX_COLUMNS``)
-steps every frontier state under every input vector, the distinct full
-successors are found with ``np.unique`` over their packed bytes, and new
-projected states are numbered in (state, vector) order, the order a
-one-state-at-a-time BFS would meet them; the level's rows of ``succ`` come
-from the same ``np.unique`` inverse.
-Non-state registers ride along; if two runs reach the same projected state
-through different full states, the full state that differs in a register
-feeding a tracked cone is checked once after its level: if its projected
-successors diverge from those of the state's representative, the offending
-registers are pulled into the tracked set and extraction restarts (with a
-warning).
+combination of the free inputs per reachable state, projecting states onto
+the chosen state flip-flops.  It steps only the tracked FFs' sequential
+closure: the FFs in the combinational fan-in of a tracked FF's d or enable,
+and of theirs in turn.  No other FF can reach a tracked next state, so
+``batch_step`` runs a program cut to the closure's cones, and a "full"
+state below is the closure's bits.  The BFS is level-synchronous: one
+``batch_step`` (split at ``MAX_COLUMNS``) steps every frontier state under
+every input vector, the distinct full successors are found with
+``np.unique`` over their packed bytes, and new projected states are
+numbered in (state, vector) order, the order a one-state-at-a-time BFS
+would meet them; the level's rows of ``succ`` come from the same
+``np.unique`` inverse.
+Untracked closure registers ride along; if two runs reach the same projected
+state through different full states, the full state that differs in a
+register feeding a tracked cone is checked once after its level: if its
+projected successors diverge from those of the state's representative, the
+offending registers are pulled into the tracked set and extraction restarts
+(with a warning).  Offending registers lie in the closure already, so the
+closure is computed once per call.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .batchsim import batch_step, compile_netlist
+from .batchsim import _restrict, batch_step, compile_netlist
 from .graph import _bits, _net_support
 from .netlist import Netlist, reset_state
 
@@ -124,22 +129,42 @@ def extract_stg(
         if n in free_inputs[:i]:
             raise StgError(f"free input {n} is given twice")
 
-    reset = reset_state(nl)
-    ff_names = [f.name for f in nl.ffs]
-    known = set(ff_names)
-    for name in sffs:
-        if name not in known:
+    sffs = list(sffs)
+    ff_pos = {f.name: i for i, f in enumerate(nl.ffs)}
+    for i, name in enumerate(sffs):
+        if name not in ff_pos:
             raise StgError(f"unknown state flip-flop {name}")
+        if name in sffs[:i]:
+            raise StgError(f"state flip-flop {name} is given twice")
 
-    cn = compile_netlist(nl)
+    support = _net_support(nl)
+
+    def feeds(i: int) -> int:
+        """FF mask of the combinational fan-in of FF ``i``'s d and enable."""
+        f = nl.ffs[i]
+        return support.ff_mask(f.d) | (0 if f.en is None else support.ff_mask(f.en))
+
+    # The tracked FFs' sequential closure, in netlist FF order.
+    closure = 0
+    grow = sum(1 << ff_pos[n] for n in sffs)
+    while grow:
+        closure |= grow
+        reach = 0
+        for i in _bits(grow):
+            reach |= feeds(i)
+        grow = reach & ~closure
+    kept = list(_bits(closure))
+    ff_names = [nl.ffs[i].name for i in kept]
+
+    cn = _restrict(compile_netlist(nl), kept)
     n_free = len(free_inputs)
     n_vec = 1 << n_free
     pi_matrix = np.zeros((len(nl.inputs), n_vec), dtype=np.uint8)
     pi_matrix[[nl.inputs.index(n) for n in free_inputs]] = _vector_bits(n_free)
 
     n_ffs = len(ff_names)
-    # At least one byte per state, so that a netlist without FFs still has
-    # keys for np.unique.
+    # At least one byte per state, so that a state over no FFs still has a
+    # key for np.unique.
     key_bytes = max(1, (n_ffs + 7) // 8)
     key_dtype = np.dtype((np.void, key_bytes))
 
@@ -157,25 +182,23 @@ def extract_stg(
             packed[cols, : (n_ffs + 7) // 8] = np.packbits(nxt.T, axis=1)
         return packed
 
-    ff_pos = {n: i for i, n in enumerate(ff_names)}
+    col = {n: k for k, n in enumerate(ff_names)}  # closure FF -> bit of a full state
     warnings: list[str] = []
-    tracked = list(sffs)
+    tracked = sffs
 
-    support = _net_support(nl)
+    reset = reset_state(nl)
     reset_full = np.array([reset[n] & 1 for n in ff_names], dtype=np.uint8)
 
     for _round in range(5):
-        proj_idx = [ff_pos[n] for n in tracked]
+        proj_idx = [col[n] for n in tracked]
         # FFs that can influence the tracked next-state cones; others cannot
         # cause projected divergence and are ignored by the revisit check.
         mask = 0
         for name in tracked:
-            f = nl.ff_by_name(name)
-            mask |= support.ff_mask(f.d)
-            if f.en is not None:
-                mask |= support.ff_mask(f.en)
+            mask |= feeds(ff_pos[name])
         watched = np.array(
-            [i for i in _bits(mask) if ff_names[i] not in tracked], dtype=np.intp
+            [col[nl.ffs[i].name] for i in _bits(mask) if nl.ffs[i].name not in tracked],
+            dtype=np.intp,
         )
 
         def projected_successors(fulls: list) -> np.ndarray:

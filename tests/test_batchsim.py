@@ -148,3 +148,100 @@ def test_eval_outputs_selected_rows():
     assign = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)
     out = eval_outputs(cn, assign, np.array([cn.row("o")]))
     assert out.tolist() == [[0, 0, 1]]
+
+
+def _with_gates(nl: Netlist, gates) -> Netlist:
+    return Netlist(nl.name, nl.inputs, nl.outputs, nl.constants, nl.gates + tuple(gates), nl.ffs)
+
+
+def _matches_eval_comb(nl: Netlist, n: int, seed: int) -> None:
+    """Every net of ``nl``, each one in ``net_index``, equals ``eval_comb``
+    on ``n`` random assignments."""
+    cn = compile_netlist(nl)
+    assert set(cn.net_index) == (
+        set(nl.inputs) | set(nl.constants) | {f.q for f in nl.ffs} | {g.out for g in nl.gates}
+    )
+    rng = np.random.default_rng(seed)
+    assign = rng.integers(0, 2, (len(nl.inputs) + len(nl.ffs), n), dtype=np.uint8)
+    nets, rows = _all_rows(cn)
+    values = eval_outputs(cn, assign, rows)
+    for v in range(n):
+        vec = dict(zip(list(nl.inputs) + [f.q for f in nl.ffs], assign[:, v].tolist()))
+        assert dict(zip(nets, values[:, v].tolist())) == eval_comb(nl, vec)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_injected_duplicates_share_rows(seed):
+    # Commuted copies of symmetric gates, BUF chains and repeated NOTs of
+    # one net compile to no gate beyond the first of each; so do gates that
+    # read a duplicate where another reads its original.
+    base = random_comb_netlist(seed, n_gates=40) if seed % 2 else _kernel_netlist(seed)
+    rng = random.Random(seed)
+    nets = [*base.inputs, *base.constants, *(f.q for f in base.ffs), *(g.out for g in base.gates)]
+    once, dups = [], []
+    for k, g in enumerate(base.gates):
+        if g.kind in ("AND", "OR", "NAND", "NOR", "XOR", "XNOR") and rng.random() < 0.5:
+            ins = list(g.ins)
+            rng.shuffle(ins)
+            other = rng.choice(nets)
+            dups += [
+                Gate(f"c{k}", g.kind, f"c{k}_o", tuple(reversed(ins))),
+                Gate(f"c{k}_u", "OR", f"c{k}_u_o", (other, f"c{k}_o")),
+            ]
+            once.append(Gate(f"c{k}_v", "OR", f"c{k}_v_o", (g.out, other)))
+    for k in range(6):
+        x = rng.choice(nets)
+        src = x
+        for j in range(rng.randint(1, 3)):
+            dups.append(Gate(f"b{k}_{j}", "BUF", f"b{k}_{j}_o", (src,)))
+            src = f"b{k}_{j}_o"
+        once.append(Gate(f"n{k}_a", "NOT", f"n{k}_a_o", (x,)))
+        dups.append(Gate(f"n{k}_b", "NOT", f"n{k}_b_o", (src,)))
+    plain = _with_gates(base, once)
+    injected = _with_gates(base, once + dups)
+    assert len(compile_netlist(injected).gates) == len(compile_netlist(plain).gates)
+    cn = compile_netlist(injected)
+    for k in range(6):
+        assert cn.row(f"n{k}_b_o") == cn.row(f"n{k}_a_o")
+    _matches_eval_comb(injected, 64, seed)
+
+
+def test_mux_with_swapped_data_inputs_does_not_merge():
+    nl = parse(
+        "input s\ninput a\ninput b\n"
+        "gate MUX m0 o0 s a b\ngate MUX m1 o1 s b a\ngate MUX m2 o2 s a b\n"
+        "gate AND g0 p0 a b\ngate AND g1 p1 b a\n"
+    )
+    cn = compile_netlist(nl)
+    assert cn.row("o0") == cn.row("o2") != cn.row("o1")
+    assert cn.row("p0") == cn.row("p1")
+    assert len(cn.gates) == 3
+    _matches_eval_comb(nl, 8, 0)
+
+
+def _cone(nl: Netlist, net: str) -> list:
+    """The gates in ``net``'s combinational fan-in."""
+    by_out = {g.out: g for g in nl.gates}
+    cone, stack = {}, [net]
+    while stack:
+        g = by_out.get(stack.pop())
+        if g is not None and g.out not in cone:
+            cone[g.out] = g
+            stack.extend(g.ins)
+    return list(cone.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_renamed_cone_copy_adds_no_gate(seed):
+    nl = _kernel_netlist(seed)
+    d = max((f.d for f in nl.ffs), key=lambda net: len(_cone(nl, net)))
+    cone = _cone(nl, d)
+    assert len(cone) > 3
+    rename = {g.out: f"copy_{g.out}" for g in cone}
+    copy = [
+        Gate(f"copy_{g.name}", g.kind, rename[g.out], tuple(rename.get(n, n) for n in g.ins))
+        for g in cone
+    ]
+    both = Netlist(nl.name, nl.inputs, (rename[d],), nl.constants, nl.gates + tuple(copy), nl.ffs)
+    assert len(compile_netlist(both).gates) == len(compile_netlist(nl).gates)
+    _matches_eval_comb(both, 16, seed)

@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 
-from fsmtrap.batchsim import batch_step, compile_netlist
+from fsmtrap.batchsim import batch_step
 from fsmtrap.graph import _net_support
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-from fsmtrap.netlist import reset_state
+from fsmtrap.netlist import FlipFlop, Gate, Netlist, reset_state
 from fsmtrap.stg import (
     InputBudgetError,
     ReplicaDisagreementError,
@@ -110,6 +110,17 @@ def test_repeated_free_input_rejected():
     nl, gt = synthesize(toggle())
     with pytest.raises(StgError, match="free input x is given twice"):
         extract_stg(nl, sorted(gt.sffs), free_inputs=["x", "x"])
+
+
+def test_repeated_state_ff_rejected():
+    nl, gt = synthesize(make_fsm(
+        "m", [f"S{i}" for i in range(6)], ["a"], "S0",
+        [(f"S{i}", {"a": 1}, f"S{(i + 1) % 6}") for i in range(6)],
+    ))
+    sffs = sorted(gt.sffs)
+    assert len(sffs) == 3
+    with pytest.raises(StgError, match=f"state flip-flop {sffs[0]} is given twice"):
+        extract_stg(nl, sffs + [sffs[0]], free_inputs=["a"])
 
 
 def test_equivalence_reflexive():
@@ -297,20 +308,19 @@ def test_nondeterminism_enlarges_tracked_set():
 
 
 def _reference_extract_stg(nl, sffs, free_inputs):
-    """The per-state BFS that level-synchronous extraction replaced: one
-    batch_step per reachable state and a revisit check per successor column,
-    with the reset state and frozen inputs at their defaults.  Returns the
-    ``Stg`` fields with ``edges`` as a ``(src, vec) -> dst`` string dict."""
-    cn = compile_netlist(nl)
+    """The per-state BFS that level-synchronous extraction replaced, over the
+    full register file stepped by the recursive evaluator (``oracles.step``):
+    a revisit check per successor column, with the reset state and frozen
+    inputs at their defaults.  Returns the ``Stg`` fields with ``edges`` as a
+    ``(src, vec) -> dst`` string dict."""
     reset = reset_state(nl)
     n_free = len(free_inputs)
     n_vec = 1 << n_free
-    pi_matrix = np.zeros((len(nl.inputs), n_vec), dtype=np.uint8)
-    pi_pos = {n: i for i, n in enumerate(nl.inputs)}
     vec_strings = [format(v, f"0{n_free}b") if n_free else "" for v in range(n_vec)]
-    for v in range(n_vec):
-        for i, n in enumerate(free_inputs):
-            pi_matrix[pi_pos[n], v] = int(vec_strings[v][i])
+    vecs = [
+        {**{n: 0 for n in nl.inputs}, **{n: int(b) for n, b in zip(free_inputs, bits)}}
+        for bits in vec_strings
+    ]
     ff_names = [f.name for f in nl.ffs]
     ff_pos = {n: i for i, n in enumerate(ff_names)}
     warnings = []
@@ -331,9 +341,11 @@ def _reference_extract_stg(nl, sffs, free_inputs):
             return "".join(str(full[i]) for i in proj_idx)
 
         def successors(full):
-            states = np.repeat(np.array(full, dtype=np.uint8)[:, None], n_vec, axis=1)
-            nxt = batch_step(cn, states, pi_matrix)
-            return [tuple(int(x) for x in nxt[:, v]) for v in range(n_vec)]
+            state = dict(zip(ff_names, full))
+            return [
+                tuple(nxt[n] for n in ff_names)
+                for nxt in (oracles.step(nl, state, vec) for vec in vecs)
+            ]
 
         rep = {}
         succ_of = {}
@@ -471,3 +483,67 @@ def test_level_bfs_splits_wide_levels(monkeypatch):
     split = extract_stg(nl, names, free_inputs=["a", "b"])
     assert max(widths) == 8
     _same_stg(split, whole)
+
+
+def _verify_base_design():
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(seed=0, n_states=64, data_width=4, n_data_pairs=1, n_inputs=8)
+    )
+    nl, gt = synthesize(fsm, dp)
+    return nl, sorted(gt.sffs), list(fsm.inputs)
+
+
+def test_extraction_steps_only_the_sequential_closure(monkeypatch):
+    import fsmtrap.stg as stg_mod
+
+    nl, sffs, free = _verify_base_design()
+    rows = []
+
+    def recording_step(cn, state, pi_matrix):
+        rows.append(state.shape[0])
+        return batch_step(cn, state, pi_matrix)
+
+    monkeypatch.setattr(stg_mod, "batch_step", recording_step)
+    stg = extract_stg(nl, sffs, free_inputs=free)
+    # 6 state bits, and none of the other 25 FFs feeds them.
+    assert len(sffs) == 6 and len(nl.ffs) == 31
+    assert rows and set(rows) == {6}
+    assert not stg.warnings
+
+
+def _with_outside_ff(nl, rng):
+    """``nl`` plus an FF no existing FF reads, with a random reset value and
+    a cone over random nets (its own q among them)."""
+    pis = [n for n in nl.inputs if n not in ("clk", "rst")]
+    nets = [*pis, *(f.q for f in nl.ffs), *(g.out for g in nl.gates)]
+    kind = rng.choice(["AND", "OR", "XOR", "NAND"])
+    cone = (
+        Gate("extra_g0", kind, "extra_n0", (rng.choice(nets), "extra_q")),
+        Gate("extra_g1", "XOR", "extra_n1", ("extra_n0", rng.choice(nets))),
+    )
+    rst = rng.choice([None, "rst"])
+    extra = FlipFlop(
+        "extra", q="extra_q", d="extra_n1", clk="clk", rst=rst,
+        rst_val=rng.randint(0, 1) if rst else 0,
+        en=rng.choice([None, rng.choice(nets)]),
+    )
+    ffs = list(nl.ffs)
+    ffs.insert(rng.randint(0, len(ffs)), extra)
+    return Netlist(nl.name, nl.inputs, nl.outputs, nl.constants, nl.gates + cone, tuple(ffs))
+
+
+def test_ff_outside_the_closure_changes_nothing():
+    rng = random.Random(0)
+    cases = [(nl, sffs, free) for nl, sffs, free in _reference_cases()][::4]
+    cases.append(_verify_base_design())
+    for nl, sffs, free in cases:
+        try:
+            before = extract_stg(nl, sffs, free_inputs=free)
+        except StgError:
+            continue
+        for _ in range(2):
+            after = extract_stg(_with_outside_ff(nl, rng), sffs, free_inputs=free)
+            assert after.states == before.states
+            assert np.array_equal(after.succ, before.succ)
+            assert after.warnings == before.warnings
+            assert after.sff_names == before.sff_names
