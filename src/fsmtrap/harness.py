@@ -469,6 +469,12 @@ def apply_defense(
                 f"honeypot found={tune.found} seed={tune.params.mutation_seed} "
                 f"iterations={len(tune.iterations)}"
             )
+            summary += [
+                f"tune_iter seed={it.seed} hp_max={it.hp_scc_max:.6f} "
+                f"fsm_max={it.fsm_scc_max:.6f} selected_is_hp={it.selected_is_hp} "
+                f"success={it.success}"
+                for it in tune.iterations
+            ]
         else:
             defense.hp_nl, defense.nl, hp_ffs = build_decoy(nl, fsm, p)
             summary.append(f"honeypot seed={p.mutation_seed} (untuned)")

@@ -13,12 +13,13 @@ ORs into flip-flop enables, or into output ports where no flip-flop has one.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graph import FeedbackClass, classify_feedback, has_high_fp
 from .netlist import Gate, Netlist, NetlistError
-from .relic import RelicParams, _ShapeTable, select_scc_by_z, zscores
+from .relic import _CandidateScorer, _ShapeTable, select_scc_by_z, zscores
 from .synth import (
     DatapathSpec,
     FsmSpec,
@@ -352,7 +353,9 @@ class HoneypotParams:
 def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
     """Seeded copy-and-mutate: redirect transition destinations and flip
     output bits; candidates with unreachable states or conflicting guards are
-    re-rolled deterministically."""
+    re-rolled deterministically.  Each attempt's seed depends only on its
+    index, so the order of the checks decides only what a rejection costs:
+    reachability, the cheapest, runs first."""
     validate_fsm(fsm)
     if p.n_transition_mutations > len(fsm.transitions):
         raise HoneypotError("mutation budget exceeds the transition count")
@@ -381,13 +384,14 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
             transitions=tuple(trans),
             moore_outputs=tuple((s, moore[s]) for s in fsm.states) if moore else None,
         )
+        if not _all_states_reachable(candidate):
+            continue
         try:
             validate_fsm(candidate)
             _effective_covers(candidate)  # rejects newly ambiguous guards
         except SpecError:
             continue
-        if _all_states_reachable(candidate):
-            return candidate
+        return candidate
     raise HoneypotError("no valid honeypot variant found after 100 re-rolls")
 
 
@@ -396,14 +400,51 @@ def _all_states_reachable(fsm: FsmSpec) -> bool:
     for t in fsm.transitions:
         succ[t.src].add(t.dst)
     seen = {fsm.reset_state}
-    queue = [fsm.reset_state]
+    queue = deque([fsm.reset_state])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         for d in succ[s]:
             if d not in seen:
                 seen.add(d)
                 queue.append(d)
     return seen == set(fsm.states)
+
+
+# How every decoy is synthesized: its flip-flops are ``fsm_st*``.
+_DECOY_SYNTH = SynthOptions(name_prefix="fsm")
+
+
+def _decoy_sites(nl: Netlist, hp: Netlist) -> list:
+    """Where each output of the decoy ``hp`` attaches in the design ``nl``:
+    ``("en", j)``, the enable of flip-flop ``nl.ffs[j]``, or, if no design
+    flip-flop has an enable, ``("out", j)``, output port j.  Sites are taken
+    in order, cycling, so a site taken twice gets the earlier mix OR.
+
+    Raises ``IntegrationError`` for a decoy without flip-flops or outputs,
+    with an input the design lacks or a constant whose ``hp_`` name the
+    design's constants use, or for a design with no site.
+    """
+    if not hp.ffs:
+        raise IntegrationError("decoy netlist has no flip-flops")
+    for n in hp.inputs:
+        if n not in nl.inputs:
+            raise IntegrationError(f"design has no {n} input for the decoy")
+    # Constants are dict keys, so the merged Netlist cannot see a clash.
+    if {f"hp_{n}" for n in hp.constants} & nl.constants.keys():
+        raise IntegrationError("decoy constants collide with the design's")
+    if not hp.outputs:
+        raise IntegrationError("decoy netlist has no outputs to attach")
+    enabled = [j for j, f in enumerate(nl.ffs) if f.en is not None]
+    if enabled:
+        return [("en", enabled[i % len(enabled)]) for i in range(len(hp.outputs))]
+    if not nl.outputs:
+        raise IntegrationError("design has no flip-flop enable or output port")
+    return [("out", i % len(nl.outputs)) for i in range(len(hp.outputs))]
+
+
+def _decoy_ff_names(hp: Netlist) -> tuple:
+    """The names ``hp``'s flip-flops take in the design, in ``hp``'s order."""
+    return tuple(f"hp_{f.name}" for f in hp.ffs)
 
 
 def integrate_honeypot(
@@ -415,37 +456,27 @@ def integrate_honeypot(
     name gets the prefix ``hp_``.  Each decoy output is ANDed with a
     constant-0 net built from a two-gate chain and ORed into a design
     flip-flop's enable, or into an output port if no design flip-flop has an
-    enable (sites taken in order, cycling), so the design function is
-    unchanged while the decoy acquires live-looking fanout.  A decoy with no
-    outputs, a missing input or a name the design already uses raises
+    enable (see ``_decoy_sites``), so the design function is unchanged while
+    the decoy acquires live-looking fanout.  A decoy with no outputs, a
+    missing input or a name the design already uses raises
     ``IntegrationError``.  The result does not depend on ``p``, the decoy's
     derivation.
     """
-    if not hp.ffs:
-        raise IntegrationError("decoy netlist has no flip-flops")
-    for n in hp.inputs:
-        if n not in nl.inputs:
-            raise IntegrationError(f"design has no {n} input for the decoy")
+    sites = _decoy_sites(nl, hp)
 
     def rename(net: Optional[str]) -> Optional[str]:
         return net if net is None or net in hp.inputs else f"hp_{net}"
 
-    # Constants are dict keys, so the merged Netlist cannot see a clash.
-    constants = {rename(n): v for n, v in hp.constants.items()}
-    if constants.keys() & nl.constants.keys():
-        raise IntegrationError("decoy constants collide with the design's")
-    constants = {**nl.constants, **constants}
-    if not hp.outputs:
-        raise IntegrationError("decoy netlist has no outputs to attach")
+    constants = {**nl.constants, **{rename(n): v for n, v in hp.constants.items()}}
     gates = list(nl.gates) + [
         Gate(f"hp_{g.name}", g.kind, rename(g.out), tuple(map(rename, g.ins))) for g in hp.gates
     ]
     ffs = list(nl.ffs)
     outputs = list(nl.outputs)
     hp_ffs = [
-        replace(f, name=f"hp_{f.name}", q=rename(f.q), d=rename(f.d), clk=rename(f.clk),
+        replace(f, name=name, q=rename(f.q), d=rename(f.d), clk=rename(f.clk),
                 rst=rename(f.rst), en=rename(f.en))
-        for f in hp.ffs
+        for f, name in zip(hp.ffs, _decoy_ff_names(hp))
     ]
 
     # Constant-0 through a two-gate chain, so the gating fan-in looks live.
@@ -454,16 +485,11 @@ def integrate_honeypot(
         Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,)),
         Gate("hp_zero", "AND", "hp_zero_o", (zsrc, "hp_zn_o")),
     ]
-    enabled = [i for i, f in enumerate(ffs) if f.en is not None]
-    if not enabled and not outputs:
-        raise IntegrationError("design has no flip-flop enable or output port")
-    for i, h in enumerate(hp.outputs):
+    for i, (h, (kind, j)) in enumerate(zip(hp.outputs, sites)):
         mix = f"hp_mix_{i}_o"
-        if enabled:
-            j = enabled[i % len(enabled)]
+        if kind == "en":
             site, ffs[j] = ffs[j].en, replace(ffs[j], en=mix)
         else:
-            j = i % len(outputs)
             site, outputs[j] = outputs[j], mix
         gates += [
             Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (rename(h), "hp_zero_o")),
@@ -485,7 +511,7 @@ def build_decoy(
 
     Returns (decoy netlist, integrated netlist, decoy FF names).
     """
-    hp_nl, _ = synthesize(derive_honeypot(base_hp, p), None, SynthOptions(name_prefix="fsm"))
+    hp_nl, _ = synthesize(derive_honeypot(base_hp, p), None, _DECOY_SYNTH)
     integrated, hp_ffs = integrate_honeypot(design_nl, hp_nl, p)
     return hp_nl, integrated, hp_ffs
 
@@ -520,62 +546,71 @@ def tune_honeypot(
     """Iterate seeded decoy mutations until the decoy component out-scores the
     design's state component (optionally: wins the selection rule outright).
 
-    Every candidate is scored against one shape table local to this call.
-    Shape ids depend only on structure, so the design's cones, shared by all
-    candidates, have their similarities evaluated once per call rather than
-    once per candidate; the scores are those of scoring each candidate alone.
-    The design's FF D-cones are also interned once per call, so a candidate
-    interns only its decoy FFs' cones: integration never re-drives a design
-    net, and the decoy reaches the design only through ORs into FF enables
-    or output ports, which no D-cone contains.
+    A candidate is scored without building the merged netlist: a
+    ``relic._CandidateScorer``, made once per call, holds the design's
+    D-cone shape ids, support masks, control signals and FF-graph
+    components, and composes each candidate's z-score table and SCC list
+    from them and the decoy netlist alone.  Every candidate is scored
+    against one shape table local to this call, so the similarities of the
+    design's cones are evaluated once per call, and a candidate interns only
+    its decoy's cones.  The scores are those of ``zscores`` and
+    ``tarjan_scc`` on the integrated netlist, scored alone.
 
-    Returns the first success, else the best candidate with found=False.
+    Only the returned candidate is integrated, and its integrated netlist is
+    scored once with ``zscores``, which fills its cache for the attacks that
+    follow.  Returns the first success, else the best candidate with
+    found=False.
     """
     if max_iters < 1:
         raise HoneypotError("max_iters must be >= 1")
     from .graph import build_ff_graph, most_members, tarjan_scc
 
     iterations: list[TuneIteration] = []
-    best: Optional[TuneReport] = None
+    best: Optional[tuple] = None  # (params, decoy netlist)
     best_margin = float("-inf")
+    found = False
     shapes = _ShapeTable()
-    shapes.carry_cones(design_nl, [f.d for f in design_nl.ffs], RelicParams().depth_limit)
+    scorer = _CandidateScorer(design_nl, shapes)
     for i in range(max_iters):
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
-        hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
-        table = zscores(integrated, shapes=shapes)
-        report = tarjan_scc(build_ff_graph(integrated))
+        hp_nl, _ = synthesize(derive_honeypot(base_hp, params_i), None, _DECOY_SYNTH)
+        hp_sccs = tarjan_scc(build_ff_graph(hp_nl)).sccs
+        names = _decoy_ff_names(hp_nl)
+        table, sccs = scorer.score(hp_nl, names, _decoy_sites(design_nl, hp_nl), hp_sccs)
 
         def scc_max(members_of) -> float:
             """Top score in the component with most of ``members_of``, or
             among ``members_of`` if no component holds any."""
-            best_i = most_members(report.sccs, members_of)
+            best_i = most_members(sccs, members_of)
             if best_i is None:
                 return max((table.scores[f] for f in members_of), default=float("-inf"))
-            return max(table.scores[f] for f in report.sccs[best_i])
+            return max(table.scores[f] for f in sccs[best_i])
 
+        hp_ffs = frozenset(names)
         hp_max = scc_max(hp_ffs)
         fsm_max = scc_max(design_sffs)
-        _, selected, _ = select_scc_by_z(table.scores, report.sccs)
+        _, selected, _ = select_scc_by_z(table.scores, sccs)
         selected_is_hp = bool(selected & hp_ffs)
         success = hp_max > fsm_max and (selected_is_hp or not require_selection)
         iterations.append(
             TuneIteration(params_i.mutation_seed, hp_max, fsm_max, selected_is_hp, success)
         )
-        candidate = TuneReport(
-            found=success,
-            iterations=iterations,
-            params=params_i,
-            hp_netlist=hp_nl,
-            integrated=integrated,
-            hp_ffs=hp_ffs,
-        )
         if success:
-            return candidate
+            best, found = (params_i, hp_nl), True
+            break
         margin = hp_max - fsm_max
         if margin > best_margin:
             best_margin = margin
-            best = candidate
+            best = (params_i, hp_nl)
     assert best is not None
-    best.found = False
-    return best
+    params, hp_nl = best
+    integrated, hp_ffs = integrate_honeypot(design_nl, hp_nl, params)
+    zscores(integrated, shapes=shapes)
+    return TuneReport(
+        found=found,
+        iterations=iterations,
+        params=params,
+        hp_netlist=hp_nl,
+        integrated=integrated,
+        hp_ffs=hp_ffs,
+    )

@@ -35,14 +35,18 @@ over every matrix of the stack, its sum started from the pre-matched count)
 scores a whole stack.
 
 Shape ids depend only on structure, so one shape table can score several
-netlists: ``obfuscate.tune_honeypot`` passes one table through ``zscores``
-for all of its candidates, so the similarities of the design's cones, which
-every candidate shares, are evaluated once per tuning run, and it interns
-the design's FF D-cones once per run (``_ShapeTable.carry_cones``), so each
-candidate interns only its decoy's cones.  The z-score table is cached on
-the netlist per ``RelicParams``, next to its support and FF graph, so
-``zscores`` and ``relic_tarjan`` on one netlist build the similarity matrix
-once.
+netlists.  ``obfuscate.tune_honeypot`` scores its candidates on one table
+through a ``_CandidateScorer``: it interns the design's FF D-cones once per
+tuning run (``_ShapeTable.carry_cones``) and holds the design's support
+masks, control signals and FF-graph components, and it composes each
+candidate's z-score table and SCC list from those and the decoy netlist
+alone, without building the merged netlist.  So the similarities of the
+design's cones are evaluated once per run, and a candidate interns and
+analyses only its decoy.  ``zscores`` and the scorer share
+``_zscore_table``, the features and their standardization.  The z-score
+table is cached on the netlist per ``RelicParams``, next to its support and
+FF graph, so ``zscores`` and ``relic_tarjan`` on one netlist build the
+similarity matrix once.
 """
 
 from __future__ import annotations
@@ -90,7 +94,9 @@ class _ShapeTable:
     """Interns cone shapes (kinds + child order) and memoizes similarities.
 
     Shape ids depend only on structure, so one table can score several
-    netlists and evaluates each pair of shapes once across all of them.
+    netlists and evaluates each pair of shapes once across all of them;
+    ``carry_cones`` interns cones that every later netlist shares (the
+    design's D-cones in a tuning run) once, and ``cone_ids`` reads them back.
     Every shape also gets a class id, its kind plus the sorted class ids of
     its children: shapes whose children are the same up to order share a
     class, and two shapes score exactly 1.0 iff they share one (see
@@ -142,13 +148,15 @@ class _ShapeTable:
             classes.append(self._class_ids.setdefault(class_key, len(self._class_ids)))
         return cid
 
-    def cone_ids(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> list:
+    def cone_ids(
+        self, nl: Netlist, roots: Sequence[str], depth_limit: int, carried: bool = True
+    ) -> list:
         """Shape id of each root net's depth-limited input cone, built
-        bottom-up from a per-call memo (see ``_intern_cone``), or read from
-        the cones ``carry_cones`` interned."""
+        bottom-up from a per-call memo (see ``_intern_cone``), or, with
+        ``carried``, read from the cones ``carry_cones`` interned."""
         depth = max(depth_limit, 0)
         memo = [{} for _ in range(depth + 1)]
-        carried = self._carried
+        carried = self._carried if carried else {}
         ids = []
         for net in roots:
             cid = carried.get((depth, net))
@@ -157,9 +165,10 @@ class _ShapeTable:
             ids.append(cid)
         return ids
 
-    def carry_cones(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> None:
+    def carry_cones(self, nl: Netlist, roots: Sequence[str], depth_limit: int) -> list:
         """Intern the cones of ``roots`` in ``nl`` once, so that ``cone_ids``
-        on a later netlist reads their ids instead of walking them again.
+        on a later netlist reads their ids instead of walking them again;
+        returns their ids.
 
         Valid only while every netlist scored on this table afterwards
         drives each of these cones' nets as ``nl`` does.
@@ -167,6 +176,7 @@ class _ShapeTable:
         depth = max(depth_limit, 0)
         ids = self.cone_ids(nl, roots, depth_limit)
         self._carried.update(zip([(depth, net) for net in roots], ids))
+        return ids
 
     def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
         """The len(ids_a) x len(ids_b) matrix of shape similarities, each
@@ -437,6 +447,48 @@ def _standardize(column: np.ndarray) -> np.ndarray:
     return (column - mean) / std
 
 
+def _zscore_table(
+    ffs: tuple,
+    values: np.ndarray,
+    params: RelicParams,
+    control_masks: Sequence[int],
+    ff_bit: Mapping[str, int],
+    on_cycle: frozenset,
+) -> ZScoreTable:
+    """The z-score table of the FFs ``ffs`` (sorted names) from their
+    similarity matrix ``values`` (in ``ffs`` order), the FF mask of every
+    control signal (bit ``ff_bit[name]`` stands for FF ``name``) and the
+    FFs on a feedback path."""
+    n = len(ffs)
+    k = min(params.top_k, n - 1)
+    feats = np.zeros((n, 4))
+    # Rows are sorted in blocks of at most MAX_STACK entries, each row with
+    # its own FF masked to -inf, so no n x n copy is made.
+    per_block = max(1, MAX_STACK // n)
+    for lo in range(0, n, per_block):
+        block = values[lo : lo + per_block].copy()
+        rows = np.arange(len(block))
+        block[rows, rows + lo] = -np.inf
+        block.sort(axis=1)
+        # The k largest in descending order, contiguous so that each row's
+        # mean adds them as a one-row mean would.
+        top = np.ascontiguousarray(block[:, : n - k - 1 : -1])
+        feats[lo : lo + len(block), 0] = 1.0 - block[:, -1]
+        feats[lo : lo + len(block), 1] = 1.0 - top.mean(axis=1)
+    touched = Counter(i for mask in control_masks for i in _bits(mask))
+    if control_masks:
+        feats[:, 2] = [touched[ff_bit[name]] / len(control_masks) for name in ffs]
+    feats[:, 3] = [1.0 if name in on_cycle else 0.0 for name in ffs]
+    zcols = np.column_stack([_standardize(feats[:, j]) for j in range(4)])
+    scores = zcols @ np.asarray(WEIGHTS)
+    return ZScoreTable(
+        ffs=ffs,
+        scores=MappingProxyType({f: float(scores[i]) for i, f in enumerate(ffs)}),
+        raw_features=MappingProxyType({f: tuple(feats[i]) for i, f in enumerate(ffs)}),
+        z_features=MappingProxyType({f: tuple(zcols[i]) for i, f in enumerate(ffs)}),
+    )
+
+
 def zscores(
     nl: Netlist,
     params: RelicParams = RelicParams(),
@@ -458,40 +510,107 @@ def zscores(
     if cached is not None:
         return cached
     sim = similarity_matrix(nl, params.depth_limit, shapes=shapes)
-    ffs = sim.ffs
-    n = len(ffs)
-    k = min(params.top_k, n - 1)
-    feats = np.zeros((n, 4))
-    # Rows are sorted in blocks of at most MAX_STACK entries, each row with
-    # its own FF masked to -inf, so no n x n copy is made.
-    per_block = max(1, MAX_STACK // n)
-    for lo in range(0, n, per_block):
-        block = sim.values[lo : lo + per_block].copy()
-        rows = np.arange(len(block))
-        block[rows, rows + lo] = -np.inf
-        block.sort(axis=1)
-        # The k largest in descending order, contiguous so that each row's
-        # mean adds them as a one-row mean would.
-        top = np.ascontiguousarray(block[:, : n - k - 1 : -1])
-        feats[lo : lo + len(block), 0] = 1.0 - block[:, -1]
-        feats[lo : lo + len(block), 1] = 1.0 - top.mean(axis=1)
-    controls = control_signals(nl)
     support = _net_support(nl)
-    touched = Counter(i for c in controls for i in _bits(support.ff_mask(c)))
-    on_cycle = build_ff_graph(nl).on_cycle
-    if controls:
-        feats[:, 2] = [touched[support.ff_bit[name]] / len(controls) for name in ffs]
-    feats[:, 3] = [1.0 if name in on_cycle else 0.0 for name in ffs]
-    zcols = np.column_stack([_standardize(feats[:, j]) for j in range(4)])
-    scores = zcols @ np.asarray(WEIGHTS)
-    table = ZScoreTable(
-        ffs=ffs,
-        scores=MappingProxyType({f: float(scores[i]) for i, f in enumerate(ffs)}),
-        raw_features=MappingProxyType({f: tuple(feats[i]) for i, f in enumerate(ffs)}),
-        z_features=MappingProxyType({f: tuple(zcols[i]) for i, f in enumerate(ffs)}),
+    table = _zscore_table(
+        sim.ffs,
+        sim.values,
+        params,
+        [support.ff_mask(c) for c in control_signals(nl)],
+        support.ff_bit,
+        build_ff_graph(nl).on_cycle,
     )
     nl._cache[key] = table
     return table
+
+
+class _CandidateScorer:
+    """The z-score table and SCC list of a design with a decoy integrated,
+    composed from the design's own analyses, made once, and the decoy
+    netlist's, without building the merged netlist.
+
+    Integration (``obfuscate.integrate_honeypot``) appends the decoy's FFs
+    after the design's, reads the design inputs of the decoy's input names,
+    renames every other decoy net with one prefix, and reaches the design
+    only through one OR ``hp_mix_i`` per decoy output into a design FF's
+    enable or an output port.  It re-drives no design net, so in the merged
+    netlist:
+
+    - A design FF's D-cone is the design's.  A decoy FF's D-cone lies in the
+      decoy; its leaves are PIs, constants and decoy Qs, and within each
+      kind the prefix keeps the names' order, so its shape id is the one
+      interned on the decoy netlist itself.
+    - No combinational path joins the design and the decoy (the mix ORs
+      drive only enables and outputs), so the FF graph, its feedback FFs
+      and its SCCs are the union of the two.
+    - The control signals are the design's MUX selects, each design FF's
+      enable after the mix ORs and the decoy's control signals.  A mix OR's
+      FF support is its site's plus its decoy output's.
+
+    ``zscores`` and this class share ``_zscore_table``, so the composed
+    table is bit-for-bit the table of the merged netlist under the default
+    ``RelicParams``.
+    """
+
+    params = RelicParams()
+
+    def __init__(self, nl: Netlist, shapes: _ShapeTable):
+        self.shapes = shapes
+        ids = shapes.carry_cones(nl, [f.d for f in nl.ffs], self.params.depth_limit)
+        self.design_ids = {f.name: cid for f, cid in zip(nl.ffs, ids)}
+        self.support = _net_support(nl)
+        self.mux_selects = [g.ins[0] for g in nl.gates if g.kind == "MUX"]
+        self.enables = [f.en for f in nl.ffs]
+        graph = build_ff_graph(nl)
+        self.on_cycle = graph.on_cycle
+        self.sccs = tarjan_scc(graph).sccs
+
+    def score(
+        self, hp: Netlist, names: Sequence[str], sites: Sequence[tuple], hp_sccs: Sequence[tuple]
+    ) -> tuple:
+        """(z-score table, SCC list) of the design with ``hp`` integrated:
+        ``names`` are the merged names of ``hp.ffs``, ``sites[i]`` is where
+        decoy output i attaches (``("en", j)``: the enable of design FF j;
+        ``("out", j)``: output port j) and ``hp_sccs`` is
+        ``tarjan_scc(build_ff_graph(hp)).sccs``."""
+        shapes, support = self.shapes, self.support
+        merged_name = dict(zip([f.name for f in hp.ffs], names))
+        # Walked, not read from the carried design cones: a decoy net keeps
+        # its own name in ``hp`` and may share it with a design net.
+        hp_ids = shapes.cone_ids(hp, [f.d for f in hp.ffs], self.params.depth_limit, carried=False)
+        ids = {**self.design_ids, **dict(zip(names, hp_ids))}
+        ffs = tuple(sorted(ids))
+        cids = [ids[f] for f in ffs]
+
+        # Control nets are keyed by design net name; a decoy net other than
+        # a PI (a design PI of the same name) is renamed apart from the
+        # design, and so is every mix OR.
+        shift = len(self.enables)
+        hp_support = _net_support(hp)
+        masks = {
+            c if hp.driver[c] == "input" else ("hp", c): hp_support.ff_mask(c) << shift
+            for c in control_signals(hp)
+        }
+        masks.update((c, support.ff_mask(c)) for c in self.mux_selects)
+        enables = list(self.enables)
+        mix_masks: dict = {}
+        for i, (kind, j) in enumerate(sites):
+            if kind == "en":
+                site = enables[j]
+                site_mask = mix_masks[site] if site in mix_masks else support.ff_mask(site)
+                mix_masks["mix", i] = site_mask | hp_support.ff_mask(hp.outputs[i]) << shift
+                enables[j] = ("mix", i)
+        for en in enables:
+            if en is not None:
+                masks[en] = mix_masks[en] if en in mix_masks else support.ff_mask(en)
+
+        ff_bit = dict(support.ff_bit)
+        ff_bit.update((name, shift + k) for k, name in enumerate(names))
+        on_cycle = self.on_cycle | {merged_name[f] for f in build_ff_graph(hp).on_cycle}
+        table = _zscore_table(
+            ffs, shapes.sims(cids, cids), self.params, list(masks.values()), ff_bit, on_cycle
+        )
+        hp_comps = [tuple(sorted(merged_name[m] for m in c)) for c in hp_sccs]
+        return table, sorted(self.sccs + hp_comps, key=lambda c: c[0])
 
 
 @dataclass

@@ -13,18 +13,39 @@
 - ``stg_equivalent``, ``stg_text`` and ``stg_dot``: equivalence and the text
   renderings over string-keyed STG edge dicts, the oracle of ``stg``'s
   successor-index table.
+- ``derive_honeypot``: decoy derivation with its checks in the original
+  order (validity, guard ambiguity, then reachability).
+- ``tune_honeypot``: honeypot tuning that integrates every candidate and
+  scores the merged netlist with a fresh ``zscores``, the oracle of the
+  tuner's composed candidate scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
-from fsmtrap.graph import AnalysisError
+from fsmtrap.graph import AnalysisError, build_ff_graph, most_members, tarjan_scc
 from fsmtrap.netlist import BitState, Netlist, NetlistError, topo_gates
-from fsmtrap.relic import SimilarityMatrix, _ShapeTable
+from fsmtrap.obfuscate import (
+    HoneypotError,
+    HoneypotParams,
+    TuneIteration,
+    TuneReport,
+    _all_states_reachable,
+    build_decoy,
+)
+from fsmtrap.relic import SimilarityMatrix, _ShapeTable, select_scc_by_z, zscores
 from fsmtrap.stg import ReplicaDisagreementError, Stg, StgError
-from fsmtrap.synth import FsmSpec, SpecError, Transition, state_ff_name, validate_fsm
+from fsmtrap.synth import (
+    FsmSpec,
+    SpecError,
+    Transition,
+    _effective_covers,
+    state_ff_name,
+    validate_fsm,
+)
 
 # -- scalar simulation ---------------------------------------------------------
 
@@ -333,3 +354,91 @@ def stg_dot(reset: str, states: Sequence[str], edges: Mapping) -> str:
         lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- honeypot derivation and tuning ------------------------------------------------
+
+
+def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
+    """``obfuscate.derive_honeypot`` with each attempt checked for validity
+    and guard ambiguity before reachability."""
+    validate_fsm(fsm)
+    if p.n_transition_mutations > len(fsm.transitions):
+        raise HoneypotError("mutation budget exceeds the transition count")
+    if p.n_output_mutations and fsm.moore_outputs is None:
+        raise HoneypotError("output mutations need declared outputs")
+    for attempt in range(100):
+        rng = random.Random(p.mutation_seed * 1009 + attempt)
+        trans = [Transition(t.src, t.guard, t.dst) for t in fsm.transitions]
+        if p.n_transition_mutations:
+            for idx in sorted(rng.sample(range(len(trans)), p.n_transition_mutations)):
+                t = trans[idx]
+                choices = [s for s in fsm.states if s != t.dst]
+                if not choices:
+                    continue
+                trans[idx] = Transition(t.src, t.guard, rng.choice(choices))
+        moore = fsm.moore_dict()
+        if p.n_output_mutations and moore is not None:
+            width = len(next(iter(moore.values())))
+            cells = [(s, j) for s in fsm.states for j in range(width)]
+            for s, j in rng.sample(cells, min(p.n_output_mutations, len(cells))):
+                bits = list(moore[s])
+                bits[j] = "1" if bits[j] == "0" else "0"
+                moore[s] = "".join(bits)
+        candidate = replace(
+            fsm,
+            transitions=tuple(trans),
+            moore_outputs=tuple((s, moore[s]) for s in fsm.states) if moore else None,
+        )
+        try:
+            validate_fsm(candidate)
+            _effective_covers(candidate)
+        except SpecError:
+            continue
+        if _all_states_reachable(candidate):
+            return candidate
+    raise HoneypotError("no valid honeypot variant found after 100 re-rolls")
+
+
+def tune_honeypot(
+    design_nl: Netlist,
+    design_sffs,
+    base_hp: FsmSpec,
+    p: HoneypotParams,
+    max_iters: int = 10,
+    require_selection: bool = False,
+) -> TuneReport:
+    """``obfuscate.tune_honeypot`` that integrates every candidate and scores
+    the merged netlist with ``zscores`` on a fresh shape table and
+    ``tarjan_scc`` of its FF graph."""
+    iterations: list = []
+    best: Optional[TuneReport] = None
+    best_margin = float("-inf")
+    for i in range(max_iters):
+        params_i = replace(p, mutation_seed=p.mutation_seed + i)
+        hp_nl, integrated, hp_ffs = build_decoy(design_nl, base_hp, params_i)
+        table = zscores(integrated)
+        sccs = tarjan_scc(build_ff_graph(integrated)).sccs
+
+        def scc_max(members_of) -> float:
+            best_i = most_members(sccs, members_of)
+            if best_i is None:
+                return max((table.scores[f] for f in members_of), default=float("-inf"))
+            return max(table.scores[f] for f in sccs[best_i])
+
+        hp_max = scc_max(hp_ffs)
+        fsm_max = scc_max(design_sffs)
+        _, selected, _ = select_scc_by_z(table.scores, sccs)
+        selected_is_hp = bool(selected & hp_ffs)
+        success = hp_max > fsm_max and (selected_is_hp or not require_selection)
+        iterations.append(
+            TuneIteration(params_i.mutation_seed, hp_max, fsm_max, selected_is_hp, success)
+        )
+        candidate = TuneReport(success, iterations, params_i, hp_nl, integrated, hp_ffs)
+        if success:
+            return candidate
+        if hp_max - fsm_max > best_margin:
+            best_margin = hp_max - fsm_max
+            best = candidate
+    best.found = False
+    return best

@@ -12,6 +12,7 @@ from fsmtrap.harness import (
     comb_depth,
     gate_area,
     gen_benchmark,
+    generate,
     outputs_match,
     overhead,
     run_pipeline,
@@ -178,6 +179,24 @@ def test_pipeline_baseline_only(tmp_path):
     assert result.baseline["topo"].sensitivity == 1.0
     assert (tmp_path / "run" / "summary.txt").exists()
     assert (tmp_path / "run" / "netlists" / "base.nl").exists()
+
+
+def test_pipeline_records_every_tuning_iteration(tmp_path):
+    # On this design no decoy wins, so tuning runs all ten iterations.
+    plan = PipelinePlan(benchmark=BenchmarkSpec(seed=0), defense=DefensePlan(honeypot=True))
+    run_pipeline(plan, tmp_path / "run")
+    lines = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+    fsm, dp, nl, gt = generate(plan.benchmark)
+    tune = apply_defense(fsm, dp, nl, gt, plan).tune
+    expected = [
+        f"tune_iter seed={it.seed} hp_max={it.hp_scc_max:.6f} fsm_max={it.fsm_scc_max:.6f} "
+        f"selected_is_hp={it.selected_is_hp} success={it.success}"
+        for it in tune.iterations
+    ]
+    assert len(expected) == 10
+    assert [ln for ln in lines if ln.startswith("tune_iter ")] == expected
+    (head,) = [ln for ln in lines if ln.startswith("honeypot found=")]
+    assert f"iterations={len(expected)}" in head.split()
 
 
 def test_pipeline_replicate_honeypot(tmp_path):

@@ -36,6 +36,7 @@ from fsmtrap.synth import (
 )
 
 from conftest import random_fsm
+import oracles
 from oracles import pair_similarity, step
 
 
@@ -516,34 +517,39 @@ def _defend_design():
     )
 
 
-def _scored_alone(monkeypatch):
-    """Make ``tune_honeypot`` score each candidate against a fresh shape table."""
-    import fsmtrap.obfuscate as obf
-    from fsmtrap.relic import zscores
-
-    monkeypatch.setattr(obf, "zscores", lambda nl, shapes: zscores(nl))
+def _hex_table(table) -> tuple:
+    """A z-score table with every float as its hex string."""
+    return (
+        table.ffs,
+        {f: v.hex() for f, v in table.scores.items()},
+        {f: tuple(x.hex() for x in v) for f, v in table.raw_features.items()},
+        {f: tuple(x.hex() for x in v) for f, v in table.z_features.items()},
+    )
 
 
 @pytest.mark.parametrize("replicated", [False, True])
-def test_tuner_shared_shape_table_scores_like_fresh_tables(monkeypatch, replicated):
+def test_tuner_shared_shape_table_scores_like_fresh_tables(replicated):
+    # The reference integrates every candidate and scores it with a fresh
+    # shape table; the tuner composes each candidate's scores on one table.
+    from fsmtrap.netlist import serialize
     from fsmtrap.relic import zscores
 
     fsm, dp = _defend_design()
     design = replicate_state_bits(fsm, ReplicationPlan(2)) if replicated else fsm
     p = HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
 
-    def tune():
+    def tune(tuner):
         nl, gt = synthesize(design, dp)
-        return tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10, require_selection=replicated)
+        return tuner(nl, gt.sffs, fsm, p, max_iters=10, require_selection=replicated)
 
-    shared = tune()
-    with monkeypatch.context() as m:
-        _scored_alone(m)
-        alone = tune()
+    shared = tune(tune_honeypot)
+    alone = tune(oracles.tune_honeypot)
     assert len(alone.iterations) == (1 if replicated else 10)
     assert shared.iterations == alone.iterations
     assert shared.found == alone.found
-    assert shared.params.mutation_seed == alone.params.mutation_seed
+    assert shared.params == alone.params
+    assert shared.hp_ffs == alone.hp_ffs
+    assert serialize(shared.integrated) == serialize(alone.integrated)
     za, zb = zscores(shared.integrated), zscores(alone.integrated)
     assert za.ffs == zb.ffs
     assert za.scores == zb.scores
@@ -557,13 +563,16 @@ def test_tuner_shared_shape_table_scores_like_fresh_tables(monkeypatch, replicat
     ids=["defend", "defend-r2", "seed0", "seed3-r2", "seed6-r2", "seed9-r2", "tiny"],
 )
 def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
-    # tune_honeypot interns the design's D-cones once per call; on every
-    # candidate the ids read back must be the ids a fresh walk of the
-    # integrated netlist interns into the same table.  The designs are
+    # tune_honeypot interns the design's D-cones once per call and each
+    # decoy's D-cones on the decoy netlist, and composes every candidate's
+    # z-score table and SCC list without integrating it.  On every
+    # candidate the ids must be those a fresh walk of the integrated netlist
+    # interns into the same table, and the composed table (float-hex) and
+    # SCCs those of the integrated netlist scored alone.  The designs are
     # those the tuner and pipeline tests tune.
-    import fsmtrap.obfuscate as obf
     from fsmtrap.harness import BenchmarkSpec, gen_benchmark
-    from fsmtrap.relic import RelicParams, zscores
+    from fsmtrap.netlist import serialize
+    from fsmtrap.relic import RelicParams, _CandidateScorer, zscores
 
     if design == "tiny":
         fsm, dp = _tiny_fsm(), None
@@ -572,26 +581,91 @@ def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
     else:
         fsm, dp = gen_benchmark(BenchmarkSpec(seed=design))
     nl, gt = synthesize(replicate_state_bits(fsm, ReplicationPlan(r)) if r else fsm, dp)
-    scored = []
-
-    def spy(integrated, shapes):
-        scored.append((integrated, shapes))
-        return zscores(integrated, shapes=shapes)
-
-    monkeypatch.setattr(obf, "zscores", spy)
     p = HoneypotParams(n_transition_mutations=0 if design == "tiny" else 2)
+    scored = []
+    score = _CandidateScorer.score
+
+    def spy(self, hp, names, sites, hp_sccs):
+        result = score(self, hp, names, sites, hp_sccs)
+        scored.append((self.shapes, hp, result))
+        return result
+
+    monkeypatch.setattr(_CandidateScorer, "score", spy)
     report = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10)
     assert len(scored) == len(report.iterations)
     depth = RelicParams().depth_limit
     design_roots = {(depth, f.d) for f in nl.ffs}
-    for integrated, shapes in scored:
+    for shapes, hp, (table, sccs) in scored:
+        integrated, _ = integrate_honeypot(nl, hp, p)
         assert set(shapes._carried) == design_roots
         roots = [f.d for f in integrated.ffs]
-        reused = shapes.cone_ids(integrated, roots, depth)
-        carried, shapes._carried = shapes._carried, {}
-        walked = shapes.cone_ids(integrated, roots, depth)
-        shapes._carried = carried
-        assert reused == walked
+        assert shapes.cone_ids(integrated, roots, depth) == shapes.cone_ids(
+            integrated, roots, depth, carried=False
+        )
+        assert _hex_table(table) == _hex_table(zscores(integrated))
+        assert sccs == tarjan_scc(build_ff_graph(integrated)).sccs
+
+    monkeypatch.undo()
+    reference = oracles.tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10)
+    assert report.iterations == reference.iterations
+    assert report.found == reference.found
+    assert report.params == reference.params
+    assert report.hp_ffs == reference.hp_ffs
+    assert serialize(report.integrated) == serialize(reference.integrated)
+
+
+@pytest.mark.parametrize("replicated", [False, True])
+def test_tuner_integrates_only_the_returned_candidate(monkeypatch, replicated):
+    import fsmtrap.obfuscate as obf
+
+    fsm, dp = _defend_design()
+    design = replicate_state_bits(fsm, ReplicationPlan(2)) if replicated else fsm
+    nl, gt = synthesize(design, dp)
+    calls = []
+    integrate = obf.integrate_honeypot
+
+    def spy(*args):
+        calls.append(args[1])
+        return integrate(*args)
+
+    monkeypatch.setattr(obf, "integrate_honeypot", spy)
+    p = HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
+    report = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10, require_selection=replicated)
+    assert (report.found, len(report.iterations)) == ((True, 1) if replicated else (False, 10))
+    assert calls == [report.hp_netlist]
+
+
+@pytest.mark.parametrize("profile", ["defend", "default", "verify"])
+def test_derivation_checks_reachability_first_with_equal_decoys(monkeypatch, profile):
+    import fsmtrap.obfuscate as obf
+    from fsmtrap.harness import BenchmarkSpec, gen_benchmark
+
+    if profile == "defend":
+        fsm, _ = _defend_design()
+    elif profile == "default":
+        fsm, _ = gen_benchmark(BenchmarkSpec(seed=0))
+    else:
+        fsm, _ = gen_benchmark(
+            BenchmarkSpec(seed=0, n_states=64, data_width=4, n_data_pairs=1, n_inputs=8)
+        )
+    covers = []
+    effective_covers = obf._effective_covers
+
+    def spy(candidate):
+        covers.append(candidate)
+        return effective_covers(candidate)
+
+    for seed in range(50):
+        p = HoneypotParams(mutation_seed=seed, n_transition_mutations=2, n_output_mutations=1)
+        assert derive_honeypot(fsm, p) == oracles.derive_honeypot(fsm, p)
+        if profile == "defend":
+            # No reachable candidate of this design has ambiguous guards, so
+            # only the accepted one reaches the guard check.
+            with monkeypatch.context() as m:
+                m.setattr(obf, "_effective_covers", spy)
+                decoy = derive_honeypot(fsm, p)
+            assert covers == [decoy]
+            covers.clear()
 
 
 def test_tuner_builds_one_shape_table_per_call(monkeypatch):
