@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import harness, specio
+from .graph import classify_feedback
 from .netlist import parse as parse_netlist
 from .netlist import serialize
 from .obfuscate import (
@@ -146,12 +147,10 @@ def cmd_defend(args) -> int:
         nl = _read_netlist(args.netlist)
         gt = _read_truth(args.truth)
         target = args.target or sorted(gt.sffs)[0]
-        nl, report = rewrite_ra(nl, gt.sffs, target)
+        nl = rewrite_ra(nl, gt.sffs, target)
         Path(args.out).write_text(serialize(nl))
-        print(
-            f"wrote {args.out} (treated={report.treated_ff} "
-            f"fp_after={report.fp_after.value})"
-        )
+        fp_after = classify_feedback(nl, target, gt.sffs)
+        print(f"wrote {args.out} (treated={target} fp_after={fp_after.value})")
         return 0
     # honeypot: the pipeline's defend stage on the synthesized design.
     fsm, dp = _read_design(args.design)

@@ -252,14 +252,12 @@ def label_sccs(report: SccReport, sffs, honeypots=frozenset()) -> SccReport:
     return SccReport(sccs=report.sccs, labels=labels)
 
 
-def classify_feedback(
-    nl: Netlist, ff: str, candidate_sffs=None
-) -> FeedbackClass:
+def classify_feedback(nl: Netlist, ff: str, candidate_sffs) -> FeedbackClass:
     """Strength of the strongest feedback path from a flip-flop to itself.
 
     High: a purely combinational Q->D self-path.  Medium: a self-path whose
-    intermediate flip-flops all belong to ``candidate_sffs``.  Low: any
-    self-path.  Distinguishing medium from low requires the candidate set.
+    intermediate flip-flops all belong to ``candidate_sffs``, the design's
+    state FFs.  Low: any self-path.  None: no self-path.
     """
     g = build_ff_graph(nl)
     if ff not in g.comb:
@@ -268,8 +266,6 @@ def classify_feedback(
         return FeedbackClass.HIGH
     if ff not in g.on_cycle:
         return FeedbackClass.NONE
-    if candidate_sffs is None:
-        raise AnalysisError("medium/low classification requires a candidate SFF set")
     allowed = set(candidate_sffs)
     frontier = {m for m in g.comb[ff] if m in allowed}
     seen = set(frontier)
@@ -284,11 +280,6 @@ def classify_feedback(
                     nxt.add(b)
         frontier = nxt
     return FeedbackClass.LOW
-
-
-def has_high_fp(nl: Netlist, ff: str) -> bool:
-    g = build_ff_graph(nl)
-    return ff in g.comb.get(ff, frozenset())
 
 
 def control_signals(nl: Netlist) -> set:

@@ -392,7 +392,8 @@ def apply_defense(
     (``nl``, ``gt``): replicate state bits (and counters), rewrite one
     feedback path (RB on the spec, RA on the netlist), then integrate a tuned
     or seeded decoy.  The spec is synthesized again only if replication or RB
-    changed it."""
+    changed it.  Either rewrite treats state bit ``fp_target``, and the
+    summary line names its FF and ``classify_feedback`` class afterwards."""
     d = plan.defense
     fsm_d, dp_d = fsm, dp
     width = len(gt.sffs)
@@ -417,15 +418,15 @@ def apply_defense(
             for c in dp.counters:
                 dp_d = replicate_counter(dp_d, c.name, d.replicate_r)
 
+    if fp_mode == "rb" and plan.encoding == "one_hot":
+        raise ObfuscationError("dummy-transition rewrite needs a binary design")
+    if fp_mode and d.fp_target >= len(bit_map):
+        raise RewriteError(
+            f"fp_target {d.fp_target} is out of range 0..{len(bit_map) - 1} "
+            "for the design's state bits"
+        )
     rb_report = None
     if fp_mode == "rb":
-        if plan.encoding == "one_hot":
-            raise ObfuscationError("dummy-transition rewrite needs a binary design")
-        if d.fp_target >= len(bit_map):
-            raise RewriteError(
-                f"fp_target {d.fp_target} is out of range 0..{len(bit_map) - 1} "
-                "for the design's state bits"
-            )
         fsm_d, rb_report = rewrite_rb(fsm_d, d.fp_target)
         if rb_report.extended_encoding:
             bit_map[len(bit_map)] = bit_map[d.fp_target]
@@ -433,22 +434,14 @@ def apply_defense(
     if (fsm_d, dp_d) != (fsm, dp):
         reencode = plan.encoding == "one_hot" and not d.replicate_r
         nl, gt = synthesize(fsm_d, dp_d, SynthOptions(allow_reencode=reencode))
-    if rb_report is not None:
+    if fp_mode:
         target_ff = sorted(gt.sffs)[d.fp_target]
-        fp_after = classify_feedback(nl, target_ff, gt.sffs)
-        summary.append(
-            f"rb target={target_ff} extended={rb_report.extended_encoding} "
-            f"fp_after={fp_after.value}"
-        )
-    if fp_mode == "ra":
-        if d.fp_target >= len(gt.sffs):
-            raise RewriteError(
-                f"fp_target {d.fp_target} is out of range 0..{len(gt.sffs) - 1} "
-                "for the design's state FFs"
-            )
-        target_ff = sorted(gt.sffs)[d.fp_target]
-        nl, ra_report = rewrite_ra(nl, gt.sffs, target_ff)
-        summary.append(f"ra target={target_ff} fp_after={ra_report.fp_after.value}")
+        if fp_mode == "ra":
+            nl = rewrite_ra(nl, gt.sffs, target_ff)
+            head = f"ra target={target_ff}"
+        else:
+            head = f"rb target={target_ff} extended={rb_report.extended_encoding}"
+        summary.append(f"{head} fp_after={classify_feedback(nl, target_ff, gt.sffs).value}")
     # RB's added input, held at 0, keeps the original behaviour.
     frozen = {fsm_d.inputs[-1]: 0} if rb_report is not None and not rb_report.noop else {}
 

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graph import FeedbackClass, classify_feedback, has_high_fp
+from .graph import FeedbackClass, classify_feedback
 from .netlist import Gate, Netlist, NetlistError
 from .relic import _CandidateScorer, _ShapeTable, select_scc_by_z, zscores
 from .synth import (
@@ -115,13 +115,12 @@ def replicate_counter(dp: DatapathSpec, counter: str, r: int) -> DatapathSpec:
 
 @dataclass
 class RewriteReport:
-    treated_ff: str
+    """What ``rewrite_rb`` did: dummy transitions added, a copy of the target
+    bit appended to the encoding, or nothing (the bit was already free)."""
+
     added_transitions: int = 0
     extended_encoding: bool = False
     noop: bool = False
-    # Set by rewrite_ra.  rewrite_rb works on the spec and leaves it None:
-    # classify the treated FF of the synthesized result instead.
-    fp_after: Optional[FeedbackClass] = None
 
 
 def _cone_gates(nl: Netlist, net: str) -> set:
@@ -140,26 +139,26 @@ def _cone_gates(nl: Netlist, net: str) -> set:
     return seen
 
 
-def rewrite_ra(nl: Netlist, sffs, target: str) -> tuple[Netlist, RewriteReport]:
-    """Remove the high-strength feedback path of a one-hot state flip-flop.
+def rewrite_ra(nl: Netlist, sffs, target: str) -> Netlist:
+    """Remove the high-strength feedback path of a one-hot state flip-flop
+    and return the rewired netlist.
 
     Inside the target's own input cone, every use of its Q is rewired to an
     indicator that is 1 exactly when all other state flip-flops are 0 -- in
     reachable one-hot states the two signals agree, so the state transition
-    graph is unchanged.
+    graph is unchanged.  The target's feedback path must be high
+    (``classify_feedback``); callers classify it again afterwards.
     """
     sffs = sorted(set(sffs))
     if target not in sffs:
         raise RewriteError(f"target {target} is not among the given state FFs")
-    for s in sffs:
-        try:
-            nl.ff_by_name(s)
-        except KeyError:
-            raise RewriteError(f"unknown state flip-flop {s}")
-    one_hot_bits = sum(nl.ff_by_name(s).rst_val for s in sffs if nl.ff_by_name(s).rst is not None)
-    if one_hot_bits != 1:
+    try:
+        state_ffs = [nl.ff_by_name(s) for s in sffs]
+    except KeyError as e:
+        raise RewriteError(f"unknown state flip-flop {e.args[0]}") from None
+    if sum(f.rst_val for f in state_ffs if f.rst is not None) != 1:
         raise RewriteError("reset state is not one-hot over the given state FFs")
-    if not has_high_fp(nl, target):
+    if classify_feedback(nl, target, sffs) is not FeedbackClass.HIGH:
         raise RewriteError(f"{target} has no high-strength feedback path to remove")
 
     ff = nl.ff_by_name(target)
@@ -178,12 +177,12 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> tuple[Netlist, RewriteReport]:
 
     new_gates: list[Gate] = []
     not_nets = []
-    for other in sffs:
-        if other == target:
+    for other in state_ffs:
+        if other.name == target:
             continue
-        gname = fresh(f"ra_{target}_not_{other}")
+        gname = fresh(f"ra_{target}_not_{other.name}")
         net = fresh(f"{gname}_o")
-        new_gates.append(Gate(gname, "NOT", net, (nl.ff_by_name(other).q,)))
+        new_gates.append(Gate(gname, "NOT", net, (other.q,)))
         not_nets.append(net)
     ind_name = fresh(f"ra_{target}_ind")
     ind_net = fresh(f"{ind_name}_o")
@@ -192,37 +191,21 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> tuple[Netlist, RewriteReport]:
     else:
         new_gates.append(Gate(ind_name, "AND", ind_net, tuple(not_nets)))
 
-    rewired = False
-    rebuilt: list[Gate] = []
-    for g in nl.gates:
-        if g.name in cone and ff.q in g.ins:
-            ins = tuple(ind_net if n == ff.q else n for n in g.ins)
-            rebuilt.append(Gate(g.name, g.kind, g.out, ins))
-            rewired = True
-        else:
-            rebuilt.append(g)
-    ffs = []
-    for f in nl.ffs:
-        if f.name == target and f.d == ff.q:
-            ffs.append(replace(f, d=ind_net))
-            rewired = True
-        else:
-            ffs.append(f)
-    if not rewired:
-        raise RewriteError(f"{target} has no uses of its own Q inside its cone")
-
-    out = Netlist(
+    # A high feedback path puts Q in the cone, so something is rewired.
+    rebuilt = tuple(
+        Gate(g.name, g.kind, g.out, tuple(ind_net if n == ff.q else n for n in g.ins))
+        if g.name in cone and ff.q in g.ins else g
+        for g in nl.gates
+    )
+    ffs = tuple(replace(f, d=ind_net) if f.name == target and f.d == ff.q else f for f in nl.ffs)
+    return Netlist(
         name=nl.name,
         inputs=nl.inputs,
         outputs=nl.outputs,
         constants=dict(nl.constants),
-        gates=tuple(rebuilt) + tuple(new_gates),
-        ffs=tuple(ffs),
+        gates=rebuilt + tuple(new_gates),
+        ffs=ffs,
     )
-    report = RewriteReport(
-        treated_ff=target, fp_after=classify_feedback(out, target, set(sffs))
-    )
-    return out, report
 
 
 def _fresh_input_name(fsm: FsmSpec, base: str = "o") -> str:
@@ -255,7 +238,7 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
     eff, unmatched = _effective_covers(fsm)
     pos = _bit_covers(fsm, codes, eff, unmatched)
     if _droppable_bits(fsm, codes, pos)[target_bit]:
-        return fsm, RewriteReport(treated_ff=f"st{target_bit}", noop=True)
+        return fsm, RewriteReport(noop=True)
 
     extended = False
     if any(
@@ -328,12 +311,7 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
         moore_outputs=tuple((s, new_moore[s]) for s in states) if new_moore else None,
     )
     validate_fsm(out)
-    report = RewriteReport(
-        treated_ff=f"st{target_bit}",
-        added_transitions=added,
-        extended_encoding=extended,
-    )
-    return out, report
+    return out, RewriteReport(added_transitions=added, extended_encoding=extended)
 
 
 def _flip(ch: str) -> str:
@@ -530,9 +508,9 @@ class TuneReport:
     found: bool
     iterations: list
     params: HoneypotParams
-    hp_netlist: Optional[Netlist] = None
-    integrated: Optional[Netlist] = None
-    hp_ffs: frozenset = frozenset()
+    hp_netlist: Netlist
+    integrated: Netlist
+    hp_ffs: frozenset
 
 
 def tune_honeypot(

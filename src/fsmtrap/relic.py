@@ -76,6 +76,8 @@ class RelicParams:
     top_k: int = 5
 
     def __post_init__(self):
+        if self.depth_limit < 0:
+            raise ValueError(f"RelicParams.depth_limit must be >= 0, got {self.depth_limit}")
         if self.top_k < 1:
             raise ValueError(f"RelicParams.top_k must be >= 1, got {self.top_k}")
 

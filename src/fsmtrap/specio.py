@@ -145,7 +145,8 @@ def _int(tok: str, lineno: int) -> int:
 
 
 def parse_design(text: str):
-    """Returns (FsmSpec, DatapathSpec)."""
+    """Returns (FsmSpec, DatapathSpec).  Each section appears at most once
+    and closes with ``end``; anything else raises ``FormatError``."""
     fsm_name: Optional[str] = None
     states: list[str] = []
     inputs: list[str] = []
@@ -160,6 +161,7 @@ def parse_design(text: str):
     wiring: list[tuple] = []
 
     section = None
+    opened: dict[str, int] = {}  # section -> line of its header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -167,15 +169,17 @@ def parse_design(text: str):
         toks = line.split()
         head = toks[0]
         if section is None:
+            if head not in ("fsm", "datapath"):
+                raise FormatError(lineno, f"unexpected {head!r} outside a section")
+            if head in opened:
+                raise FormatError(lineno, f"second {head} section (first at line {opened[head]})")
             if head == "fsm":
                 if len(toks) != 2:
                     raise FormatError(lineno, "fsm section takes a name")
                 fsm_name = toks[1]
-                section = "fsm"
-            elif head == "datapath":
-                section = "datapath"
-            else:
-                raise FormatError(lineno, f"unexpected {head!r} outside a section")
+            elif len(toks) != 1:
+                raise FormatError(lineno, "datapath section takes no arguments")
+            section, opened[head] = head, lineno
             continue
         if head == "end":
             section = None
@@ -257,6 +261,8 @@ def parse_design(text: str):
             else:
                 raise FormatError(lineno, f"unknown datapath entry {head!r}")
 
+    if section is not None:
+        raise FormatError(opened[section], f"{section} section has no end")
     if fsm_name is None:
         raise FormatError(0, "missing fsm section")
     if reset is None:

@@ -32,6 +32,19 @@ class TopoParams:
     include_singletons: bool = False
     functional_max_vars: int = 10
 
+    def __post_init__(self):
+        step, theta = self.control_step, self.influence_threshold
+        if step not in ("off", "structural", "functional"):
+            raise ValueError(
+                f"TopoParams.control_step must be off, structural or functional, got {step!r}"
+            )
+        if not 0 <= theta <= 1:
+            raise ValueError(f"TopoParams.influence_threshold must be in [0, 1], got {theta}")
+        if self.functional_max_vars < 0:
+            raise ValueError(
+                f"TopoParams.functional_max_vars must be >= 0, got {self.functional_max_vars}"
+            )
+
 
 @dataclass(frozen=True)
 class Removal:

@@ -115,15 +115,14 @@ def fp_defense(i: int):
     if one_hot:
         nl, gt = baseline(i, one_hot=True)
         target = sorted(gt.sffs)[0]
-        treated_nl, report = rewrite_ra(nl, gt.sffs, target)
+        treated_nl = rewrite_ra(nl, gt.sffs, target)
         fsm_d = fsm
         base_nl, base_gt = nl, gt
     else:
         base_nl, base_gt = baseline(i)
-        fsm_d, report = rewrite_rb(fsm, 0)
+        fsm_d, rb_report = rewrite_rb(fsm, 0)
         treated_nl, gt = synthesize(fsm_d, dp)
         target = f"u0_st0"
-        rb_report = report
     p = HoneypotParams(mutation_seed=1, n_transition_mutations=2, n_output_mutations=1)
     hp_fsm = derive_honeypot(fsm, p)
     hp_nl, _ = synthesize(hp_fsm, None, SynthOptions(name_prefix="fsm"))
@@ -138,7 +137,6 @@ def fp_defense(i: int):
         "pre_hp_nl": treated_nl,
         "gt": gt,
         "target": target,
-        "report": report,
         "rb_report": rb_report,
         "hp_nl": hp_nl,
         "merged": merged,

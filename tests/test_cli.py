@@ -61,18 +61,27 @@ def test_defend_replicate_and_rb(design_file, tmp_path):
     assert "__rb" in rb.read_text()
 
 
-def test_defend_ra_cli(design_file, tmp_path):
+def test_defend_ra_cli(design_file, tmp_path, capsys):
     nl = tmp_path / "oh.nl"
     gt = tmp_path / "gt.txt"
     run(
         "synth", "--design", str(design_file), "--out", str(nl),
         "--ground-truth", str(gt), "--reencode",
     )
+    capsys.readouterr()
     out = tmp_path / "ra.nl"
     assert run(
         "defend", "ra", "--netlist", str(nl), "--truth", str(gt), "--out", str(out)
     ) == 0
     assert "ra_" in out.read_text()
+    assert run(
+        "defend", "ra", "--netlist", str(nl), "--truth", str(gt), "--target", "u0_st3",
+        "--out", str(out),
+    ) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out} (treated=u0_st0 fp_after=medium)\n"
+        f"wrote {out} (treated=u0_st3 fp_after=medium)\n"
+    )
 
 
 def test_defend_honeypot_cli(design_file, tmp_path):
@@ -126,6 +135,14 @@ def test_stg_cli(design_file, tmp_path):
     ) == 0
     assert out.read_text().startswith("state ")
     assert dot.read_text().startswith("digraph")
+
+
+def test_attack_relic_rejects_negative_depth(design_file, tmp_path, capsys):
+    nl = tmp_path / "base.nl"
+    run("synth", "--design", str(design_file), "--out", str(nl))
+    assert run("attack", "relic", "--netlist", str(nl), "--depth", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RelicParams.depth_limit must be >= 0, got -1")
 
 
 @pytest.mark.parametrize("via_plan", [False, True], ids=["flag", "plan"])

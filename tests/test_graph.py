@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from fsmtrap.graph import (
-    AnalysisError,
     FeedbackClass,
     FfGraph,
     build_ff_graph,
@@ -297,21 +296,9 @@ def test_classify_feedback_levels():
         "dff f0 q=f0_q d=n0 clk=clk\n"
         "dff f1 q=f1_q d=n1 clk=clk\n"
     )
-    assert classify_feedback(nl, "f0") is FeedbackClass.HIGH
+    assert classify_feedback(nl, "f0", set()) is FeedbackClass.HIGH
     assert classify_feedback(nl, "f1", {"f0"}) is FeedbackClass.MEDIUM
     assert classify_feedback(nl, "f1", set()) is FeedbackClass.LOW
-
-
-def test_classify_feedback_requires_candidates_for_medium_low():
-    nl = parse(
-        "input clk\n"
-        "gate BUF g0 n0 f1_q\n"
-        "gate BUF g1 n1 f0_q\n"
-        "dff f0 q=f0_q d=n0 clk=clk\n"
-        "dff f1 q=f1_q d=n1 clk=clk\n"
-    )
-    with pytest.raises(AnalysisError):
-        classify_feedback(nl, "f0")
 
 
 def test_classify_feedback_none():
@@ -320,7 +307,7 @@ def test_classify_feedback_none():
         "gate BUF g0 n0 a\n"
         "dff f0 q=f0_q d=n0 clk=clk\n"
     )
-    assert classify_feedback(nl, "f0") is FeedbackClass.NONE
+    assert classify_feedback(nl, "f0", set()) is FeedbackClass.NONE
 
 
 def test_medium_monotone_in_candidates():

@@ -304,6 +304,34 @@ def test_pipeline_ra_wide_register_targets_bit(tmp_path):
     assert "ra target=u0_st02 " in summary
 
 
+@pytest.mark.parametrize(
+    "plan, line",
+    [
+        (PipelinePlan(defense=DefensePlan(fp_mode="rb")),
+         "rb target=u0_st0 extended=True fp_after=medium"),
+        (PipelinePlan(
+            benchmark=BenchmarkSpec(seed=3),
+            defense=DefensePlan(replicate_r=2, fp_mode="rb", fp_target=4, honeypot=True,
+                                honeypot_tune=False),
+        ), "rb target=u0_st4 extended=False fp_after=medium"),
+        (PipelinePlan(
+            benchmark=BenchmarkSpec(seed=8, n_states=12),
+            encoding="one_hot",
+            defense=DefensePlan(fp_mode="ra", fp_target=2),
+        ), "ra target=u0_st02 fp_after=medium"),
+    ],
+    ids=["rb-default", "rb-replicated-decoy", "ra-one-hot-12"],
+)
+def test_feedback_rewrite_summary_line(plan, line):
+    # One line per plan names the treated state FF and its feedback class
+    # after the rewrite, the same for RA and RB.
+    fsm, dp, nl, gt = generate(plan.benchmark)
+    if plan.encoding == "one_hot":
+        nl, gt = synthesize(fsm, dp, SynthOptions(allow_reencode=True))
+    summary = apply_defense(fsm, dp, nl, gt, plan).summary
+    assert [ln for ln in summary if ln.startswith(("ra ", "rb "))] == [line]
+
+
 def test_pipeline_reproducible(tmp_path):
     plan = PipelinePlan(
         benchmark=BenchmarkSpec(seed=9),

@@ -6,7 +6,6 @@ from fsmtrap.graph import (
     FeedbackClass,
     build_ff_graph,
     classify_feedback,
-    has_high_fp,
     tarjan_scc,
 )
 from fsmtrap.netlist import parse, reset_state
@@ -196,10 +195,9 @@ def test_ra_removes_high_fp_preserves_stg():
     nl, gt = _ring3_one_hot()
     target = sorted(gt.sffs)[0]
     before = extract_stg(nl, sorted(gt.sffs), free_inputs=["x"])
-    assert has_high_fp(nl, target)
-    out, report = rewrite_ra(nl, gt.sffs, target)
-    assert report.fp_after is not FeedbackClass.HIGH
-    assert not has_high_fp(out, target)
+    assert classify_feedback(nl, target, gt.sffs) is FeedbackClass.HIGH
+    out = rewrite_ra(nl, gt.sffs, target)
+    assert classify_feedback(out, target, gt.sffs) is not FeedbackClass.HIGH
     after = extract_stg(out, sorted(gt.sffs), free_inputs=["x"])
     ident = {f: f for f in sorted(gt.sffs)}
     assert stg_equivalent(before, after, ident)
@@ -209,10 +207,10 @@ def test_ra_removes_high_fp_preserves_stg():
 def test_ra_other_sffs_keep_high_fp():
     nl, gt = _ring3_one_hot()
     target = sorted(gt.sffs)[0]
-    out, _ = rewrite_ra(nl, gt.sffs, target)
+    out = rewrite_ra(nl, gt.sffs, target)
     for f in sorted(gt.sffs):
         if f != target:
-            assert has_high_fp(out, f)
+            assert classify_feedback(out, f, gt.sffs) is FeedbackClass.HIGH
 
 
 def test_ra_requires_target_in_sffs():
@@ -221,10 +219,16 @@ def test_ra_requires_target_in_sffs():
         rewrite_ra(nl, gt.sffs, "nonexistent")
 
 
+def test_ra_requires_known_state_ffs():
+    nl, gt = _ring3_one_hot()
+    with pytest.raises(RewriteError, match="unknown state flip-flop ghost"):
+        rewrite_ra(nl, set(gt.sffs) | {"ghost"}, sorted(gt.sffs)[0])
+
+
 def test_ra_requires_high_fp():
     nl, gt = _ring3_one_hot()
     target = sorted(gt.sffs)[0]
-    once, _ = rewrite_ra(nl, gt.sffs, target)
+    once = rewrite_ra(nl, gt.sffs, target)
     with pytest.raises(RewriteError):
         rewrite_ra(once, gt.sffs, target)
 
@@ -254,7 +258,6 @@ def test_rb_removes_high_fp_and_preserves_o0_behavior():
     nl2, gt2 = synthesize(out_fsm)
     assert classify_feedback(nl, "u0_st1", gt.sffs) is FeedbackClass.HIGH
     assert classify_feedback(nl2, "u0_st1", gt2.sffs) is not FeedbackClass.HIGH
-    assert not has_high_fp(nl2, "u0_st1")
     free = list(out_fsm.inputs)
     stg2 = extract_stg(nl2, sorted(gt2.sffs), free_inputs=free)
     base_sffs = sorted(gt.sffs)
@@ -298,9 +301,9 @@ def test_rb_random_sweep(seed):
     out_fsm, report = rewrite_rb(fsm, target)
     nl2, gt2 = synthesize(out_fsm)
     if report.noop:
-        assert not has_high_fp(nl2, treated)
+        assert classify_feedback(nl2, treated, gt2.sffs) is not FeedbackClass.HIGH
         return
-    assert not has_high_fp(nl2, treated)
+    assert classify_feedback(nl2, treated, gt2.sffs) is not FeedbackClass.HIGH
     base = extract_stg(nl, sorted(gt.sffs), free_inputs=list(fsm.inputs))
     stg2 = extract_stg(nl2, sorted(gt2.sffs), free_inputs=list(out_fsm.inputs))
     base_sffs = sorted(gt.sffs)
@@ -356,7 +359,7 @@ def test_derived_honeypot_attractive_features():
     report = tarjan_scc(build_ff_graph(nl))
     assert any(set(m) >= gt.sffs for m in report.sccs), "state FFs must share one component"
     for f in sorted(gt.sffs):
-        assert has_high_fp(nl, f)
+        assert classify_feedback(nl, f, gt.sffs) is FeedbackClass.HIGH
 
 
 def test_integration_preserves_outputs():

@@ -655,6 +655,13 @@ def test_depth_limit_mismatch_rejected():
         pair_similarity(a, b)
 
 
+def test_relic_params_reject_negative_depth():
+    # Every negative depth would score like depth 0.
+    with pytest.raises(ValueError, match="RelicParams.depth_limit must be >= 0, got -4"):
+        RelicParams(depth_limit=-4)
+    RelicParams(depth_limit=0)
+
+
 def test_zscores_zero_variance_population():
     # Two FFs with identical cones and identical features: all scores 0.
     nl = parse(

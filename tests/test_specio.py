@@ -169,3 +169,20 @@ def test_inconsistent_documents_rejected(doc, old, new):
     assert old in doc
     with pytest.raises((FormatError, SpecError)):
         parse_design(doc.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (DOC + "fsm other\n  transition S1 -> S2 when a=1\nend\n", "line 21: second fsm section"),
+        (DOC + "datapath\n  counter d width 2 up\nend\n", "line 21: second datapath section"),
+        (DOC.replace("datapath\n", "datapath extra\n"), "line 13: datapath section takes no"),
+        (DOC.removesuffix("end\n"), "line 13: datapath section has no end"),
+        (DOC.split("datapath\n")[0].replace("end\n", ""), "line 1: fsm section has no end"),
+    ],
+    ids=["second-fsm", "second-datapath", "datapath-arguments", "unclosed-datapath",
+         "unclosed-fsm"],
+)
+def test_section_structure_rejected(doc, message):
+    with pytest.raises(FormatError, match=message):
+        parse_design(doc)

@@ -176,7 +176,7 @@ def test_topo_attack_baseline_full_sensitivity():
 def test_ra_treated_sff_removed_with_provenance():
     nl, gt = bench_design(one_hot=True)
     target = sorted(gt.sffs)[0]
-    nl2, _ = rewrite_ra(nl, gt.sffs, target)
+    nl2 = rewrite_ra(nl, gt.sffs, target)
     result, groups = topo_attack(nl2, truth=gt.sffs)
     assert target not in result.identified
     assert result.sensitivity == pytest.approx(1 - 1 / len(gt.sffs))
@@ -202,3 +202,25 @@ def test_groups_report_format():
     text = groups.to_text()
     assert "group " in text
     assert "step=" in text and "removed=" in text and "reason=" in text
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"control_step": "functinal"}, "TopoParams.control_step must be off, structural or"),
+        ({"influence_threshold": -0.1}, r"TopoParams.influence_threshold must be in \[0, 1\]"),
+        ({"influence_threshold": 1.5}, r"TopoParams.influence_threshold must be in \[0, 1\]"),
+        ({"functional_max_vars": -1}, "TopoParams.functional_max_vars must be >= 0"),
+    ],
+    ids=["control-step", "theta-negative", "theta-above-one", "max-vars-negative"],
+)
+def test_topo_params_reject_values_they_would_reinterpret(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TopoParams(**kwargs)
+
+
+def test_topo_params_accept_their_bounds():
+    for step in ("off", "structural", "functional"):
+        TopoParams(control_step=step)
+    TopoParams(influence_threshold=0.0, functional_max_vars=0)
+    TopoParams(influence_threshold=1.0)
