@@ -156,14 +156,15 @@ class _ShapeTable:
         """Shape id of each root net's depth-limited input cone, built
         bottom-up from a per-call memo (see ``_intern_cone``), or, with
         ``carried``, read from the cones ``carry_cones`` interned."""
-        depth = max(depth_limit, 0)
-        memo = [{} for _ in range(depth + 1)]
+        if depth_limit < 0:
+            raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+        memo = [{} for _ in range(depth_limit + 1)]
         carried = self._carried if carried else {}
         ids = []
         for net in roots:
-            cid = carried.get((depth, net))
+            cid = carried.get((depth_limit, net))
             if cid is None:
-                cid = _intern_cone(self, nl.driver, memo, net, depth)[2]
+                cid = _intern_cone(self, nl.driver, memo, net, depth_limit)[2]
             ids.append(cid)
         return ids
 
@@ -175,9 +176,8 @@ class _ShapeTable:
         Valid only while every netlist scored on this table afterwards
         drives each of these cones' nets as ``nl`` does.
         """
-        depth = max(depth_limit, 0)
         ids = self.cone_ids(nl, roots, depth_limit)
-        self._carried.update(zip([(depth, net) for net in roots], ids))
+        self._carried.update(zip([(depth_limit, net) for net in roots], ids))
         return ids
 
     def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:

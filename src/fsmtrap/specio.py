@@ -182,6 +182,8 @@ def parse_design(text: str):
             section, opened[head] = head, lineno
             continue
         if head == "end":
+            if len(toks) != 1:
+                raise FormatError(lineno, "end takes no arguments")
             section = None
             continue
         if section == "fsm":

@@ -4,8 +4,9 @@ An ``Stg`` is one table: ``states`` holds the projected code of every state,
 reset first, in discovery order, and ``succ[i, v]`` is the index of state
 ``i``'s successor under input vector ``v``, which gives free input ``k`` the
 bit ``k`` of ``v`` counted from the left.  Extraction and equivalence work on
-the indices; the ``(src code, input bits) -> dst code`` strings of
-``Stg.edges`` are built on first read, for the text and dot renderings.
+the indices.  ``Stg.edges`` reads the table as a ``(src code, input bits) ->
+dst code`` mapping without storing an entry per edge, and the text and dot
+renderings are written straight from the table.
 
 Extraction is exhaustive: starting from the reset state it enumerates every
 combination of the free inputs per reachable state, projecting states onto
@@ -32,9 +33,10 @@ closure is computed once per call.
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,8 +62,64 @@ class ReplicaDisagreementError(StgError):
     pass
 
 
+class _Edges(Mapping):
+    """Read-only ``(src code, input bits) -> dst code`` view of a successor
+    table: one entry per cell, in (state, vector) order.  Input bits are
+    ``""`` when there are no free inputs."""
+
+    def __init__(self, states: tuple, succ: np.ndarray, n_inputs: int):
+        self._states = states
+        self._succ = succ
+        self._vecs = tuple(
+            format(v, f"0{n_inputs}b") if n_inputs else "" for v in range(1 << n_inputs)
+        )
+        self._row = {s: i for i, s in enumerate(states)}
+        self._col = {v: j for j, v in enumerate(self._vecs)}
+
+    def __len__(self) -> int:
+        return self._succ.size
+
+    def __iter__(self):
+        return itertools.product(self._states, self._vecs)
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2:
+            src, vec = key
+            if src in self._row and vec in self._col:
+                return self._states[self._succ[self._row[src], self._col[vec]]]
+        raise KeyError(key)
+
+    def items(self):
+        return _EdgeItems(self)
+
+    def _dsts(self, rows):
+        """Successor codes of ``rows``' cells, row by row, vectors ascending."""
+        states = self._states
+        return itertools.chain.from_iterable(
+            map(states.__getitem__, self._succ[i].tolist()) for i in rows
+        )
+
+    def sorted_items(self):
+        """The items ordered by (src, vec), as ``sorted(items())`` would give
+        them, without sorting the edges: vectors are already ascending."""
+        rows = sorted(range(len(self._states)), key=self._states.__getitem__)
+        keys = itertools.product([self._states[i] for i in rows], self._vecs)
+        return zip(keys, self._dsts(rows))
+
+
+class _EdgeItems(ItemsView):
+    """``_Edges.items()``: streams keys and successor codes side by side."""
+
+    def __iter__(self):
+        edges = self._mapping
+        return zip(edges, edges._dsts(range(len(edges._states))))
+
+
 @dataclass(eq=False)
 class Stg:
+    """A successor table over projected state codes.  ``edges`` is a view of
+    it; nothing here holds an object per edge."""
+
     sff_names: tuple
     input_names: tuple
     states: tuple  # projected codes, discovery order; reset first
@@ -73,16 +131,14 @@ class Stg:
         return self.states[0]
 
     @cached_property
-    def edges(self) -> dict:
-        """(src code, input bits string) -> dst code, one entry per ``succ`` cell."""
-        n = len(self.input_names)
-        vecs = [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
-        dsts = [self.states[d] for d in self.succ.ravel().tolist()]
-        return dict(zip(itertools.product(self.states, vecs), dsts))
+    def edges(self) -> _Edges:
+        """(src code, input bits string) -> dst code, one entry per ``succ``
+        cell, as a read-only mapping over ``succ``."""
+        return _Edges(self.states, self.succ, len(self.input_names))
 
     def to_text(self) -> str:
         lines = [f"state {s}" for s in self.states]
-        for (src, vec), dst in sorted(self.edges.items()):
+        for (src, vec), dst in self.edges.sorted_items():
             lines.append(f"edge {src} {vec if vec else '-'} {dst}")
         return "\n".join(lines) + "\n"
 
@@ -91,7 +147,7 @@ class Stg:
         for s in self.states:
             shape = "doublecircle" if s == self.reset else "circle"
             lines.append(f'  "{s}" [shape={shape}];')
-        for (src, vec), dst in sorted(self.edges.items()):
+        for (src, vec), dst in self.edges.sorted_items():
             label = vec if vec else ""
             lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
         lines.append("}")

@@ -335,6 +335,18 @@ def stg_equivalent(
     return proj_edges == a.edges
 
 
+def stg_edges(stg) -> dict:
+    """The ``(src, vec) -> dst`` dict of an ``Stg``'s successor table, one
+    entry per cell, in (state, vector) order."""
+    n = len(stg.input_names)
+    vecs = [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
+    return {
+        (src, vec): stg.states[d]
+        for src, row in zip(stg.states, stg.succ.tolist())
+        for vec, d in zip(vecs, row)
+    }
+
+
 def stg_text(states: Sequence[str], edges: Mapping) -> str:
     """``Stg.to_text`` of a state list and a ``(src, vec) -> dst`` dict."""
     lines = [f"state {s}" for s in states]

@@ -662,6 +662,19 @@ def test_relic_params_reject_negative_depth():
     RelicParams(depth_limit=0)
 
 
+def test_negative_cone_depth_rejected():
+    # A negative depth used to be read as depth 0.
+    nl, _ = synthesize(*gen_benchmark(BenchmarkSpec(seed=1)))
+    with pytest.raises(ValueError, match="depth_limit must be >= 0, got -3"):
+        similarity_matrix(nl, -3)
+    table = relic_mod._ShapeTable()
+    roots = [f.d for f in nl.ffs]
+    for call in (table.cone_ids, table.carry_cones):
+        with pytest.raises(ValueError, match="depth_limit must be >= 0, got -1"):
+            call(nl, roots, -1)
+    assert similarity_matrix(nl, 0).ffs == tuple(sorted(f.name for f in nl.ffs))
+
+
 def test_zscores_zero_variance_population():
     # Two FFs with identical cones and identical features: all scores 0.
     nl = parse(

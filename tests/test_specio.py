@@ -179,9 +179,12 @@ def test_inconsistent_documents_rejected(doc, old, new):
         (DOC.replace("datapath\n", "datapath extra\n"), "line 13: datapath section takes no"),
         (DOC.removesuffix("end\n"), "line 13: datapath section has no end"),
         (DOC.split("datapath\n")[0].replace("end\n", ""), "line 1: fsm section has no end"),
+        (DOC.replace("end\n", "end of fsm\n", 1), "line 12: end takes no arguments"),
+        (DOC.replace("\nend\n", "\nend x\n", 1), "line 12: end takes no arguments"),
+        (DOC.removesuffix("end\n") + "end x\n", "line 20: end takes no arguments"),
     ],
     ids=["second-fsm", "second-datapath", "datapath-arguments", "unclosed-datapath",
-         "unclosed-fsm"],
+         "unclosed-fsm", "end-of-fsm", "end-x", "end-x-datapath"],
 )
 def test_section_structure_rejected(doc, message):
     with pytest.raises(FormatError, match=message):

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import random
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,9 +401,19 @@ def _reference_extract_stg(nl, sffs, free_inputs):
     raise StgError("extraction failed to stabilize after enlarging the tracked set")
 
 
+def _same_edges(edges, ref):
+    """``Stg.edges`` reads like the dict ``ref``: equality both ways, size,
+    every lookup, and key and item order."""
+    assert edges == ref and ref == edges
+    assert len(edges) == len(ref)
+    assert list(edges) == list(ref)
+    assert list(edges.items()) == list(ref.items())
+    assert all(edges[key] == dst for key, dst in ref.items())
+
+
 def _same_stg(got, ref):
     assert got.states == ref.states  # discovery order
-    assert got.edges == ref.edges
+    _same_edges(got.edges, ref.edges)
     assert got.warnings == ref.warnings
     assert got.sff_names == ref.sff_names
     assert got.reset == ref.reset
@@ -460,6 +473,34 @@ def test_text_and_dot_match_reference_rendering():
         assert got.to_text() == oracles.stg_text(ref.states, ref.edges)
         assert got.to_dot() == oracles.stg_dot(ref.reset, ref.states, ref.edges)
         assert len(got.edges) == got.succ.size
+
+
+def test_input_free_extraction_matches_reference():
+    # No free inputs: one vector, "", rendered as "-".
+    compared = 0
+    for seed in range(40):
+        nl = random_seq_netlist(seed, n_ffs=4 + seed % 5)
+        sffs = [f.name for f in nl.ffs][:2]
+        try:
+            ref = _reference_extract_stg(nl, sffs, [])
+        except StgError:
+            continue
+        got = extract_stg(nl, sffs, free_inputs=[])
+        _same_stg(got, ref)
+        assert list(got.edges) == [(s, "") for s in got.states]
+        assert got.to_text() == oracles.stg_text(ref.states, ref.edges)
+        assert got.to_dot() == oracles.stg_dot(ref.reset, ref.states, ref.edges)
+        compared += 1
+    assert compared >= 30
+
+
+def test_edges_reject_keys_outside_the_table():
+    stg = Stg(("s0",), ("x",), ("0", "1"), np.array([[0, 1], [1, 0]]))
+    assert stg.edges[("1", "0")] == "1"
+    for key in [("2", "0"), ("0", "00"), ("0",), "01", ("0", "1", "1")]:
+        assert key not in stg.edges
+        with pytest.raises(KeyError):
+            stg.edges[key]
 
 
 def test_level_bfs_splits_wide_levels(monkeypatch):
@@ -547,3 +588,56 @@ def test_ff_outside_the_closure_changes_nothing():
             assert np.array_equal(after.succ, before.succ)
             assert after.warnings == before.warnings
             assert after.sff_names == before.sff_names
+
+
+@pytest.fixture(scope="module")
+def verify_stgs():
+    """The three STGs of the ``verify`` benchmark recipe: base design, r=1
+    replica, and bit-0 dummy-transition rewrite with a decoy attached."""
+    class Recorder:
+        def __init__(self):
+            self.stgs = []
+
+        def call(self, name, fn, *args, **kwargs):
+            result = fn(*args, **kwargs)
+            if name == "stg.extract_stg":
+                self.stgs.append(result)
+            return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import recipes
+
+        tr = Recorder()
+        fsm, dp = gen_benchmark(
+            BenchmarkSpec(seed=0, n_states=64, data_width=4, n_data_pairs=1, n_inputs=8)
+        )
+        recipes.verify(tr, fsm, dp)
+    return tr.stgs
+
+
+def test_edges_and_renderings_on_verify_designs(verify_stgs):
+    assert [s.succ.shape for s in verify_stgs] == [(64, 256), (64, 256), (128, 512)]
+    for stg in verify_stgs:
+        ref = oracles.stg_edges(stg)
+        _same_edges(stg.edges, ref)
+        assert stg.to_text() == oracles.stg_text(stg.states, ref)
+        assert stg.to_dot() == oracles.stg_dot(stg.reset, stg.states, ref)
+
+
+def test_edges_hold_no_object_per_edge(verify_stgs):
+    rb = verify_stgs[-1]
+    stg = Stg(rb.sff_names, rb.input_names, rb.states, rb.succ, rb.warnings)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(stg.edges) == 128 * 512
+        for _ in stg.edges.items():
+            pass
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # A dict of the 65,536 edges retains about 6 MB.
+    assert retained < 256 * 1024
