@@ -50,12 +50,10 @@ from .graph import (
 from .relic import (
     AttackResult,
     RelicParams,
-    SimilarityMatrix,
     ZScoreTable,
     evaluate,
     relic_tarjan,
     select_scc_by_z,
-    similarity_matrix,
     zscores,
 )
 from .topo import CandidateGroups, TopoParams, topo_attack

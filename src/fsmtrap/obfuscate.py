@@ -28,6 +28,7 @@ from .synth import (
     SynthOptions,
     Transition,
     _bit_covers,
+    _codes,
     _droppable_bits,
     _effective_covers,
     encode,
@@ -230,7 +231,7 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
     validate_fsm(fsm)
     if fsm.encoding == ONE_HOT:
         raise RewriteError("dummy-transition rewrite applies to binary/explicit encodings")
-    codes = encode(fsm)
+    codes = _codes(fsm)
     width = len(next(iter(codes.values())))
     if not 0 <= target_bit < width:
         raise RewriteError(f"target bit {target_bit} out of range for width {width}")

@@ -7,12 +7,13 @@ kinds score 0, matched leaves score 1, and interior nodes score
 The greedy match repeatedly takes the best-scoring pair of unmatched children,
 the first in row-major order among equal scores.
 
-Cones are interned by shape, so a similarity matrix is evaluated once per
-pair of distinct root shapes (replicated bits and data words share one) and
-broadcast to the flip-flops.  Shapes are interned bottom-up without building
-cone trees: a memo per call holds, for each depth left and each net, the
-net's (kind, effective net after BUFs, shape id), so a net reached by many
-cones at one depth is interned once.
+Cones are interned by shape, so similarities are evaluated once per pair of
+distinct root shapes (replicated bits and data words share one), and the
+similarity features are computed once per distinct root shape and copied to
+its flip-flops; nothing is indexed by pairs of flip-flops.  Shapes are
+interned bottom-up without building cone trees: a memo per call holds, for
+each depth left and each net, the net's (kind, effective net after BUFs,
+shape id), so a net reached by many cones at one depth is interned once.
 
 Every shape also has a class: its kind plus the sorted classes of its
 children.  Two shapes score exactly 1.0 iff they share a class (children
@@ -43,16 +44,17 @@ candidate's z-score table and SCC list from those and the decoy netlist
 alone, without building the merged netlist.  So the similarities of the
 design's cones are evaluated once per run, and a candidate interns and
 analyses only its decoy.  ``zscores`` and the scorer share
-``_zscore_table``, the features and their standardization.  The z-score
-table is cached on the netlist per ``RelicParams``, next to its support and
-FF graph, so ``zscores`` and ``relic_tarjan`` on one netlist build the
-similarity matrix once.
+``_similarity_features`` and ``_zscore_table``, the features and their
+standardization.  The z-score table is cached on the netlist per
+``RelicParams``, next to its support and FF graph, so ``zscores`` and
+``relic_tarjan`` on one netlist score its cones once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -88,7 +90,6 @@ WEIGHTS = (1.0, 1.0, 0.5, 0.5)
 
 # Most entries (pairs x rows x columns) one greedy-match stack holds (128 KB
 # of float64); a larger bucket of pairs is split over several stacks.
-# ``zscores`` sorts similarity rows in blocks of this many entries.
 MAX_STACK = 16384
 
 
@@ -180,22 +181,14 @@ class _ShapeTable:
         self._carried.update(zip([(depth_limit, net) for net in roots], ids))
         return ids
 
-    def sims(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> np.ndarray:
-        """The len(ids_a) x len(ids_b) matrix of shape similarities, each
-        distinct pair of shapes evaluated once and broadcast."""
-        ua = sorted(set(ids_a))
-        ub = sorted(set(ids_b))
-        self._fill([(x, y) if x < y else (y, x) for x in ua for y in ub if x != y])
+    def shape_sims(self, ids: Sequence[int]) -> np.ndarray:
+        """The len(ids) x len(ids) matrix of the similarities of the
+        distinct shapes ``ids`` (in ascending order), each pair evaluated
+        once."""
+        self._fill(list(itertools.combinations(ids, 2)))
         memo = self._memo
-        distinct = np.array(
-            [[1.0 if x == y else memo[(x, y) if x < y else (y, x)] for y in ub] for x in ua]
-        )
-        distinct = distinct.reshape(len(ua), len(ub))  # also when empty
-        row_of = {x: i for i, x in enumerate(ua)}
-        col_of = {y: j for j, y in enumerate(ub)}
-        rows = np.array([row_of[x] for x in ids_a], dtype=np.intp)
-        cols = np.array([col_of[y] for y in ids_b], dtype=np.intp)
-        return distinct[np.ix_(rows, cols)]
+        sims = [[1.0 if x == y else memo[min(x, y), max(x, y)] for y in ids] for x in ids]
+        return np.array(sims)
 
     def _fill(self, keys: Sequence[tuple]) -> None:
         """Memoize the similarity of every (smaller id, larger id) pair in
@@ -403,28 +396,6 @@ def _greedy_match_batch(sims: np.ndarray, start=0.0) -> np.ndarray:
     return matched
 
 
-@dataclass
-class SimilarityMatrix:
-    ffs: tuple
-    values: np.ndarray
-
-
-def similarity_matrix(
-    nl: Netlist, depth_limit: int = 6, *, shapes: Optional[_ShapeTable] = None
-) -> SimilarityMatrix:
-    """Pairwise cone similarity over all flip-flops, ordered by name.
-
-    ``shapes`` is the shape table to score against (a fresh one by default).
-    ``values`` is read-only.
-    """
-    ffs = tuple(sorted(f.name for f in nl.ffs))
-    table = _ShapeTable() if shapes is None else shapes
-    cids = table.cone_ids(nl, [nl.ff_by_name(name).d for name in ffs], depth_limit)
-    values = table.sims(cids, cids)
-    values.flags.writeable = False
-    return SimilarityMatrix(ffs=ffs, values=values)
-
-
 @dataclass(frozen=True)
 class ZScoreTable:
     ffs: tuple
@@ -449,34 +420,55 @@ def _standardize(column: np.ndarray) -> np.ndarray:
     return (column - mean) / std
 
 
+def _similarity_features(shapes: _ShapeTable, cids: Sequence[int], top_k: int) -> np.ndarray:
+    """The (len(cids), 2) array of f1 (1 - the largest similarity to another
+    FF) and f2 (1 - the mean of the ``top_k`` largest, at most all n - 1) of
+    FFs whose cones have the shape ids ``cids``.
+
+    Both are computed once per distinct shape s, from its similarity to every
+    distinct shape t taken count(t) times, one fewer for t = s (the FF
+    itself), and copied to the FFs of shape s.  The k largest, in descending
+    order, are the values a sort of the FF's row of the FF x FF similarity
+    matrix would give, and they are kept contiguous so that each mean adds
+    them in that order.
+    """
+    ids = sorted(set(cids))
+    row_of = {cid: i for i, cid in enumerate(ids)}
+    rows = np.array([row_of[cid] for cid in cids])
+    others = np.bincount(rows, minlength=len(ids)) - np.eye(len(ids), dtype=np.intp)
+    sims = shapes.shape_sims(ids)
+    k = min(top_k, len(cids) - 1)
+    top = np.empty((len(ids), k))
+    taken = np.zeros(len(ids), dtype=np.intp)
+    every = np.arange(len(ids))
+    slots = np.arange(k)
+    # Each round takes every row's most similar shape left and writes its
+    # copies to the row's next free slots.  Only the row's own shape can
+    # have no other FF, so k + 1 rounds fill every row.
+    while taken.min() < k:
+        best = sims.argmax(axis=1)
+        copies = others[every, best]
+        fill = (slots >= taken[:, None]) & (slots < (taken + copies)[:, None])
+        top = np.where(fill, sims[every, best][:, None], top)
+        taken += copies
+        sims[every, best] = -np.inf
+    return np.column_stack([1.0 - top[:, 0], 1.0 - top.mean(axis=1)])[rows]
+
+
 def _zscore_table(
     ffs: tuple,
-    values: np.ndarray,
-    params: RelicParams,
+    similarity: np.ndarray,
     control_masks: Sequence[int],
     ff_bit: Mapping[str, int],
     on_cycle: frozenset,
 ) -> ZScoreTable:
-    """The z-score table of the FFs ``ffs`` (sorted names) from their
-    similarity matrix ``values`` (in ``ffs`` order), the FF mask of every
-    control signal (bit ``ff_bit[name]`` stands for FF ``name``) and the
-    FFs on a feedback path."""
-    n = len(ffs)
-    k = min(params.top_k, n - 1)
-    feats = np.zeros((n, 4))
-    # Rows are sorted in blocks of at most MAX_STACK entries, each row with
-    # its own FF masked to -inf, so no n x n copy is made.
-    per_block = max(1, MAX_STACK // n)
-    for lo in range(0, n, per_block):
-        block = values[lo : lo + per_block].copy()
-        rows = np.arange(len(block))
-        block[rows, rows + lo] = -np.inf
-        block.sort(axis=1)
-        # The k largest in descending order, contiguous so that each row's
-        # mean adds them as a one-row mean would.
-        top = np.ascontiguousarray(block[:, : n - k - 1 : -1])
-        feats[lo : lo + len(block), 0] = 1.0 - block[:, -1]
-        feats[lo : lo + len(block), 1] = 1.0 - top.mean(axis=1)
+    """The z-score table of the FFs ``ffs`` (sorted names) from their f1 and
+    f2 columns ``similarity`` (in ``ffs`` order, see
+    ``_similarity_features``), the FF mask of every control signal (bit
+    ``ff_bit[name]`` stands for FF ``name``) and the FFs on a feedback
+    path."""
+    feats = np.zeros((len(ffs), 4))
+    feats[:, :2] = similarity
     touched = Counter(i for mask in control_masks for i in _bits(mask))
     if control_masks:
         feats[:, 2] = [touched[ff_bit[name]] / len(control_masks) for name in ffs]
@@ -501,9 +493,11 @@ def zscores(
 
     Features: f1 cone uniqueness (1 - max similarity), f2 neighborhood
     uniqueness (1 - mean of top-k similarities), f3 fraction of control
-    signals structurally influenced, f4 presence of any feedback path.
-    ``shapes`` is passed on to ``similarity_matrix``.  Cached on the netlist
-    per ``params``; the table's mappings are read-only.
+    signals structurally influenced, f4 presence of any feedback path.  f1
+    and f2 are computed once per distinct cone shape
+    (``_similarity_features``).  ``shapes`` is the shape table to score
+    against (a fresh one by default).  Cached on the netlist per
+    ``params``; the table's mappings are read-only.
     """
     if len(nl.ffs) < 2:
         raise ValueError("scoring needs at least two flip-flops")
@@ -511,12 +505,13 @@ def zscores(
     cached = nl._cache.get(key)
     if cached is not None:
         return cached
-    sim = similarity_matrix(nl, params.depth_limit, shapes=shapes)
+    ffs = tuple(sorted(f.name for f in nl.ffs))
+    shapes = _ShapeTable() if shapes is None else shapes
+    cids = shapes.cone_ids(nl, [nl.ff_by_name(name).d for name in ffs], params.depth_limit)
     support = _net_support(nl)
     table = _zscore_table(
-        sim.ffs,
-        sim.values,
-        params,
+        ffs,
+        _similarity_features(shapes, cids, params.top_k),
         [support.ff_mask(c) for c in control_signals(nl)],
         support.ff_bit,
         build_ff_graph(nl).on_cycle,
@@ -609,7 +604,11 @@ class _CandidateScorer:
         ff_bit.update((name, shift + k) for k, name in enumerate(names))
         on_cycle = self.on_cycle | {merged_name[f] for f in build_ff_graph(hp).on_cycle}
         table = _zscore_table(
-            ffs, shapes.sims(cids, cids), self.params, list(masks.values()), ff_bit, on_cycle
+            ffs,
+            _similarity_features(shapes, cids, self.params.top_k),
+            list(masks.values()),
+            ff_bit,
+            on_cycle,
         )
         hp_comps = [tuple(sorted(merged_name[m] for m in c)) for c in hp_sccs]
         return table, sorted(self.sccs + hp_comps, key=lambda c: c[0])

@@ -108,16 +108,18 @@ def make_fsm(
 
 
 def validate_fsm(fsm: FsmSpec) -> None:
-    if len(set(fsm.states)) != len(fsm.states):
+    states = set(fsm.states)
+    inputs = set(fsm.inputs)
+    if len(states) != len(fsm.states):
         raise SpecError("duplicate state names")
-    if fsm.reset_state not in fsm.states:
+    if fsm.reset_state not in states:
         raise SpecError(f"reset state {fsm.reset_state} not declared")
     for t in fsm.transitions:
-        if t.src not in fsm.states or t.dst not in fsm.states:
+        if t.src not in states or t.dst not in states:
             raise SpecError(f"transition endpoint not a state: {t.src}->{t.dst}")
         seen = set()
         for var, val in t.guard:
-            if var not in fsm.inputs:
+            if var not in inputs:
                 raise SpecError(f"guard references undeclared input {var}")
             if var in seen:
                 raise SpecError(f"guard assigns {var} twice")
@@ -126,7 +128,7 @@ def validate_fsm(fsm: FsmSpec) -> None:
             seen.add(var)
     codes = fsm.explicit_codes()
     if codes is not None:
-        if set(codes) != set(fsm.states):
+        if set(codes) != states:
             raise SpecError("explicit encoding must cover exactly the states")
         widths = {len(c) for c in codes.values()}
         if len(widths) != 1:
@@ -139,7 +141,7 @@ def validate_fsm(fsm: FsmSpec) -> None:
         raise SpecError(f"unknown encoding {fsm.encoding!r}")
     moore = fsm.moore_dict()
     if moore is not None:
-        if set(moore) != set(fsm.states):
+        if set(moore) != states:
             raise SpecError("moore outputs must cover exactly the states")
         widths = {len(v) for v in moore.values()}
         if len(widths) != 1:
@@ -149,6 +151,11 @@ def validate_fsm(fsm: FsmSpec) -> None:
 def encode(fsm: FsmSpec) -> dict:
     """State -> bitstring codes; deterministic in list order."""
     validate_fsm(fsm)
+    return _codes(fsm)
+
+
+def _codes(fsm: FsmSpec) -> dict:
+    """``encode`` of an FSM already validated."""
     explicit = fsm.explicit_codes()
     if explicit is not None:
         return {s: explicit[s] for s in fsm.states}
@@ -583,10 +590,7 @@ def synthesize(
     validate_datapath(dp, fsm)
     p = opts.name_prefix
 
-    if opts.allow_reencode:
-        codes = encode(replace(fsm, encoding=ONE_HOT))
-    else:
-        codes = encode(fsm)
+    codes = _codes(replace(fsm, encoding=ONE_HOT) if opts.allow_reencode else fsm)
     width = len(next(iter(codes.values())))
 
     pins = datapath_pins(dp)

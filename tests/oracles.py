@@ -6,8 +6,11 @@
   as explicit trees, the oracle of ``relic``'s bottom-up cone interning.
 - ``ShapeTable.canon``, ``ShapeTable.sim`` and ``pair_similarity``: the
   similarity of two shapes, or of two ``ConeTree`` cones, through
-  ``relic``'s shape table; ``similarity_of`` reads one FF pair of a
-  ``SimilarityMatrix``.
+  ``relic``'s shape table.
+- ``ShapeTable.sims`` and ``similarity_matrix``: the FF x FF similarity
+  matrix, the distinct-shape similarities broadcast to the flip-flops, the
+  reference of ``relic``'s per-shape features; ``similarity_of`` reads one
+  FF pair of a ``SimilarityMatrix``.
 - ``simulate_spec``, ``decode_state`` and ``state_bits_of``: the behavioural
   FSM oracle of synthesized netlists.
 - ``stg_equivalent``, ``stg_text`` and ``stg_dot``: equivalence and the text
@@ -26,6 +29,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from fsmtrap.graph import AnalysisError, build_ff_graph, most_members, tarjan_scc
 from fsmtrap.netlist import BitState, Netlist, NetlistError, topo_gates
 from fsmtrap.obfuscate import (
@@ -36,7 +41,7 @@ from fsmtrap.obfuscate import (
     _all_states_reachable,
     build_decoy,
 )
-from fsmtrap.relic import SimilarityMatrix, _ShapeTable, select_scc_by_z, zscores
+from fsmtrap.relic import _ShapeTable, select_scc_by_z, zscores
 from fsmtrap.stg import ReplicaDisagreementError, Stg, StgError
 from fsmtrap.synth import (
     FsmSpec,
@@ -187,8 +192,9 @@ def _cone_node(driver: dict, net: str, depth: int) -> ConeNode:
 
 
 class ShapeTable(_ShapeTable):
-    """``relic``'s shape table, which also interns ``ConeNode`` trees and
-    scores one pair of shapes."""
+    """``relic``'s shape table, which also interns ``ConeNode`` trees,
+    scores one pair of shapes and broadcasts shape similarities to a matrix
+    over cones."""
 
     def canon(self, node: ConeNode) -> int:
         return self.intern(node.kind, tuple(self.canon(c) for c in node.children))
@@ -200,6 +206,15 @@ class ShapeTable(_ShapeTable):
         self._fill([key])
         return self._memo[key]
 
+    def sims(self, ids: Sequence[int]) -> np.ndarray:
+        """The len(ids) x len(ids) matrix of the similarities of the shapes
+        ``ids`` (repeats allowed), each distinct pair evaluated once and
+        broadcast."""
+        distinct = sorted(set(ids))
+        at = {x: i for i, x in enumerate(distinct)}
+        index = [at[x] for x in ids]
+        return self.shape_sims(distinct)[np.ix_(index, index)]
+
 
 def pair_similarity(a: ConeTree, b: ConeTree) -> float:
     """Similarity in [0, 1] between two cones built with equal depth limits."""
@@ -207,6 +222,28 @@ def pair_similarity(a: ConeTree, b: ConeTree) -> float:
         raise ValueError("cones must be built with the same depth limit")
     table = ShapeTable()
     return table.sim(table.canon(a.root), table.canon(b.root))
+
+
+@dataclass
+class SimilarityMatrix:
+    ffs: tuple
+    values: np.ndarray
+
+
+def similarity_matrix(
+    nl: Netlist, depth_limit: int = 6, *, shapes: Optional[ShapeTable] = None
+) -> SimilarityMatrix:
+    """Pairwise cone similarity over all flip-flops, ordered by name.
+
+    ``shapes`` is the shape table to score against (a fresh one by default).
+    ``values`` is read-only.
+    """
+    ffs = tuple(sorted(f.name for f in nl.ffs))
+    table = ShapeTable() if shapes is None else shapes
+    cids = table.cone_ids(nl, [nl.ff_by_name(name).d for name in ffs], depth_limit)
+    values = table.sims(cids)
+    values.flags.writeable = False
+    return SimilarityMatrix(ffs=ffs, values=values)
 
 
 def similarity_of(sm: SimilarityMatrix, a: str, b: str) -> float:

@@ -13,7 +13,6 @@ from fsmtrap.relic import (
     evaluate,
     relic_tarjan,
     select_scc_by_z,
-    similarity_matrix,
     with_metrics,
     zscores,
 )
@@ -36,6 +35,7 @@ from oracles import (
     ShapeTable as _ShapeTable,
     input_cone,
     pair_similarity,
+    similarity_matrix,
     similarity_of,
 )
 
@@ -372,7 +372,7 @@ def test_same_class_iff_reference_scores_one(profile, depth_limit):
     nl, _ = synthesize(fsm, dp)
     table = _ShapeTable()
     ids = table.cone_ids(nl, [f.d for f in nl.ffs], depth_limit)
-    table.sims(ids, ids)
+    table.sims(ids)
     assert _no_pending(table)
     classes = table.classes
     memo: dict = {}
@@ -415,18 +415,18 @@ def test_fill_order_and_chunking_do_not_change_values(monkeypatch):
     for a, b in scattered:
         assert warm.sim(a, b) == _reference_sim(warm.nodes, a, b, memo)
         assert _no_pending(warm)
-    got = warm.sims(ids, ids)
+    got = warm.sims(ids)
     assert _no_pending(warm)
     fresh = _ShapeTable()
     fresh_ids = fresh.cone_ids(nl, roots, 6)
-    assert np.array_equal(got, fresh.sims(fresh_ids, fresh_ids))
+    assert np.array_equal(got, fresh.sims(fresh_ids))
     assert np.array_equal(got, want)
 
     for cap in (1, 7):
         monkeypatch.setattr(relic_mod, "MAX_STACK", cap)
         table = _ShapeTable()
         cids = table.cone_ids(nl, roots, 6)
-        assert np.array_equal(table.sims(cids, cids), want)
+        assert np.array_equal(table.sims(cids), want)
         assert _no_pending(table)
 
 
@@ -477,7 +477,7 @@ def _check_cone_ids(nl, depth_limit):
     want = [oracle.canon(c) for c in cones]
     assert [_expand(table, g) for g in got] == [_strip(c) for c in cones]
     assert len(set(zip(got, want))) == len(set(got)) == len(set(want))
-    assert np.array_equal(table.sims(got, got), oracle.sims(want, want))
+    assert np.array_equal(table.sims(got), oracle.sims(want))
 
 
 def _hand_cones_netlist() -> Netlist:
@@ -566,7 +566,8 @@ def test_zscores_cached_read_only_and_reused_by_relic_tarjan(monkeypatch):
     def rebuilt(*args, **kwargs):
         raise AssertionError("features rebuilt")
 
-    monkeypatch.setattr(relic_mod, "similarity_matrix", rebuilt)
+    monkeypatch.setattr(relic_mod, "_similarity_features", rebuilt)
+    monkeypatch.setattr(relic_mod._ShapeTable, "cone_ids", rebuilt)
     monkeypatch.setattr(relic_mod, "_net_support", rebuilt)
     result = relic_tarjan(nl)
     assert result.argmax_ff == select_scc_by_z(table.scores, [])[0]
@@ -614,21 +615,71 @@ def _controlled_netlist(seed: int) -> Netlist:
     return Netlist("controlled", base.inputs, (), {}, base.gates + tuple(muxes), tuple(ffs))
 
 
+def _hex(features: dict) -> dict:
+    return {f: tuple(float(x).hex() for x in v) for f, v in features.items()}
+
+
+def _distinct_shape_netlists() -> list:
+    """Random netlists whose flip-flops' depth-6 cones all differ in shape."""
+    found = []
+    for seed in range(60):
+        nl = random_seq_netlist(seed, n_ffs=8, n_gates=60)
+        ids = relic_mod._ShapeTable().cone_ids(nl, [f.d for f in nl.ffs], 6)
+        if len(set(ids)) == len(ids):
+            found.append(nl)
+    assert len(found) >= 5
+    return found
+
+
 @pytest.mark.parametrize("cap", [None, 40])
 @pytest.mark.parametrize("top_k", [1, 5, 9, 40])
 def test_zscores_features_equal_per_ff_reference(top_k, cap, monkeypatch):
-    # A cap of 40 entries sorts the 36-FF designs one row per block and the
-    # 10-FF netlists four rows per block.
+    # f1 and f2 are computed once per distinct cone shape and copied to its
+    # FFs; the reference sorts each row of the FF x FF similarity matrix.
+    # They must agree bit for bit on designs with state bits replicated
+    # r = 1-3 times (many FFs per shape), on netlists of 2-4 FFs (top_k past
+    # n - 1), on netlists whose shapes all differ, and on designs and
+    # netlists with MUX selects and enables.  A cap of 40 entries splits the
+    # fill's greedy-match stacks into many small ones.
     if cap is not None:
         monkeypatch.setattr(relic_mod, "MAX_STACK", cap)
-    designs = [synthesize(*gen_benchmark(BenchmarkSpec(seed=s)))[0] for s in (1, 4)]
-    designs += [_controlled_netlist(seed) for seed in range(4)]
-    for nl in designs:
+    netlists = []
+    for seed, r in ((0, 1), (2, 2), (5, 3)):
+        fsm, dp = gen_benchmark(BenchmarkSpec(seed=seed))
+        netlists.append(synthesize(replicate_state_bits(fsm, ReplicationPlan(r)), dp)[0])
+    netlists += [random_seq_netlist(seed, n_ffs=2 + seed % 3, n_gates=8) for seed in range(12)]
+    netlists += _distinct_shape_netlists()
+    netlists += [synthesize(*gen_benchmark(BenchmarkSpec(seed=s)))[0] for s in (1, 4)]
+    netlists += [_controlled_netlist(seed) for seed in range(4)]
+    for nl in netlists:
         for depth_limit in (1, 6):
             params = RelicParams(depth_limit=depth_limit, top_k=top_k)
             raw = zscores(nl, params).raw_features
-            want = _reference_features(nl, params)
-            assert {f: tuple(map(float, v)) for f, v in raw.items()} == want
+            assert _hex(raw) == _hex(_reference_features(nl, params))
+
+
+def test_zscores_memory_stays_per_shape():
+    # The 592-FF ``attack`` design has a few dozen distinct cone shapes; with
+    # its support and FF graph cached, scoring it must not allocate anything
+    # FF x FF (one float64 matrix of it alone is 2.8 MB).
+    import tracemalloc
+
+    from fsmtrap.graph import _net_support, build_ff_graph
+
+    fsm, dp = gen_benchmark(
+        BenchmarkSpec(seed=0, n_states=128, data_width=32, n_data_pairs=8, n_inputs=8)
+    )
+    nl, _ = synthesize(fsm, dp)
+    assert len(nl.ffs) == 592
+    _net_support(nl)
+    build_ff_graph(nl)
+    tracemalloc.start()
+    try:
+        zscores(nl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_similarity_symmetric_reflexive_bounded():

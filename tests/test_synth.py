@@ -275,7 +275,7 @@ def test_down_counter():
 
 def test_parse_synthesize_and_attack_leave_no_cyclic_garbage():
     # Reference cycles would keep each netlist (with its cached support,
-    # FF graph and similarity matrix) and each gate builder alive until a
+    # FF graph and z-score table) and each gate builder alive until a
     # full collection; everything must be freed by reference counting.
     fsm, dp = gen_benchmark(BenchmarkSpec(seed=2))
     text = design_text(fsm, dp)
@@ -380,3 +380,47 @@ def test_droppable_bits_match_eager_reference():
         verdicts.update(drop)
     assert {len(f.inputs) for f in fsms} == {2, 3, 4, 5}
     assert verdicts == {True, False}
+
+
+def test_synthesize_validates_once_fsm_before_datapath(monkeypatch):
+    import fsmtrap.synth as synth_mod
+
+    fsm = six_state_fsm()
+    calls = []
+    validate = synth_mod.validate_fsm
+
+    def spy(fsm):
+        calls.append(fsm)
+        return validate(fsm)
+
+    monkeypatch.setattr(synth_mod, "validate_fsm", spy)
+    synthesize(fsm, None)
+    synthesize(fsm, None, SynthOptions(allow_reencode=True))
+    assert calls == [fsm, fsm]
+
+    # The FSM is checked as given, before the datapath and before any
+    # re-encoding, each error with its own message.
+    good = six_state_fsm()
+    bad_dp = DatapathSpec(data_regs=(DataReg("r", 0, AddOp(RegRef("r"), PinRef("p"))),))
+    t = good.transitions[0]
+    cases = [
+        (replace(good, reset_state="X"), "reset state X not declared"),
+        (
+            replace(good, transitions=good.transitions + (replace(t, dst="X"),)),
+            "transition endpoint not a state: S1->X",
+        ),
+        (
+            replace(good, transitions=(replace(t, guard=(("z", 1),)),)),
+            "guard references undeclared input z",
+        ),
+        (
+            replace(good, encoding=tuple((s, "00") for s in good.states)),
+            "explicit codes must be distinct",
+        ),
+    ]
+    for fsm, message in cases:
+        for opts in (SynthOptions(), SynthOptions(allow_reencode=True)):
+            with pytest.raises(SpecError, match=message):
+                synthesize(fsm, bad_dp, opts)
+    with pytest.raises(SpecError, match="register r width must be >= 1"):
+        synthesize(good, bad_dp)
