@@ -230,7 +230,9 @@ def overhead(before: Netlist, after: Netlist) -> OverheadReport:
 
 def outputs_match(before: Netlist, after: Netlist) -> bool:
     """Equality of positional outputs and of every FF's next state on
-    1000 random assignments of PIs and FF states (seed 7).
+    1000 random assignments of PIs and FF states, drawn from the standard
+    library's ``random.Random(7)``: one 1000-byte draw per PI, then per FF,
+    whose low bits are the row.  The sample needs no ``numpy.random``.
 
     Every FF of ``before`` must exist in ``after`` under the same name, and
     its next state (``d`` where ``en`` is 1 and ``q`` elsewhere, or ``d``
@@ -243,9 +245,13 @@ def outputs_match(before: Netlist, after: Netlist) -> bool:
     after_ffs = {f.name: f for f in after.ffs}
     if any(f.name not in after_ffs for f in before.ffs):
         return False
-    rng = np.random.default_rng(7)
-    pi_vals = {n: rng.integers(0, 2, 1000, dtype=np.uint8) for n in after.inputs}
-    ff_vals = {f.name: rng.integers(0, 2, 1000, dtype=np.uint8) for f in after.ffs}
+    rng = random.Random(7)
+
+    def draw() -> np.ndarray:
+        return np.frombuffer(rng.randbytes(1000), dtype=np.uint8) & 1
+
+    pi_vals = {n: draw() for n in after.inputs}
+    ff_vals = {f.name: draw() for f in after.ffs}
     n_out = len(before.outputs)
 
     def observed(nl: Netlist, ffs) -> list:

@@ -28,9 +28,11 @@ from .synth import (
     SynthOptions,
     Transition,
     _bit_covers,
+    _check_guards,
     _codes,
     _droppable_bits,
     _effective_covers,
+    _transitions_by_state,
     encode,
     synthesize,
     validate_fsm,
@@ -209,10 +211,12 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> Netlist:
     )
 
 
-def _fresh_input_name(fsm: FsmSpec, base: str = "o") -> str:
+def _fresh(base: str, used) -> str:
+    """The first of ``base``, ``base0``, ``base1``, ... that ``used``
+    rejects."""
     name = base
     i = 0
-    while name in fsm.inputs:
+    while used(name):
         name = f"{base}{i}"
         i += 1
     return name
@@ -226,7 +230,9 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
     partners mirror the original transitions (and fall back to the partnered
     state where the original would hold), and the obfuscation input jumps
     between partners.  If two used codes differ only in the target bit, one
-    extra encoding bit (a copy of the target bit) is appended first.
+    extra encoding bit (a copy of the target bit) is appended first.  Partner
+    states are named ``f"{s}__rb"``, or with the first numbered suffix that
+    names no existing state, so the rewrite applies to its own output.
     """
     validate_fsm(fsm)
     if fsm.encoding == ONE_HOT:
@@ -262,9 +268,11 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
                 "partner codes collide even after extending the encoding"
             )
 
-    o = _fresh_input_name(fsm)
+    o = _fresh("o", fsm.inputs.__contains__)
     inputs = fsm.inputs + (o,)
-    dummy_of = {s: f"{s}__rb" for s in fsm.states}
+    taken = set(fsm.states)
+    suffix = _fresh("__rb", lambda x: any(s + x in taken for s in fsm.states))
+    dummy_of = {s: s + suffix for s in fsm.states}
     new_codes = dict(codes)
     for s in fsm.states:
         new_codes[dummy_of[s]] = partner_code(codes[s])
@@ -277,9 +285,7 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
 
     transitions: list[Transition] = []
     added = 0
-    by_state: dict[str, list[Transition]] = {s: [] for s in fsm.states}
-    for t in fsm.transitions:
-        by_state[t.src].append(t)
+    by_state = _transitions_by_state(fsm)
     for s in fsm.states:
         for t in by_state[s]:
             g = t.guard_dict()
@@ -367,7 +373,7 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
             continue
         try:
             validate_fsm(candidate)
-            _effective_covers(candidate)  # rejects newly ambiguous guards
+            _check_guards(candidate)  # rejects newly ambiguous guards
         except SpecError:
             continue
         return candidate

@@ -20,7 +20,10 @@ every input vector, the distinct full successors are found with
 ``np.unique`` over their packed bytes, and new projected states are
 numbered in (state, vector) order, the order a one-state-at-a-time BFS
 would meet them; the level's rows of ``succ`` come from the same
-``np.unique`` inverse.
+``np.unique`` inverse.  A packed full state is a key of 1, 2, 4 or 8 bytes,
+zero-padded and read as one little-endian unsigned integer, so ``np.unique``
+sorts integers (a radix sort up to 16 closure FFs); only a closure of more
+than 64 FFs keeps its exact byte count as an opaque ``void`` key.
 Untracked closure registers ride along; if two runs reach the same projected
 state through different full states, the full state that differs in a
 register feeding a tracked cone is checked once after its level: if its
@@ -160,6 +163,18 @@ def _vector_bits(n: int) -> np.ndarray:
     return (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1
 
 
+def _key_dtype(n_ffs: int) -> np.dtype:
+    """dtype of the packed key of a full state over ``n_ffs`` FFs: the
+    smallest of 1, 2, 4 and 8 bytes that holds them, as an unsigned integer,
+    or the exact byte count as ``void`` beyond 64.  A state over no FFs still
+    gets one byte, so that ``np.unique`` has a key."""
+    n_bytes = max(1, (n_ffs + 7) // 8)
+    for size in (1, 2, 4, 8):
+        if n_bytes <= size:
+            return np.dtype(f"<u{size}")
+    return np.dtype((np.void, n_bytes))
+
+
 def extract_stg(
     nl: Netlist,
     sffs: Sequence[str],
@@ -219,10 +234,8 @@ def extract_stg(
     pi_matrix[[nl.inputs.index(n) for n in free_inputs]] = _vector_bits(n_free)
 
     n_ffs = len(ff_names)
-    # At least one byte per state, so that a state over no FFs still has a
-    # key for np.unique.
-    key_bytes = max(1, (n_ffs + 7) // 8)
-    key_dtype = np.dtype((np.void, key_bytes))
+    key_dtype = _key_dtype(n_ffs)
+    key_bytes = key_dtype.itemsize
 
     def successors(fulls: np.ndarray) -> np.ndarray:
         """Packed next full states of full-state rows: row k * n_vec + v is

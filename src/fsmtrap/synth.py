@@ -491,14 +491,17 @@ class _WordBits:
         return out
 
 
-def _effective_covers(fsm: FsmSpec):
-    """Per state: disjoint (cube, dst) transition covers plus unmatched cubes."""
-    order = fsm.inputs
+def _transitions_by_state(fsm: FsmSpec) -> dict[str, list[Transition]]:
     by_state: dict[str, list[Transition]] = {s: [] for s in fsm.states}
     for t in fsm.transitions:
         by_state[t.src].append(t)
-    eff: dict[str, list] = {}
-    unmatched: dict[str, list] = {}
+    return by_state
+
+
+def _check_guards(fsm: FsmSpec) -> None:
+    """Raise AmbiguityError if two guards of one state overlap and lead to
+    different states."""
+    by_state = _transitions_by_state(fsm)
     for s in fsm.states:
         trs = by_state[s]
         for i in range(len(trs)):
@@ -509,6 +512,17 @@ def _effective_covers(fsm: FsmSpec):
                     raise AmbiguityError(
                         f"state {s}: overlapping guards reach {trs[i].dst} and {trs[j].dst}"
                     )
+
+
+def _effective_covers(fsm: FsmSpec):
+    """Per state: disjoint (cube, dst) transition covers plus unmatched cubes."""
+    _check_guards(fsm)
+    order = fsm.inputs
+    by_state = _transitions_by_state(fsm)
+    eff: dict[str, list] = {}
+    unmatched: dict[str, list] = {}
+    for s in fsm.states:
+        trs = by_state[s]
         pieces: list = []
         earlier: list = []
         for t in trs:
@@ -616,25 +630,30 @@ def synthesize(
     pos = _bit_covers(fsm, codes, eff, unmatched)
     drop = _droppable_bits(fsm, codes, pos)
 
-    def decode_lits(cone: _Cone, s: str, skip_bit: Optional[int]) -> list[str]:
-        lits = []
-        for j in range(width):
-            if j == skip_bit:
-                continue
-            lits.append(cone.lit(st_q[j], 1 if codes[s][j] == "1" else 0))
-        return lits
+    def decode_lits(cone: _Cone, s: str, skip_bit: Optional[int], memo: dict) -> list[str]:
+        """State ``s``'s code literals in ``cone``: built on its first use,
+        where ``cone.lit`` emits their NOTs, then read from ``memo``.
+        Callers must not mutate the list."""
+        hit = memo.get(s)
+        if hit is None:
+            hit = memo[s] = [
+                cone.lit(st_q[j], 1 if c == "1" else 0)
+                for j, c in enumerate(codes[s])
+                if j != skip_bit
+            ]
+        return hit
 
     reset_code = codes[fsm.reset_state]
     for b in range(width):
         cone = _Cone(builder)
+        decoded: dict = {}
         terms = []
         skip = b if drop[b] else None
         for s in fsm.states:
             for cube in pos[s][b]:
-                lits = decode_lits(cone, s, skip)
-                for var in fsm.inputs:
-                    if var in cube:
-                        lits.append(cone.lit(input_net[var], cube[var]))
+                lits = decode_lits(cone, s, skip, decoded) + [
+                    cone.lit(input_net[var], cube[var]) for var in fsm.inputs if var in cube
+                ]
                 terms.append(cone.product(lits))
         d_net = cone.disjunction(terms, out=f"{st_names[b]}_d")
         ffs.append(
@@ -652,11 +671,12 @@ def synthesize(
     moore_nets: dict[str, str] = {}
     if moore:
         cone = _Cone(builder)
+        decoded = {}
         for j in range(moore_width):
             terms = []
             for s in fsm.states:
                 if moore[s][j] == "1":
-                    terms.append(cone.product(decode_lits(cone, s, None)))
+                    terms.append(cone.product(decode_lits(cone, s, None, decoded)))
             net = cone.disjunction(terms, out=f"{p}_out{j}")
             moore_nets[moore_names[j]] = net
             outputs.append(net)

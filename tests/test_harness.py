@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -421,3 +424,37 @@ def test_pipeline_synthesizes_each_design_once(tmp_path, monkeypatch, encoding, 
     result = run_pipeline(plan, tmp_path / "run")
     assert result.ok, result.notes
     assert len(made) == calls
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from fsmtrap.harness import (
+    BenchmarkSpec, DefensePlan, PipelinePlan, generate, outputs_match, run_pipeline,
+)
+
+_, _, nl, _ = generate(BenchmarkSpec(seed=0))
+assert outputs_match(nl, nl)
+# Tuning finds a decoy on this design in its third iteration.
+plan = PipelinePlan(benchmark=BenchmarkSpec(seed=1), defense=DefensePlan(honeypot=True))
+result = run_pipeline(plan, Path(sys.argv[2]))
+assert result.ok, result.notes
+lines = (Path(sys.argv[2]) / "summary.txt").read_text().splitlines()
+assert any(ln.startswith("honeypot found=True ") for ln in lines), lines
+assert "outputs_identical True" in lines, lines
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_no_fsmtrap_path_loads_numpy_random(tmp_path):
+    # ``outputs_match`` draws its sample from the standard library; a tuned
+    # decoy's pipeline (tuning, integration, the sample check) runs without
+    # numpy.random ever being imported.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, str(src), str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -315,6 +315,34 @@ def test_rb_random_sweep(seed):
     assert stg_equivalent(base, stg2, bit_map, frozen_inputs={o: 0})
 
 
+def test_rb_applies_to_its_own_output():
+    from fsmtrap.harness import BenchmarkSpec, gen_benchmark
+
+    fsm, _ = gen_benchmark(BenchmarkSpec(seed=0))
+    once, first = rewrite_rb(fsm, 0)
+    twice, second = rewrite_rb(once, 1)
+    assert not first.noop and not second.noop
+    assert once.states == fsm.states + tuple(f"{s}__rb" for s in fsm.states)
+    assert len(set(twice.states)) == len(twice.states) == 2 * len(once.states)
+    assert twice.states[: len(once.states)] == once.states
+
+    nl, gt = synthesize(fsm)
+    nl2, gt2 = synthesize(twice)
+    base = extract_stg(nl, sorted(gt.sffs), free_inputs=list(fsm.inputs))
+    stg2 = extract_stg(nl2, sorted(gt2.sffs), free_inputs=list(twice.inputs))
+    base_sffs = sorted(gt.sffs)
+    def_sffs = sorted(gt2.sffs)
+    bit_map = {def_sffs[i]: base_sffs[i] for i in range(len(base_sffs))}
+    # Each pass that extends the encoding appends a copy of its target bit.
+    copies = [t for t, r in ((0, first), (1, second)) if r.extended_encoding]
+    assert len(def_sffs) == len(base_sffs) + len(copies)
+    for name, t in zip(def_sffs[len(base_sffs):], copies):
+        bit_map[name] = base_sffs[t]
+    added = twice.inputs[len(fsm.inputs):]
+    assert len(added) == 2
+    assert stg_equivalent(base, stg2, bit_map, frozen_inputs={o: 0 for o in added})
+
+
 # -- honeypots ---------------------------------------------------------------------
 
 
@@ -652,11 +680,14 @@ def test_derivation_checks_reachability_first_with_equal_decoys(monkeypatch, pro
             BenchmarkSpec(seed=0, n_states=64, data_width=4, n_data_pairs=1, n_inputs=8)
         )
     covers = []
-    effective_covers = obf._effective_covers
+    check_guards = obf._check_guards
 
     def spy(candidate):
         covers.append(candidate)
-        return effective_covers(candidate)
+        return check_guards(candidate)
+
+    def no_covers(candidate):
+        raise AssertionError("derivation computes the guard covers")
 
     for seed in range(50):
         p = HoneypotParams(mutation_seed=seed, n_transition_mutations=2, n_output_mutations=1)
@@ -665,7 +696,10 @@ def test_derivation_checks_reachability_first_with_equal_decoys(monkeypatch, pro
             # No reachable candidate of this design has ambiguous guards, so
             # only the accepted one reaches the guard check.
             with monkeypatch.context() as m:
-                m.setattr(obf, "_effective_covers", spy)
+                m.setattr(obf, "_check_guards", spy)
+                # ``synthesize`` computes the decoy's covers; derivation
+                # only checks its guards.
+                m.setattr(obf, "_effective_covers", no_covers)
                 decoy = derive_honeypot(fsm, p)
             assert covers == [decoy]
             covers.clear()

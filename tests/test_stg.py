@@ -19,6 +19,7 @@ from fsmtrap.stg import (
     ReplicaDisagreementError,
     Stg,
     StgError,
+    _key_dtype,
     extract_stg,
     stg_equivalent,
 )
@@ -524,6 +525,41 @@ def test_level_bfs_splits_wide_levels(monkeypatch):
     split = extract_stg(nl, names, free_inputs=["a", "b"])
     assert max(widths) == 8
     _same_stg(split, whole)
+
+
+def _loader_design(n_closure):
+    """``n_closure`` FFs with eight reachable full states at most: loaders
+    ``l{i}`` load input ``a`` (even i) or ``b`` (odd i), and ``t`` loads the
+    AND of every loader (its own complement when there is none)."""
+    loaders = [f"l{i}" for i in range(n_closure - 1)]
+    ffs = [
+        FlipFlop(n, q=f"{n}_q", d="a" if i % 2 == 0 else "b", clk="clk", rst="rst", rst_val=0)
+        for i, n in enumerate(loaders)
+    ]
+    qs = tuple(f"{n}_q" for n in loaders)
+    kind, ins = {0: ("NOT", ("t_q",)), 1: ("BUF", qs)}.get(len(qs), ("AND", qs))
+    gates = (Gate("g_t", kind, "t_d", ins),)
+    ffs.append(FlipFlop("t", q="t_q", d="t_d", clk="clk", rst="rst", rst_val=1))
+    nl = Netlist("loaders", ("clk", "rst", "a", "b"), ("t_q",), {}, gates, tuple(ffs))
+    return nl, loaders
+
+
+@pytest.mark.parametrize(
+    "n_closure, key",
+    [(1, "u1"), (8, "u1"), (9, "u2"), (16, "u2"), (17, "u4"), (32, "u4"),
+     (33, "u8"), (64, "u8"), (65, "V9"), (80, "V10")],
+)
+def test_every_key_width_matches_per_state_reference(n_closure, key):
+    dtype = _key_dtype(n_closure)
+    assert f"{dtype.kind}{dtype.itemsize}" == key
+    nl, loaders = _loader_design(n_closure)
+    # Tracking ``t`` alone restarts with the loaders that decide its next
+    # value; tracking the first and last loader with it does not.  Either
+    # way every key holds the whole closure, ``t`` in its last byte.
+    for sffs in (["t"], ["t", *loaders[:1], *loaders[1:][-1:]]):
+        got = extract_stg(nl, sffs, free_inputs=["a", "b"])
+        _same_stg(got, _reference_extract_stg(nl, sffs, ["a", "b"]))
+        assert len(got.states) <= 8
 
 
 def _verify_base_design():
