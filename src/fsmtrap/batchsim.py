@@ -135,6 +135,12 @@ def unpack(values: list, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
+def _vector_bits(n: int) -> np.ndarray:
+    """(n, 2**n) 0/1 matrix of every assignment of ``n`` variables: column v
+    gives variable k the bit k of v counted from the left."""
+    return (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1
+
+
 def propagate(cn: CompiledNetlist, values: list, mask: int) -> None:
     """Fill every gate-output entry of ``values`` (one int per row) from its
     assigned PI, constant and q entries; ``mask`` has one bit per vector."""

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .batchsim import compile_netlist, eval_outputs
+from .batchsim import _vector_bits, compile_netlist, eval_outputs
 from .netlist import Netlist, topo_gates
 
 
@@ -323,12 +323,10 @@ def influences_functional(nl: Netlist, src_ff: str, dst_net: str, max_vars: int 
     # Rows of the assignment matrix: PIs, then q nets in FF order.
     row_of = {n: i for i, n in enumerate(nl.inputs)}
     row_of.update({f.q: len(nl.inputs) + i for i, f in enumerate(nl.ffs)})
-    # Column c sets Q_src to bit 0 of c and free variable i to bit i + 1.
-    cols = np.arange(2 << len(free))
-    assign = np.zeros((len(nl.inputs) + len(nl.ffs), cols.size), dtype=np.uint8)
-    for i, var in enumerate(free):
-        assign[row_of[q_of.get(var, var)]] = (cols >> (i + 1)) & 1
-    assign[row_of[q_of[src_ff]]] = cols & 1
+    # Q_src is the last variable, so columns 2c and 2c + 1 differ only in it.
+    bits = _vector_bits(len(free) + 1)
+    assign = np.zeros((len(nl.inputs) + len(nl.ffs), bits.shape[1]), dtype=np.uint8)
+    assign[[row_of[q_of.get(var, var)] for var in free] + [row_of[q_of[src_ff]]]] = bits
     cn = compile_netlist(nl)
     out = eval_outputs(cn, assign, np.array([cn.row(dst_net)]))[0]
     return bool((out[0::2] != out[1::2]).any())

@@ -21,10 +21,10 @@ from .graph import FeedbackClass, classify_feedback
 from .netlist import Gate, Netlist, NetlistError
 from .relic import _CandidateScorer, _ShapeTable, select_scc_by_z, zscores
 from .synth import (
+    AmbiguityError,
     DatapathSpec,
     FsmSpec,
     ONE_HOT,
-    SpecError,
     SynthOptions,
     Transition,
     _bit_covers,
@@ -142,6 +142,17 @@ def _cone_gates(nl: Netlist, net: str) -> set:
     return seen
 
 
+def _fresh(base: str, used) -> str:
+    """The first of ``base``, ``base0``, ``base1``, ... that ``used``
+    rejects."""
+    name = base
+    i = 0
+    while used(name):
+        name = f"{base}{i}"
+        i += 1
+    return name
+
+
 def rewrite_ra(nl: Netlist, sffs, target: str) -> Netlist:
     """Remove the high-strength feedback path of a one-hot state flip-flop
     and return the rewired netlist.
@@ -167,32 +178,21 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> Netlist:
     ff = nl.ff_by_name(target)
     cone = _cone_gates(nl, ff.d)
 
-    existing = {g.name for g in nl.gates} | {f.name for f in nl.ffs}
-
-    def fresh(base: str) -> str:
-        name = base
-        i = 0
-        while name in existing:
-            name = f"{base}_{i}"
-            i += 1
-        existing.add(name)
-        return name
-
-    new_gates: list[Gate] = []
-    not_nets = []
-    for other in state_ffs:
-        if other.name == target:
-            continue
-        gname = fresh(f"ra_{target}_not_{other.name}")
-        net = fresh(f"{gname}_o")
-        new_gates.append(Gate(gname, "NOT", net, (other.q,)))
-        not_nets.append(net)
-    ind_name = fresh(f"ra_{target}_ind")
-    ind_net = fresh(f"{ind_name}_o")
-    if len(not_nets) == 1:
-        new_gates.append(Gate(ind_name, "BUF", ind_net, (not_nets[0],)))
-    else:
-        new_gates.append(Gate(ind_name, "AND", ind_net, tuple(not_nets)))
+    # A NOT per other state FF, then the indicator; each gate and its
+    # ``<gate>_o`` net get names no gate, FF or net of ``nl`` has.
+    others = [f for f in state_ffs if f.name != target]
+    taken = {g.name for g in nl.gates} | {f.name for f in nl.ffs} | set(nl.driver)
+    names = []
+    for base in [*(f"ra_{target}_not_{f.name}" for f in others), f"ra_{target}_ind"]:
+        gname = _fresh(base, taken.__contains__)
+        taken.add(gname)
+        net = _fresh(f"{gname}_o", taken.__contains__)
+        taken.add(net)
+        names.append((gname, net))
+    *not_names, (ind_name, ind_net) = names
+    new_gates = [Gate(g, "NOT", net, (f.q,)) for (g, net), f in zip(not_names, others)]
+    not_nets = tuple(net for _, net in not_names)
+    new_gates.append(Gate(ind_name, "BUF" if len(not_nets) == 1 else "AND", ind_net, not_nets))
 
     # A high feedback path puts Q in the cone, so something is rewired.
     rebuilt = tuple(
@@ -209,17 +209,6 @@ def rewrite_ra(nl: Netlist, sffs, target: str) -> Netlist:
         gates=rebuilt + tuple(new_gates),
         ffs=ffs,
     )
-
-
-def _fresh(base: str, used) -> str:
-    """The first of ``base``, ``base0``, ``base1``, ... that ``used``
-    rejects."""
-    name = base
-    i = 0
-    while used(name):
-        name = f"{base}{i}"
-        i += 1
-    return name
 
 
 def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
@@ -247,26 +236,15 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
     if _droppable_bits(fsm, codes, pos)[target_bit]:
         return fsm, RewriteReport(noop=True)
 
-    extended = False
-    if any(
-        codes[a] == codes[b][:target_bit] + _flip(codes[b][target_bit]) + codes[b][target_bit + 1:]
-        for a in fsm.states
-        for b in fsm.states
-        if a != b
-    ):
-        # Restore the partner precondition: append a copy of the target bit.
-        codes = {s: c + c[target_bit] for s, c in codes.items()}
-        extended = True
-
     def partner_code(code: str) -> str:
         return code[:target_bit] + _flip(code[target_bit]) + code[target_bit + 1:]
 
-    by_code = {c: s for s, c in codes.items()}
-    for s in fsm.states:
-        if partner_code(codes[s]) in by_code:
-            raise RewriteError(
-                "partner codes collide even after extending the encoding"
-            )
+    # If some code is another's partner, append a copy of the target bit: a
+    # partner's target bit then differs from its copy, which no code's does.
+    used = set(codes.values())
+    extended = any(partner_code(c) in used for c in used)
+    if extended:
+        codes = {s: c + c[target_bit] for s, c in codes.items()}
 
     o = _fresh("o", fsm.inputs.__contains__)
     inputs = fsm.inputs + (o,)
@@ -371,10 +349,11 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
         )
         if not _all_states_reachable(candidate):
             continue
+        # Only destinations (drawn from the states) and output bits changed,
+        # so the candidate is as valid as ``fsm``; its guards may now clash.
         try:
-            validate_fsm(candidate)
-            _check_guards(candidate)  # rejects newly ambiguous guards
-        except SpecError:
+            _check_guards(candidate)
+        except AmbiguityError:
             continue
         return candidate
     raise HoneypotError("no valid honeypot variant found after 100 re-rolls")

@@ -14,23 +14,23 @@ the chosen state flip-flops.  It steps only the tracked FFs' sequential
 closure: the FFs in the combinational fan-in of a tracked FF's d or enable,
 and of theirs in turn.  No other FF can reach a tracked next state, so
 ``batch_step`` runs a program cut to the closure's cones, and a "full"
-state below is the closure's bits.  The BFS is level-synchronous: one
-``batch_step`` (split at ``MAX_COLUMNS``) steps every frontier state under
-every input vector, the distinct full successors are found with
-``np.unique`` over their packed bytes, and new projected states are
-numbered in (state, vector) order, the order a one-state-at-a-time BFS
-would meet them; the level's rows of ``succ`` come from the same
-``np.unique`` inverse.  A packed full state is a key of 1, 2, 4 or 8 bytes,
-zero-padded and read as one little-endian unsigned integer, so ``np.unique``
-sorts integers (a radix sort up to 16 closure FFs); only a closure of more
-than 64 FFs keeps its exact byte count as an opaque ``void`` key.
-Untracked closure registers ride along; if two runs reach the same projected
-state through different full states, the full state that differs in a
-register feeding a tracked cone is checked once after its level: if its
-projected successors diverge from those of the state's representative, the
-offending registers are pulled into the tracked set and extraction restarts
-(with a warning).  Offending registers lie in the closure already, so the
-closure is computed once per call.
+state below is the closure's bits, one Python int with closure FF i as bit
+i; its projected state is the int masked to the tracked bits.  The BFS is
+level-synchronous: one ``batch_step`` (split at ``MAX_COLUMNS``) steps every
+frontier state under every input vector, and its rows are shifted and ORed
+into one key per column: an unsigned word of 1, 2, 4 or 8 bytes, or beyond
+64 FFs several 8-byte words read as one ``void``.  ``np.unique`` over the
+keys finds the distinct full successors, only those become ints, and new
+projected states are numbered in (state, vector) order, the order a
+one-state-at-a-time BFS would meet them; the level's rows of ``succ`` come
+from the same ``np.unique`` inverse.  Untracked closure registers ride
+along; if two runs reach the same projected state through different full
+states, the full state that differs in a register feeding a tracked cone is
+checked once after its level: if its projected successors diverge from
+those of the state's representative, the offending registers are pulled
+into the tracked set and extraction restarts (with a warning).  Offending
+registers lie in the closure already, so the closure is computed once per
+call.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .batchsim import _restrict, batch_step, compile_netlist
+from .batchsim import _restrict, _vector_bits, batch_step, compile_netlist, unpack
 from .graph import _bits, _net_support
 from .netlist import Netlist, reset_state
 
@@ -157,22 +157,15 @@ class Stg:
         return "\n".join(lines) + "\n"
 
 
-def _vector_bits(n: int) -> np.ndarray:
-    """(n, 2**n) 0/1 matrix: column v gives input k the bit k of v counted
-    from the left."""
-    return (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1
-
-
-def _key_dtype(n_ffs: int) -> np.dtype:
-    """dtype of the packed key of a full state over ``n_ffs`` FFs: the
-    smallest of 1, 2, 4 and 8 bytes that holds them, as an unsigned integer,
-    or the exact byte count as ``void`` beyond 64.  A state over no FFs still
-    gets one byte, so that ``np.unique`` has a key."""
+def _key_words(n_ffs: int) -> tuple:
+    """(word dtype, word count) of a full state's key over ``n_ffs`` FFs:
+    the smallest unsigned word of 1, 2, 4 or 8 bytes that holds them (one
+    byte for none), or as many 8-byte words as it takes beyond 64."""
     n_bytes = max(1, (n_ffs + 7) // 8)
     for size in (1, 2, 4, 8):
         if n_bytes <= size:
-            return np.dtype(f"<u{size}")
-    return np.dtype((np.void, n_bytes))
+            return np.dtype(f"<u{size}"), 1
+    return np.dtype("<u8"), (n_bytes + 7) // 8
 
 
 def extract_stg(
@@ -234,50 +227,51 @@ def extract_stg(
     pi_matrix[[nl.inputs.index(n) for n in free_inputs]] = _vector_bits(n_free)
 
     n_ffs = len(ff_names)
-    key_dtype = _key_dtype(n_ffs)
-    key_bytes = key_dtype.itemsize
+    word, n_words = _key_words(n_ffs)
+    word_bits = 8 * word.itemsize
+    key = word if n_words == 1 else np.dtype((np.void, n_words * word.itemsize))
 
-    def successors(fulls: np.ndarray) -> np.ndarray:
-        """Packed next full states of full-state rows: row k * n_vec + v is
-        state k under vector v."""
+    def successors(fulls: list) -> np.ndarray:
+        """Keys of the next states of the full states ``fulls``, one row of
+        ``n_words`` words per column: row k * n_vec + v is state k under
+        vector v."""
+        frontier = unpack(fulls, n_ffs).T
         n_cols = len(fulls) * n_vec
-        packed = np.zeros((n_cols, key_bytes), dtype=np.uint8)
+        block = np.zeros((n_cols, n_words), dtype=word)
         for lo in range(0, n_cols, MAX_COLUMNS):
             cols = np.arange(lo, min(lo + MAX_COLUMNS, n_cols))
             # ``take`` builds C-ordered matrices; ``batch_step`` packs them
             # row by row several times faster than Fortran-ordered ones.
-            states = fulls.T.take(cols // n_vec, axis=1)
+            states = frontier.take(cols // n_vec, axis=1)
             nxt = batch_step(cn, states, pi_matrix.take(cols % n_vec, axis=1))
-            packed[cols, : (n_ffs + 7) // 8] = np.packbits(nxt.T, axis=1)
-        return packed
+            keys = block[lo : lo + cols.size]
+            buf = np.empty(cols.size, dtype=word)
+            for i, row in enumerate(nxt):
+                np.left_shift(row, i % word_bits, out=buf, dtype=word)
+                keys[:, i // word_bits] |= buf
+        return block
 
     col = {n: k for k, n in enumerate(ff_names)}  # closure FF -> bit of a full state
     warnings: list[str] = []
     tracked = sffs
 
     reset = reset_state(nl)
-    reset_full = np.array([reset[n] & 1 for n in ff_names], dtype=np.uint8)
+    reset_full = sum((reset[n] & 1) << k for k, n in enumerate(ff_names))
 
     for _round in range(5):
-        proj_idx = [col[n] for n in tracked]
+        proj_bits = [col[n] for n in tracked]
+        proj_mask = sum(1 << b for b in proj_bits)
+        proj_words = np.frombuffer(proj_mask.to_bytes(n_words * word.itemsize, "little"), word)
         # FFs that can influence the tracked next-state cones; others cannot
         # cause projected divergence and are ignored by the revisit check.
         mask = 0
         for name in tracked:
             mask |= feeds(ff_pos[name])
-        watched = np.array(
-            [col[nl.ffs[i].name] for i in _bits(mask) if nl.ffs[i].name not in tracked],
-            dtype=np.intp,
+        watched = sum(
+            1 << col[nl.ffs[i].name] for i in _bits(mask) if nl.ffs[i].name not in tracked
         )
 
-        def projected_successors(fulls: list) -> np.ndarray:
-            """Per full state, its projected successors under every vector."""
-            bits = np.unpackbits(successors(np.array(fulls)), axis=1, count=n_ffs)
-            return bits[:, proj_idx].reshape(len(fulls), -1)
-
-        reset_code = reset_full[proj_idx]
-        index = {reset_code.tobytes(): 0}  # projected bits -> state index
-        codes = ["".join(map(str, reset_code.tolist()))]
+        index = {reset_full & proj_mask: 0}  # projected state -> state index
         reps = [reset_full]  # per state, the first full state that reached it
         succ: list = []  # per BFS level, its block of successor rows
         offenders: set = set()
@@ -285,52 +279,48 @@ def extract_stg(
 
         lo = 0
         while lo < len(reps):
-            packed = successors(np.array(reps[lo:]))
+            block = successors(reps[lo:])
             lo = len(reps)
-            keys = packed.view(key_dtype).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            _, first, inverse = np.unique(
+                block.view(key).ravel(), return_index=True, return_inverse=True
+            )
             # Distinct full successors in (state, vector) order: the first
             # full state reaching a new projected state represents it.
             by_first = np.argsort(first)
             rank = np.empty_like(by_first)
             rank[by_first] = np.arange(by_first.size)
-            distinct = first[by_first]
-            fulls = np.unpackbits(packed[distinct], axis=1, count=n_ffs)
+            fulls = [int.from_bytes(row.tobytes(), "little") for row in block[first[by_first]]]
             ids = np.empty(len(fulls), dtype=np.int32)
-            for j, row in enumerate(fulls[:, proj_idx]):
-                i = index.setdefault(row.tobytes(), len(reps))
+            for j, full in enumerate(fulls):
+                ids[j] = i = index.setdefault(full & proj_mask, len(reps))
                 if i == len(reps):
-                    codes.append("".join(map(str, row.tolist())))
-                    reps.append(fulls[j])
-                ids[j] = i
+                    reps.append(full)
             succ.append(ids[rank[inverse.ravel()]].reshape(-1, n_vec))
 
             # A full state with a known projected state that differs from
             # its representative in a watched register is checked once per
             # round (the projected state is a function of the full state):
             # its projected successors must be the representative's.
-            differs = fulls[:, watched] != np.array(reps)[ids][:, watched]
             revisits = []
-            for j in np.flatnonzero(differs.any(axis=1)).tolist():
-                key = keys[distinct[j]].tobytes()
-                if key not in checked:
-                    checked.add(key)
-                    revisits.append((j, {ff_names[w] for w in watched[differs[j]]}))
+            for full, i in zip(fulls, ids.tolist()):
+                diff = (full ^ reps[i]) & watched
+                if diff and full not in checked:
+                    checked.add(full)
+                    revisits.append((full, i, diff))
             if revisits:
-                canon = list(dict.fromkeys(ids[j] for j, _ in revisits))
-                sim = projected_successors(
-                    [fulls[j] for j, _ in revisits] + [reps[i] for i in canon]
-                )
+                canon = list(dict.fromkeys(i for _, i, _ in revisits))
+                sim = successors([full for full, _, _ in revisits] + [reps[i] for i in canon])
+                sim = (sim & proj_words).reshape(len(revisits) + len(canon), -1)
                 canon_sim = dict(zip(canon, sim[len(revisits):]))
-                for (j, diff), alt in zip(revisits, sim):
-                    if not np.array_equal(alt, canon_sim[ids[j]]):
-                        offenders |= diff
+                for (_, i, diff), alt in zip(revisits, sim):
+                    if not np.array_equal(alt, canon_sim[i]):
+                        offenders.update(ff_names[k] for k in _bits(diff))
 
         if not offenders:
             return Stg(
                 sff_names=tuple(tracked),
                 input_names=tuple(free_inputs),
-                states=tuple(codes),
+                states=tuple("".join(str(c >> b & 1) for b in proj_bits) for c in index),
                 succ=np.concatenate(succ),
                 warnings=tuple(warnings),
             )

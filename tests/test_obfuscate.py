@@ -8,7 +8,8 @@ from fsmtrap.graph import (
     classify_feedback,
     tarjan_scc,
 )
-from fsmtrap.netlist import parse, reset_state
+from fsmtrap.harness import BenchmarkSpec, gen_benchmark
+from fsmtrap.netlist import Gate, Netlist, parse, reset_state
 from fsmtrap.obfuscate import (
     HoneypotError,
     HoneypotParams,
@@ -225,6 +226,26 @@ def test_ra_requires_known_state_ffs():
         rewrite_ra(nl, set(gt.sffs) | {"ghost"}, sorted(gt.sffs)[0])
 
 
+def test_ra_names_avoid_existing_nets():
+    # A spare BUF already drives the indicator's first-choice net: the
+    # indicator takes the next free name and the spare keeps its net.
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
+    nl, gt = synthesize(fsm, dp, SynthOptions(allow_reencode=True))
+    sffs = sorted(gt.sffs)
+    target = sffs[0]
+    spare = Gate("spare", "BUF", f"ra_{target}_ind_o", (fsm.inputs[0],))
+    nl = Netlist(nl.name, nl.inputs, nl.outputs, dict(nl.constants), nl.gates + (spare,), nl.ffs)
+    out = rewrite_ra(nl, sffs, target)
+    assert out.driver[f"ra_{target}_ind_o"] == spare
+    assert out.driver[f"ra_{target}_ind_o0"].name == f"ra_{target}_ind"
+    assert classify_feedback(out, target, sffs) is not FeedbackClass.HIGH
+    free = list(fsm.inputs)
+    before = extract_stg(nl, sffs, free_inputs=free)
+    after = extract_stg(out, sffs, free_inputs=free)
+    assert after.states == before.states
+    assert stg_equivalent(before, after, {f: f for f in sffs})
+
+
 def test_ra_requires_high_fp():
     nl, gt = _ring3_one_hot()
     target = sorted(gt.sffs)[0]
@@ -313,6 +334,30 @@ def test_rb_random_sweep(seed):
         bit_map[def_sffs[-1]] = base_sffs[target]
     o = out_fsm.inputs[-1]
     assert stg_equivalent(base, stg2, bit_map, frozen_inputs={o: 0})
+
+
+def test_rb_partners_take_unused_codes():
+    # The encoding is extended exactly when some code is another's partner
+    # (its target bit flipped); either way no partner code is taken.
+    extended = 0
+    for seed in range(40):
+        fsm = random_fsm(seed, max_states=8, max_inputs=3)
+        codes = encode(fsm)
+        for bit in range(len(codes[fsm.states[0]])):
+            out, report = rewrite_rb(fsm, bit)
+            if report.noop:
+                continue
+
+            def partner(c):
+                return c[:bit] + ("1" if c[bit] == "0" else "0") + c[bit + 1:]
+
+            used = set(codes.values())
+            assert report.extended_encoding == any(partner(c) in used for c in used)
+            new = dict(out.encoding)
+            assert all(new[s + "__rb"] == partner(new[s]) for s in fsm.states)
+            assert len(set(new.values())) == len(new)
+            extended += report.extended_encoding
+    assert extended > 0
 
 
 def test_rb_applies_to_its_own_output():
@@ -664,6 +709,21 @@ def test_tuner_integrates_only_the_returned_candidate(monkeypatch, replicated):
     report = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10, require_selection=replicated)
     assert (report.found, len(report.iterations)) == ((True, 1) if replicated else (False, 10))
     assert calls == [report.hp_netlist]
+
+
+def test_derivation_validates_only_its_input(monkeypatch):
+    # A candidate keeps the input's states, guards and encoding, so only the
+    # input is validated, once per derivation.
+    import fsmtrap.obfuscate as obf
+
+    fsm, _ = _defend_design()
+    validated = []
+    validate = obf.validate_fsm
+    monkeypatch.setattr(obf, "validate_fsm", lambda f: validated.append(f) or validate(f))
+    for seed in range(11):
+        p = HoneypotParams(mutation_seed=seed, n_transition_mutations=2, n_output_mutations=1)
+        derive_honeypot(fsm, p)
+    assert validated == [fsm] * 11
 
 
 @pytest.mark.parametrize("profile", ["defend", "default", "verify"])

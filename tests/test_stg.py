@@ -19,7 +19,7 @@ from fsmtrap.stg import (
     ReplicaDisagreementError,
     Stg,
     StgError,
-    _key_dtype,
+    _key_words,
     extract_stg,
     stg_equivalent,
 )
@@ -547,19 +547,51 @@ def _loader_design(n_closure):
 @pytest.mark.parametrize(
     "n_closure, key",
     [(1, "u1"), (8, "u1"), (9, "u2"), (16, "u2"), (17, "u4"), (32, "u4"),
-     (33, "u8"), (64, "u8"), (65, "V9"), (80, "V10")],
+     (33, "u8"), (64, "u8"), (65, "u8x2"), (80, "u8x2"), (128, "u8x2"), (129, "u8x3")],
 )
 def test_every_key_width_matches_per_state_reference(n_closure, key):
-    dtype = _key_dtype(n_closure)
-    assert f"{dtype.kind}{dtype.itemsize}" == key
+    word, n_words = _key_words(n_closure)
+    assert f"{word.kind}{word.itemsize}" + (f"x{n_words}" if n_words > 1 else "") == key
     nl, loaders = _loader_design(n_closure)
     # Tracking ``t`` alone restarts with the loaders that decide its next
     # value; tracking the first and last loader with it does not.  Either
-    # way every key holds the whole closure, ``t`` in its last byte.
+    # way every key holds the whole closure, ``t`` in its highest bit.
     for sffs in (["t"], ["t", *loaders[:1], *loaders[1:][-1:]]):
         got = extract_stg(nl, sffs, free_inputs=["a", "b"])
         _same_stg(got, _reference_extract_stg(nl, sffs, ["a", "b"]))
         assert len(got.states) <= 8
+
+
+def test_revisits_of_a_level_share_one_step(monkeypatch):
+    import fsmtrap.stg as stg_mod
+
+    # ``w1`` and ``w2`` load the inputs and sit in the select of MUXes whose
+    # data inputs are equal, so they feed ``t``'s cone without changing it:
+    # ``t`` toggles.  Each level meets four full states of one projected
+    # state, three of them revisits that differ from its representative.
+    ffs = (
+        FlipFlop("w1", q="w1_q", d="a", clk="clk", rst="rst", rst_val=0),
+        FlipFlop("w2", q="w2_q", d="b", clk="clk", rst="rst", rst_val=0),
+        FlipFlop("t", q="t_q", d="m2", clk="clk", rst="rst", rst_val=0),
+    )
+    gates = (
+        Gate("g_n", "NOT", "nt", ("t_q",)),
+        Gate("g_m1", "MUX", "m1", ("w1_q", "nt", "nt")),
+        Gate("g_m2", "MUX", "m2", ("w2_q", "m1", "m1")),
+    )
+    nl = Netlist("revisits", ("clk", "rst", "a", "b"), ("t_q",), {}, gates, ffs)
+    widths = []
+
+    def recording_step(cn, state, pi_matrix):
+        widths.append(pi_matrix.shape[1])
+        return batch_step(cn, state, pi_matrix)
+
+    monkeypatch.setattr(stg_mod, "batch_step", recording_step)
+    stg = extract_stg(nl, ["t"], free_inputs=["a", "b"])
+    assert stg.states == ("0", "1") and not stg.warnings
+    # Per level: its frontier of one state, then its three revisits and
+    # their representative, four vectors each, in one call.
+    assert widths == [4, 16, 4, 16]
 
 
 def _verify_base_design():
