@@ -13,7 +13,8 @@ and an inverted gate output use the batch's all-ones ``mask``
 (``(1 << n) - 1``), which keeps every value in ``[0, mask]``.  Callers pass
 and receive 0/1 ``uint8`` matrices with one column per vector;
 ``batch_step`` and ``eval_outputs`` pack on the way in and unpack on the way
-out.  ``stg.extract_stg`` steps one BFS level (every frontier state under
+out.  An ``eval_outputs`` assignment has one row per PI, then one per q net
+in ``nl.ffs`` order: the bit order of ``graph.NetSupport``'s support masks.  ``stg.extract_stg`` steps one BFS level (every frontier state under
 every input vector) per ``batch_step`` call, on a program cut to the
 sequential cone of the flip-flops it tracks (``_restrict``).
 """

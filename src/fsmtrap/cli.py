@@ -6,8 +6,10 @@ and refuses keys it does not know.  For all but ``pipeline`` the keys mirror
 the flags, and explicit flags win.  A pipeline plan holds ``benchmark`` and
 ``defense`` objects (the fields of ``BenchmarkSpec`` and ``DefensePlan``)
 plus ``encoding``, ``attacks`` and ``stg_max_inputs``; ``--seed`` overrides
-the benchmark seed.  ``defend honeypot`` runs the pipeline's defend stage
-on the synthesized design.  Exit code 0 only if all requested checks pass.
+the benchmark seed.  Plan values have their option's or field's JSON type,
+and are ``null`` only where the default is None.  ``defend honeypot`` runs
+the pipeline's defend stage on the synthesized design.  Exit code 0 only if
+all requested checks pass.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import harness, specio
@@ -46,15 +49,57 @@ def _read_plan(path: str) -> dict:
     return data
 
 
+# The JSON type of a plan value for an option or field of each Python type.
+_JSON_TYPES = {
+    bool: ("a boolean", bool),
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+    str: ("a string", str),
+}
+
+
+def _check_value(key: str, value, kind: type, default):
+    """The JSON ``value`` of plan key ``key`` as a value of type ``kind``
+    (default ``default``): a list becomes a tuple, an object a dataclass, and
+    a field of another type checks its value itself."""
+    if dataclasses.is_dataclass(kind):
+        return _plan_object(kind, value, key)
+    if kind is tuple and isinstance(value, list):
+        return tuple(value)
+    if kind in _JSON_TYPES and not (value is None and default is None):
+        name, types = _JSON_TYPES[kind]
+        if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"plan key {key!r} must be {name}, not {json.dumps(value)}")
+    return value
+
+
 def _plan_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dict:
     """The option values in the JSON plan file at ``path``, checked against
     the options of subcommand ``sub``."""
     data = _read_plan(path)
-    options = {a.dest for a in sub._actions if a.option_strings} - {"help", "plan"}
-    for key in data:
-        if key not in options:
+    options = {a.dest: a for a in sub._actions if a.option_strings}
+    for key, value in data.items():
+        if key not in options or key in ("help", "plan"):
             raise ValueError(f"plan key {key!r} is not an option of {command}")
+        a = options[key]
+        _check_value(key, value, bool if a.nargs == 0 else a.type or str, a.default)
     return data
+
+
+def _plan_object(cls, data, where: str):
+    """The dataclass ``cls`` from the JSON object ``data`` under plan key
+    ``where``, each value checked as its field's type (``Optional[T]`` as T)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"plan key {where!r} must be an object, not {json.dumps(data)}")
+    hints = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in defaults:
+            raise ValueError(f"plan key {key!r} is not a field of {cls.__name__}")
+        kind = next((t for t in typing.get_args(hints[key]) if t is not type(None)), hints[key])
+        kwargs[key] = _check_value(key, value, kind, defaults[key])
+    return cls(**kwargs)
 
 
 def _read_design(path: str):
@@ -211,12 +256,7 @@ def cmd_pipeline(args) -> int:
         for key in data:
             if key not in _PIPELINE_PLAN_KEYS:
                 raise ValueError(f"plan key {key!r} is not a pipeline plan key")
-        bench = harness.BenchmarkSpec(**data.get("benchmark", {}))
-        defense = harness.DefensePlan(**data.get("defense", {}))
-        fields = {k: v for k, v in data.items() if k not in ("benchmark", "defense")}
-        if isinstance(fields.get("attacks"), list):
-            fields["attacks"] = tuple(fields["attacks"])
-        plan = harness.PipelinePlan(benchmark=bench, defense=defense, **fields)
+        plan = _plan_object(harness.PipelinePlan, data, "pipeline")
     if args.seed is not None:
         plan = dataclasses.replace(
             plan, benchmark=dataclasses.replace(plan.benchmark, seed=args.seed)
@@ -240,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--data-width", type=int, default=6)
     g.add_argument("--data-pairs", type=int, default=1)
     g.add_argument("--out", required=True)
-    g.add_argument("--plan")
     g.set_defaults(fn=cmd_gen)
 
     s = sub.add_parser("synth", help="synthesize a design document to a netlist")
@@ -250,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reencode", action="store_true", help="re-encode one-hot")
     s.add_argument("--cse", action="store_true", help="share common subexpressions")
     s.add_argument("--prefix", default="u0")
-    s.add_argument("--plan")
     s.set_defaults(fn=cmd_synth)
 
     a = sub.add_parser("attack", help="run an SFF identification attack")
@@ -264,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--singletons", action="store_true")
     a.add_argument("--csv")
     a.add_argument("--expect-sensitivity", type=float, default=None)
-    a.add_argument("--plan")
     a.set_defaults(fn=cmd_attack)
 
     d = sub.add_parser("defend", help="apply an obfuscation transform")
@@ -286,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-iters", type=int, default=10)
     d.add_argument("--require-selection", action="store_true")
     d.add_argument("--reencode", action="store_true")
-    d.add_argument("--plan")
     d.set_defaults(fn=cmd_defend)
 
     t = sub.add_parser("stg", help="extract a state transition graph")
@@ -296,21 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-inputs", type=int, default=12)
     t.add_argument("--out", required=True)
     t.add_argument("--dot")
-    t.add_argument("--plan")
     t.set_defaults(fn=cmd_stg)
 
     o = sub.add_parser("overhead", help="compare area/depth proxies")
     o.add_argument("--before", required=True)
     o.add_argument("--after", required=True)
-    o.add_argument("--plan")
     o.set_defaults(fn=cmd_overhead)
 
     p = sub.add_parser("pipeline", help="full attack/defense run into a directory")
-    p.add_argument("--plan", help="JSON plan file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_pipeline)
 
+    for each in sub.choices.values():
+        each.add_argument("--plan", help="JSON plan file")
     return ap
 
 

@@ -2,16 +2,16 @@
 connected components, feedback-path strength, and control-signal influence.
 Everything here is pure and deterministic.
 
-Combinational support is held as Python-int masks per net, an FF mask (bit i
-is ``nl.ffs[i]``) and a PI mask (bit i is ``nl.inputs[i]``), packed into one
-int (see ``NetSupport``).  The FF graph, the control-signal counts of
-``relic``, ``influences`` and ``stg`` read the masks; ``_net_support(nl)[net]``
-decodes a net's (FF names, PIs) frozensets on its first access.
+Combinational support is held as one Python-int mask per net, in the
+assignment-row order of ``batchsim.eval_outputs``: bit i is ``nl.inputs[i]``
+and bit ``len(nl.inputs) + i`` is ``nl.ffs[i]`` (see ``NetSupport``).  The FF
+graph, the control-signal counts of ``relic``, ``influences`` and ``stg`` read
+the FF part; ``influences_functional`` takes its assignment rows straight
+from the set bits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -42,60 +42,33 @@ def _bits(mask: int):
         mask ^= low
 
 
-class NetSupport(Mapping):
+class NetSupport:
     """The combinational support of every net as one Python int.
 
-    The low ``len(nl.ffs)`` bits of ``masks[net]`` are its FF mask, in which
-    bit i stands for ``nl.ffs[i]``; the bits above are its PI mask, in which
-    bit i stands for ``nl.inputs[i]``.  ``support[net]`` is the (frozenset of
-    FF names, frozenset of PIs) pair, decoded from the masks on its first
-    access.
+    ``masks[net]`` is in the assignment-row order of ``eval_outputs``: bit i
+    stands for ``nl.inputs[i]`` and bit ``n_pis + i`` for ``nl.ffs[i]``.
+    ``ff_mask(net)`` is the FF part alone, in which bit ``ff_bit[name]``
+    stands for FF ``name``.
     """
 
     def __init__(self, nl: Netlist, masks: dict):
-        self.ff_names = tuple(f.name for f in nl.ffs)
-        self.ff_bit = {name: i for i, name in enumerate(self.ff_names)}
-        self.pi_names = nl.inputs
         self.masks = masks
-        self._ff_all = (1 << len(self.ff_names)) - 1
-        self._decoded: dict = {}
+        self.n_pis = len(nl.inputs)
+        self.ff_bit = {f.name: i for i, f in enumerate(nl.ffs)}
 
     def ff_mask(self, net: str) -> int:
-        return self.masks[net] & self._ff_all
-
-    def pi_mask(self, net: str) -> int:
-        return self.masks[net] >> len(self.ff_names)
-
-    def __getitem__(self, net: str) -> tuple:
-        pair = self._decoded.get(net)
-        if pair is None:
-            ffs = frozenset(self.ff_names[i] for i in _bits(self.ff_mask(net)))
-            pis = frozenset(self.pi_names[i] for i in _bits(self.pi_mask(net)))
-            pair = self._decoded[net] = (ffs, pis)
-        return pair
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
+        return self.masks[net] >> self.n_pis
 
 
 def _net_support(nl: Netlist) -> NetSupport:
     """Every net's FFs and PIs in its combinational fan-in, as masks in the
     bit order of ``NetSupport``; flip-flop q-nets terminate the traversal.
-    One pass over ``topo_gates`` ORs each gate's input masks, and nothing is
-    decoded until a caller reads ``support[net]``."""
+    One pass over ``topo_gates`` ORs each gate's input masks."""
     cached = nl._cache.get("support")
     if cached is not None:
         return cached
 
-    n_ffs = len(nl.ffs)
-    masks: dict[str, int] = {}
-    for i, f in enumerate(nl.ffs):
-        masks[f.q] = 1 << i
-    for i, n in enumerate(nl.inputs):
-        masks[n] = 1 << (n_ffs + i)
+    masks = {n: 1 << i for i, n in enumerate([*nl.inputs, *(f.q for f in nl.ffs)])}
     for n in nl.constants:
         masks[n] = 0
     for g in topo_gates(nl):
@@ -300,7 +273,7 @@ def influences(nl: Netlist, src_ff: str, dst_net: str) -> bool:
     bit = support.ff_bit[src_ff]  # raises KeyError for unknown FFs
     if dst_net not in nl.driver:
         raise AnalysisError(f"net {dst_net} is not driven")
-    return bool(support.masks[dst_net] >> bit & 1)
+    return bool(support.ff_mask(dst_net) >> bit & 1)
 
 
 def influences_functional(nl: Netlist, src_ff: str, dst_net: str, max_vars: int = 10):
@@ -312,21 +285,18 @@ def influences_functional(nl: Netlist, src_ff: str, dst_net: str, max_vars: int 
     variables (callers fall back to the structural test).
     """
     support = _net_support(nl)
-    ffs, pis = support[dst_net]
-    if src_ff not in ffs:
+    free = list(_bits(support.masks[dst_net]))
+    q_row = support.n_pis + support.ff_bit[src_ff] if src_ff in support.ff_bit else None
+    if q_row not in free:
         return False
-    others = sorted(ffs - {src_ff})
-    free = others + sorted(pis)
+    free.remove(q_row)
     if len(free) > max_vars:
         return None
-    q_of = {f.name: f.q for f in nl.ffs}
-    # Rows of the assignment matrix: PIs, then q nets in FF order.
-    row_of = {n: i for i, n in enumerate(nl.inputs)}
-    row_of.update({f.q: len(nl.inputs) + i for i, f in enumerate(nl.ffs)})
-    # Q_src is the last variable, so columns 2c and 2c + 1 differ only in it.
+    # Bit i of a mask is row i of the assignment matrix.  Q_src is the last
+    # variable, so columns 2c and 2c + 1 differ only in it.
     bits = _vector_bits(len(free) + 1)
-    assign = np.zeros((len(nl.inputs) + len(nl.ffs), bits.shape[1]), dtype=np.uint8)
-    assign[[row_of[q_of.get(var, var)] for var in free] + [row_of[q_of[src_ff]]]] = bits
+    assign = np.zeros((support.n_pis + len(nl.ffs), bits.shape[1]), dtype=np.uint8)
+    assign[free + [q_row]] = bits
     cn = compile_netlist(nl)
     out = eval_outputs(cn, assign, np.array([cn.row(dst_net)]))[0]
     return bool((out[0::2] != out[1::2]).any())

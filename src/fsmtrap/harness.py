@@ -397,9 +397,10 @@ def apply_defense(
     """``plan.defense`` on (``fsm``, ``dp``), synthesized under ``plan`` as
     (``nl``, ``gt``): replicate state bits (and counters), rewrite one
     feedback path (RB on the spec, RA on the netlist), then integrate a tuned
-    or seeded decoy.  The spec is synthesized again only if replication or RB
-    changed it.  Either rewrite treats state bit ``fp_target``, and the
-    summary line names its FF and ``classify_feedback`` class afterwards."""
+    or seeded decoy.  The spec is synthesized again, with no re-encoding (its
+    codes are replicated or binary), only if replication or RB changed it.
+    Either rewrite treats state bit ``fp_target``, and the summary line names
+    its FF and ``classify_feedback`` class afterwards."""
     d = plan.defense
     fsm_d, dp_d = fsm, dp
     width = len(gt.sffs)
@@ -438,8 +439,7 @@ def apply_defense(
             bit_map[len(bit_map)] = bit_map[d.fp_target]
 
     if (fsm_d, dp_d) != (fsm, dp):
-        reencode = plan.encoding == "one_hot" and not d.replicate_r
-        nl, gt = synthesize(fsm_d, dp_d, SynthOptions(allow_reencode=reencode))
+        nl, gt = synthesize(fsm_d, dp_d)
     if fp_mode:
         target_ff = sorted(gt.sffs)[d.fp_target]
         if fp_mode == "ra":

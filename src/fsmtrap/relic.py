@@ -427,10 +427,11 @@ def _similarity_features(shapes: _ShapeTable, cids: Sequence[int], top_k: int) -
 
     Both are computed once per distinct shape s, from its similarity to every
     distinct shape t taken count(t) times, one fewer for t = s (the FF
-    itself), and copied to the FFs of shape s.  The k largest, in descending
-    order, are the values a sort of the FF's row of the FF x FF similarity
-    matrix would give, and they are kept contiguous so that each mean adds
-    them in that order.
+    itself), and copied to the FFs of shape s.  No shape gives more than k of
+    the k largest values, so each is repeated at most k times and one sort
+    gives them in descending order: the values a sort of the FF's row of the
+    FF x FF similarity matrix would give.  They are kept contiguous so that
+    each mean adds them in that order.
     """
     ids = sorted(set(cids))
     row_of = {cid: i for i, cid in enumerate(ids)}
@@ -438,20 +439,8 @@ def _similarity_features(shapes: _ShapeTable, cids: Sequence[int], top_k: int) -
     others = np.bincount(rows, minlength=len(ids)) - np.eye(len(ids), dtype=np.intp)
     sims = shapes.shape_sims(ids)
     k = min(top_k, len(cids) - 1)
-    top = np.empty((len(ids), k))
-    taken = np.zeros(len(ids), dtype=np.intp)
-    every = np.arange(len(ids))
-    slots = np.arange(k)
-    # Each round takes every row's most similar shape left and writes its
-    # copies to the row's next free slots.  Only the row's own shape can
-    # have no other FF, so k + 1 rounds fill every row.
-    while taken.min() < k:
-        best = sims.argmax(axis=1)
-        copies = others[every, best]
-        fill = (slots >= taken[:, None]) & (slots < (taken + copies)[:, None])
-        top = np.where(fill, sims[every, best][:, None], top)
-        taken += copies
-        sims[every, best] = -np.inf
+    copies = np.minimum(others, k)
+    top = np.array([np.sort(np.repeat(sims[i], copies[i]))[::-1][:k] for i in range(len(ids))])
     return np.column_stack([1.0 - top[:, 0], 1.0 - top.mean(axis=1)])[rows]
 
 

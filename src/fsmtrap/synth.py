@@ -234,7 +234,7 @@ class DatapathSpec:
     wiring: tuple = ()  # ordered (out_name, ref) pairs; ref = ('reg'|'counter', name, bit) or ('fsm_out', j)
 
 
-def validate_datapath(dp: DatapathSpec, fsm: FsmSpec) -> None:
+def validate_datapath(dp: DatapathSpec) -> None:
     names = set()
     for c in dp.counters:
         if c.width < 1:
@@ -601,7 +601,7 @@ def synthesize(
     """Compile an FSM (+ optional datapath) to a netlist plus ground truth."""
     validate_fsm(fsm)
     dp = dp or DatapathSpec()
-    validate_datapath(dp, fsm)
+    validate_datapath(dp)
     p = opts.name_prefix
 
     codes = _codes(replace(fsm, encoding=ONE_HOT) if opts.allow_reencode else fsm)

@@ -2,6 +2,7 @@
 
 - ``eval_comb`` and ``step``: scalar, dict-based evaluation of one
   assignment, the oracle of the bit-packed simulator in ``batchsim``.
+- ``support_of``: a net's support mask decoded into (FF names, PIs).
 - ``input_cone`` and ``ConeNode`` trees: depth-limited fan-in cones built
   as explicit trees, the oracle of ``relic``'s bottom-up cone interning.
 - ``ShapeTable.canon``, ``ShapeTable.sim`` and ``pair_similarity``: the
@@ -31,7 +32,14 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from fsmtrap.graph import AnalysisError, build_ff_graph, most_members, tarjan_scc
+from fsmtrap.graph import (
+    AnalysisError,
+    _bits,
+    _net_support,
+    build_ff_graph,
+    most_members,
+    tarjan_scc,
+)
 from fsmtrap.netlist import BitState, Netlist, NetlistError, topo_gates
 from fsmtrap.obfuscate import (
     HoneypotError,
@@ -111,6 +119,18 @@ def eval_comb(nl: Netlist, assignment: Mapping[str, int]) -> dict[str, int]:
             raise MissingAssignmentError(str(e.args[0]))
         values[g.out] = _gate_fn(g.kind, vals)
     return values
+
+
+def support_of(nl: Netlist, net: str) -> tuple:
+    """The (frozenset of FF names, frozenset of PIs) in the combinational
+    fan-in of ``net``, decoded from its support mask: bit i is
+    ``nl.inputs[i]`` and bit ``len(nl.inputs) + i`` is ``nl.ffs[i]``."""
+    n_pis = len(nl.inputs)
+    bits = list(_bits(_net_support(nl).masks[net]))
+    return (
+        frozenset(nl.ffs[i - n_pis].name for i in bits if i >= n_pis),
+        frozenset(nl.inputs[i] for i in bits if i < n_pis),
+    )
 
 
 def step(

@@ -1,7 +1,10 @@
-"""The benchmark's recipes still give the digests in ``benchmarks/reference.json``.
+"""The benchmark's recipes still give the digests in ``benchmarks/reference.json``,
+and ``benchmarks/selftest.py`` passes.
 
-Runs in a subprocess: ``bench_layers`` re-imports ``fsmtrap`` from ``src/``
-for every set-up and drops the test process's modules on the way.
+Both run in a subprocess: ``bench_layers`` re-imports ``fsmtrap`` from
+``src/`` for every set-up and drops the test process's modules on the way.
+The self-test also fails when a call its traced pass wraps
+(``tracing.NESTED``) moves out of reach of the wrapper.
 """
 
 import json
@@ -35,3 +38,14 @@ def test_benchmark_workloads_match_reference_digests():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == {}
+
+
+def test_benchmark_selftest_passes():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert [ln for ln in out.stdout.splitlines() if ln.startswith("selftest ")] == [
+        f"selftest {workload}: ok" for workload in ("attack", "defend", "verify")
+    ]

@@ -5,6 +5,7 @@ import pytest
 
 from fsmtrap.cli import main
 from fsmtrap.harness import BenchmarkSpec, DefensePlan, PipelinePlan, run_pipeline
+from fsmtrap.specio import parse_design
 
 
 def run(*argv) -> int:
@@ -288,3 +289,69 @@ def test_unreadable_plan_is_a_clean_error(tmp_path, capsys, command, text):
     assert err.startswith("error:") and "Traceback" not in err
     assert f"plan {plan}" in err
     assert not out.exists()
+
+
+def test_gen_counter_width(tmp_path):
+    wide = tmp_path / "wide.txt"
+    assert run("gen", "--counter-width", "6", "--out", str(wide)) == 0
+    _, dp = parse_design(wide.read_text())
+    assert {c.name: c.width for c in dp.counters} == {"cnt": 6, "tmr": 7}
+
+
+# A self-looping FF alone in its wiring group (its own enable) whose Q is a
+# MUX select; ``r`` has no feedback path.
+_SINGLETON_NETLIST = """\
+input clk
+input e
+input a
+input b
+output y
+gate NOT g0 n0 s_q
+gate MUX m0 y s_q a b
+dff s q=s_q d=n0 clk=clk en=e
+dff r q=r_q d=y clk=clk
+"""
+
+
+def test_attack_topo_singletons(tmp_path, capsys):
+    nl = tmp_path / "single.nl"
+    nl.write_text(_SINGLETON_NETLIST)
+    assert run("attack", "topo", "--netlist", str(nl)) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "run0,-,-,-"
+    assert run("attack", "topo", "--netlist", str(nl), "--singletons") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "run0,-,-,-,s"
+
+
+@pytest.mark.parametrize(
+    "argv, plan, key, kind",
+    [
+        (["gen"], {"seed": 2.5}, "seed", "an integer"),
+        (["defend", "honeypot"], {"tune": "false"}, "tune", "a boolean"),
+        (["pipeline"], {"defense": {"honeypot": "false"}}, "honeypot", "a boolean"),
+    ],
+    ids=["gen-float-seed", "defend-string-flag", "pipeline-string-bool"],
+)
+def test_plan_rejects_values_of_the_wrong_json_type(
+    design_file, tmp_path, capsys, argv, plan, key, kind
+):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    out = tmp_path / "out"
+    if argv[0] == "defend":
+        argv = argv + ["--design", str(design_file)]
+    assert run(*argv, "--plan", str(plan_file), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plan key {key!r} must be {kind}")
+    assert not out.exists()
+
+
+def test_plan_accepts_null_only_where_the_default_is_none(design_file, tmp_path, capsys):
+    nl = tmp_path / "base.nl"
+    run("synth", "--design", str(design_file), "--out", str(nl))
+    plan = tmp_path / "plan.json"
+    for value, code in ((None, 0), (1, 0), ("1", 2), (True, 2)):
+        plan.write_text(json.dumps({"expect_sensitivity": value, "depth": 6}))
+        assert run("attack", "topo", "--netlist", str(nl), "--plan", str(plan)) == code
+    plan.write_text(json.dumps({"depth": None}))
+    assert run("attack", "topo", "--netlist", str(nl), "--plan", str(plan)) == 2
+    assert "error: plan key 'depth' must be an integer, not null" in capsys.readouterr().err

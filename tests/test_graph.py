@@ -32,7 +32,7 @@ from fsmtrap.synth import (
 )
 
 from conftest import random_seq_netlist
-from oracles import eval_comb, input_cone
+from oracles import eval_comb, input_cone, support_of
 
 
 def test_self_feedback_edge():
@@ -423,7 +423,7 @@ def test_influence_functional_agreement_rate():
 
 def _reference_influences_functional(nl, src_ff, dst_net, max_vars=10):
     """The scalar loop: two ``eval_comb`` calls per free-variable assignment."""
-    ffs, pis = _net_support(nl)[dst_net]
+    ffs, pis = support_of(nl, dst_net)
     if src_ff not in ffs:
         return False
     free = sorted(ffs - {src_ff}) + sorted(pis)
@@ -457,6 +457,13 @@ def test_influences_functional_matches_scalar_reference():
                     verdicts.add(got)
     # Every verdict occurs, None (more free variables than max_vars) included.
     assert verdicts == {True, False, None}
+
+
+def test_influences_functional_of_an_unknown_ff_is_false():
+    nl = random_seq_netlist(0, n_ffs=5, n_gates=20)
+    assert influences_functional(nl, "no_such_ff", nl.gates[-1].out) is False
+    with pytest.raises(KeyError):
+        influences_functional(nl, nl.ffs[0].name, "no_such_net")
 
 
 def test_label_sccs():
@@ -578,10 +585,9 @@ def test_net_support_matches_reference(support_designs, listing):
         if listing == "reversed":
             nl = _reversed(nl)
         expected = _reference_support(nl)
-        support = _net_support(nl)
-        assert set(support) == set(expected)
+        assert set(_net_support(nl).masks) == set(expected)
         for net, pair in expected.items():
-            assert support[net] == pair, net
+            assert support_of(nl, net) == pair, net
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -54,6 +54,15 @@ def test_gen_rejects_profile_without_feedback_data():
         gen_benchmark(BenchmarkSpec(seed=0, n_data_pairs=0))
 
 
+@pytest.mark.parametrize("with_accumulator", [True, False])
+def test_gen_with_and_without_accumulator(with_accumulator):
+    fsm, dp = gen_benchmark(BenchmarkSpec(with_accumulator=with_accumulator))
+    nl, _ = synthesize(fsm, dp)
+    regs = {f.name.split("_")[1] for f in nl.ffs}
+    assert regs & {"acc", "ac2"} == ({"acc", "ac2"} if with_accumulator else set())
+    assert ("u0_wacc" in nl.outputs) == with_accumulator
+
+
 def test_area_weights():
     nl = parse(
         "input a\ninput b\ninput s\n"
@@ -219,6 +228,19 @@ def test_pipeline_replicate_honeypot(tmp_path):
     summary = (tmp_path / "run" / "summary.txt").read_text()
     assert "stg_equivalent True" in summary
     assert "relic selected honeypot component: True" in summary
+
+
+def test_pipeline_replicate_counters_honeypot(tmp_path):
+    plan = PipelinePlan(
+        defense=DefensePlan(replicate_r=1, replicate_counters=True, honeypot=True),
+    )
+    result = run_pipeline(plan, tmp_path / "run")
+    assert result.ok, result.notes
+    gt = parse_ground_truth((tmp_path / "run" / "reports" / "defended_gt.txt").read_text())
+    assert {name: len(ffs) for name, ffs in gt.counters} == {"cnt": 8, "tmr": 10}
+    summary = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+    assert "stg_equivalent True" in summary
+    assert "outputs_identical True" in summary
 
 
 def test_pipeline_rb_honeypot(tmp_path):

@@ -37,6 +37,7 @@ from oracles import (
     pair_similarity,
     similarity_matrix,
     similarity_of,
+    support_of,
 )
 
 
@@ -576,17 +577,16 @@ def test_zscores_cached_read_only_and_reused_by_relic_tarjan(monkeypatch):
 def _reference_features(nl, params: RelicParams) -> dict:
     """Oracle: the per-FF feature loop, one ``np.delete`` and sort per row,
     every (FF, control signal) pair tested and FF graph cycle membership per FF."""
-    from fsmtrap.graph import _net_support, build_ff_graph, control_signals
+    from fsmtrap.graph import build_ff_graph, control_signals
 
     sim = similarity_matrix(nl, params.depth_limit)
     controls = sorted(control_signals(nl))
-    support = _net_support(nl)
     feats = {}
     for i, name in enumerate(sim.ffs):
         others = np.delete(sim.values[i], i)
         k = min(params.top_k, len(others))
         top = np.sort(others)[::-1][:k]
-        touched = sum(1 for c in controls if name in support[c][0])
+        touched = sum(1 for c in controls if name in support_of(nl, c)[0])
         feats[name] = (
             1.0 - others.max(),
             1.0 - top.mean(),

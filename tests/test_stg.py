@@ -11,7 +11,6 @@ import pytest
 import oracles
 
 from fsmtrap.batchsim import batch_step
-from fsmtrap.graph import _net_support
 from fsmtrap.harness import BenchmarkSpec, gen_benchmark
 from fsmtrap.netlist import FlipFlop, Gate, Netlist, reset_state
 from fsmtrap.stg import (
@@ -329,17 +328,16 @@ def _reference_extract_stg(nl, sffs, free_inputs):
     ff_pos = {n: i for i, n in enumerate(ff_names)}
     warnings = []
     tracked = list(sffs)
-    support = _net_support(nl)
 
     for _round in range(5):
         proj_idx = [ff_pos[n] for n in tracked]
         reset_full = tuple(reset[n] & 1 for n in ff_names)
         influencers = set()
         for name in tracked:
-            influencers |= support[nl.ff_by_name(name).d][0]
+            influencers |= oracles.support_of(nl, nl.ff_by_name(name).d)[0]
             en = nl.ff_by_name(name).en
             if en is not None:
-                influencers |= support[en][0]
+                influencers |= oracles.support_of(nl, en)[0]
 
         def project(full):
             return "".join(str(full[i]) for i in proj_idx)
