@@ -3,13 +3,14 @@
 Subcommands: gen, synth, attack (relic|topo), defend (replicate|ra|rb|honeypot),
 stg, overhead, pipeline.  Every subcommand also accepts ``--plan FILE`` (JSON)
 and refuses keys it does not know.  For all but ``pipeline`` the keys mirror
-the flags, and explicit flags win.  A pipeline plan holds ``benchmark`` and
-``defense`` objects (the fields of ``BenchmarkSpec`` and ``DefensePlan``)
-plus ``encoding``, ``attacks`` and ``stg_max_inputs``; ``--seed`` overrides
-the benchmark seed.  Plan values have their option's or field's JSON type,
-and are ``null`` only where the default is None.  ``defend honeypot`` runs
-the pipeline's defend stage on the synthesized design.  Exit code 0 only if
-all requested checks pass.
+the optional flags, and explicit flags win; a required option is given as a
+flag only.  A pipeline plan holds ``benchmark``, ``defense`` and
+``topo_params`` objects (the fields of ``BenchmarkSpec``, ``DefensePlan``
+and ``TopoParams``) plus ``encoding``, ``attacks`` and ``stg_max_inputs``;
+``--seed`` overrides the benchmark seed.  Plan values have their option's or
+field's JSON type, and are ``null`` only where the default is None.
+``defend honeypot`` runs the pipeline's defend stage on the synthesized
+design.  Exit code 0 only if all requested checks pass.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _plan_defaults(path: str, sub: argparse.ArgumentParser, command: str) -> dic
         if key not in options or key in ("help", "plan"):
             raise ValueError(f"plan key {key!r} is not an option of {command}")
         a = options[key]
+        if a.required:
+            raise ValueError(f"plan key {key!r} is a required option of {command}")
         _check_value(key, value, bool if a.nargs == 0 else a.type or str, a.default)
     return data
 
@@ -244,9 +247,9 @@ def cmd_overhead(args) -> int:
     return 0
 
 
-# Top-level keys of a ``pipeline --plan`` file: the nested benchmark and
-# defense specs, then PipelinePlan fields given as plain JSON values.
-_PIPELINE_PLAN_KEYS = ("benchmark", "defense", "encoding", "attacks", "stg_max_inputs")
+# Top-level keys of a ``pipeline --plan`` file: the nested benchmark, defense
+# and topo specs, then PipelinePlan fields given as plain JSON values.
+_PIPELINE_PLAN_KEYS = ("benchmark", "defense", "topo_params", "encoding", "attacks", "stg_max_inputs")
 
 
 def cmd_pipeline(args) -> int:

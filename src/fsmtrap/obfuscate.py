@@ -5,9 +5,10 @@ tuning.
 Every transform preserves behavior at its declared interface: replication up
 to projection onto the original bits, one-hot rewiring exactly, dummy
 transitions with the obfuscation input frozen to 0, and decoy integration on
-all original outputs and next states.  An integrated decoy reads the design
-inputs of the same names and reaches the design only through constant-0-gated
-ORs into flip-flop enables, or into output ports where no flip-flop has one.
+all original outputs and next states.  How a decoy attaches to a design is
+written once, in ``_attach``: ``integrate_honeypot`` builds the merged
+netlist from it, and the tuner's ``_CandidateScorer`` composes each
+candidate's scores from it without building that netlist.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
-from .graph import FeedbackClass, classify_feedback
+from .graph import (
+    FeedbackClass, build_ff_graph, classify_feedback, control_signals, tarjan_scc, _net_support,
+)
 from .netlist import Gate, Netlist, NetlistError
-from .relic import _CandidateScorer, _ShapeTable, select_scc_by_z, zscores
+from .relic import (
+    RelicParams, _ShapeTable, _similarity_features, _zscore_table, select_scc_by_z, zscores,
+)
 from .synth import (
     AmbiguityError,
     DatapathSpec,
@@ -326,7 +331,7 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
         raise HoneypotError("output mutations need declared outputs")
     for attempt in range(100):
         rng = random.Random(p.mutation_seed * 1009 + attempt)
-        trans = [Transition(t.src, t.guard, t.dst) for t in fsm.transitions]
+        trans = list(fsm.transitions)
         if p.n_transition_mutations:
             for idx in sorted(rng.sample(range(len(trans)), p.n_transition_mutations)):
                 t = trans[idx]
@@ -378,14 +383,26 @@ def _all_states_reachable(fsm: FsmSpec) -> bool:
 _DECOY_SYNTH = SynthOptions(name_prefix="fsm")
 
 
-def _decoy_sites(nl: Netlist, hp: Netlist) -> list:
-    """Where each output of the decoy ``hp`` attaches in the design ``nl``:
-    ``("en", j)``, the enable of flip-flop ``nl.ffs[j]``, or, if no design
-    flip-flop has an enable, ``("out", j)``, output port j.  Sites are taken
-    in order, cycling, so a site taken twice gets the earlier mix OR.
+def _hp_name(hp: Netlist, name: Optional[str]) -> Optional[str]:
+    """The name that a net, gate or flip-flop ``name`` of the decoy ``hp``
+    takes in the design: a decoy input is the design input of the same name,
+    and every other decoy name takes the prefix ``hp_``."""
+    return name if name is None or name in hp.inputs else f"hp_{name}"
+
+
+def _attach(nl: Netlist, hp: Netlist) -> tuple:
+    """How the decoy ``hp`` joins the design ``nl``: (join gates, the enable
+    net of each design flip-flop, the design's output nets), the last two
+    after the join.  Decoy output i, in its design name, is ANDed
+    (``hp_gate_i``) with a constant 0 made by a two-gate chain on a design
+    input (``hp_zn``, ``hp_zero``), so the gating fan-in looks live, and ORed
+    (``hp_mix_i``) into a site: the design FF enables, or, if no FF has one,
+    the output ports, in order and cycling, so a site taken twice ORs into
+    the earlier mix.  The design function is unchanged while the decoy
+    acquires live-looking fanout.
 
     Raises ``IntegrationError`` for a decoy without flip-flops or outputs,
-    with an input the design lacks or a constant whose ``hp_`` name the
+    with an input the design lacks or a constant whose design name the
     design's constants use, or for a design with no site.
     """
     if not hp.ffs:
@@ -394,77 +411,154 @@ def _decoy_sites(nl: Netlist, hp: Netlist) -> list:
         if n not in nl.inputs:
             raise IntegrationError(f"design has no {n} input for the decoy")
     # Constants are dict keys, so the merged Netlist cannot see a clash.
-    if {f"hp_{n}" for n in hp.constants} & nl.constants.keys():
+    if {_hp_name(hp, n) for n in hp.constants} & nl.constants.keys():
         raise IntegrationError("decoy constants collide with the design's")
     if not hp.outputs:
         raise IntegrationError("decoy netlist has no outputs to attach")
-    enabled = [j for j, f in enumerate(nl.ffs) if f.en is not None]
-    if enabled:
-        return [("en", enabled[i % len(enabled)]) for i in range(len(hp.outputs))]
-    if not nl.outputs:
+    enables = [f.en for f in nl.ffs]
+    outputs = list(nl.outputs)
+    nets = enables if any(en is not None for en in enables) else outputs
+    sites = [j for j, net in enumerate(nets) if net is not None]
+    if not sites:
         raise IntegrationError("design has no flip-flop enable or output port")
-    return [("out", i % len(nl.outputs)) for i in range(len(hp.outputs))]
 
-
-def _decoy_ff_names(hp: Netlist) -> tuple:
-    """The names ``hp``'s flip-flops take in the design, in ``hp``'s order."""
-    return tuple(f"hp_{f.name}" for f in hp.ffs)
+    zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
+    joins = [
+        Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,)),
+        Gate("hp_zero", "AND", "hp_zero_o", (zsrc, "hp_zn_o")),
+    ]
+    for i, h in enumerate(hp.outputs):
+        j = sites[i % len(sites)]
+        mix = f"hp_mix_{i}_o"
+        joins += [
+            Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (_hp_name(hp, h), "hp_zero_o")),
+            Gate(f"hp_mix_{i}", "OR", mix, (nets[j], f"hp_gate_{i}_o")),
+        ]
+        nets[j] = mix
+    return joins, enables, outputs
 
 
 def integrate_honeypot(
     nl: Netlist, hp: Netlist, p: HoneypotParams
 ) -> tuple[Netlist, frozenset]:
-    """Instantiate a decoy netlist inside a design.
-
-    Each decoy input is the design input of the same name; every other decoy
-    name gets the prefix ``hp_``.  Each decoy output is ANDed with a
-    constant-0 net built from a two-gate chain and ORed into a design
-    flip-flop's enable, or into an output port if no design flip-flop has an
-    enable (see ``_decoy_sites``), so the design function is unchanged while
-    the decoy acquires live-looking fanout.  A decoy with no outputs, a
-    missing input or a name the design already uses raises
-    ``IntegrationError``.  The result does not depend on ``p``, the decoy's
-    derivation.
+    """Instantiate a decoy netlist inside a design: the decoy's gates,
+    constants and flip-flops in their design names (``_hp_name``), after the
+    design's, then the join gates of ``_attach``, which rewire design
+    flip-flop enables or output ports.  A decoy that ``_attach`` rejects, or
+    a name the design already uses, raises ``IntegrationError``.  The result
+    does not depend on ``p``, the decoy's derivation.
     """
-    sites = _decoy_sites(nl, hp)
+    joins, enables, outputs = _attach(nl, hp)
 
-    def rename(net: Optional[str]) -> Optional[str]:
-        return net if net is None or net in hp.inputs else f"hp_{net}"
+    def rename(name: Optional[str]) -> Optional[str]:
+        return _hp_name(hp, name)
 
     constants = {**nl.constants, **{rename(n): v for n, v in hp.constants.items()}}
-    gates = list(nl.gates) + [
-        Gate(f"hp_{g.name}", g.kind, rename(g.out), tuple(map(rename, g.ins))) for g in hp.gates
+    gates = [
+        *nl.gates,
+        *(Gate(rename(g.name), g.kind, rename(g.out), tuple(map(rename, g.ins))) for g in hp.gates),
+        *joins,
     ]
-    ffs = list(nl.ffs)
-    outputs = list(nl.outputs)
+    ffs = [replace(f, en=en) for f, en in zip(nl.ffs, enables)]
     hp_ffs = [
-        replace(f, name=name, q=rename(f.q), d=rename(f.d), clk=rename(f.clk),
+        replace(f, name=rename(f.name), q=rename(f.q), d=rename(f.d), clk=rename(f.clk),
                 rst=rename(f.rst), en=rename(f.en))
-        for f, name in zip(hp.ffs, _decoy_ff_names(hp))
+        for f in hp.ffs
     ]
-
-    # Constant-0 through a two-gate chain, so the gating fan-in looks live.
-    zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
-    gates += [
-        Gate("hp_zn", "NOT", "hp_zn_o", (zsrc,)),
-        Gate("hp_zero", "AND", "hp_zero_o", (zsrc, "hp_zn_o")),
-    ]
-    for i, (h, (kind, j)) in enumerate(zip(hp.outputs, sites)):
-        mix = f"hp_mix_{i}_o"
-        if kind == "en":
-            site, ffs[j] = ffs[j].en, replace(ffs[j], en=mix)
-        else:
-            site, outputs[j] = outputs[j], mix
-        gates += [
-            Gate(f"hp_gate_{i}", "AND", f"hp_gate_{i}_o", (rename(h), "hp_zero_o")),
-            Gate(f"hp_mix_{i}", "OR", mix, (site, f"hp_gate_{i}_o")),
-        ]
-
     try:
         merged = Netlist(nl.name, nl.inputs, outputs, constants, gates, ffs + hp_ffs)
     except NetlistError as e:
         raise IntegrationError(f"decoy collides with the design: {e}") from e
     return merged, frozenset(f.name for f in hp_ffs)
+
+
+class _CandidateScorer:
+    """The z-score table and SCC list of a design with a decoy integrated,
+    composed from the design's own analyses, made once, and the decoy
+    netlist's, without building the merged netlist.
+
+    Integration appends the decoy's FFs after the design's, names the
+    decoy's nets by ``_hp_name`` and joins the two only through the gates of
+    ``_attach``, which drive design FF enables and output ports.  It
+    re-drives no design net, so in the merged netlist:
+
+    - A design FF's D-cone is the design's.  A decoy FF's D-cone lies in the
+      decoy; its leaves are PIs, constants and decoy Qs, and within each
+      kind the renaming keeps the names' order, so its shape id is the one
+      interned on the decoy netlist itself.
+    - No combinational path joins the design and the decoy (the join gates
+      drive only enables and outputs), so the FF graph, its feedback FFs
+      and its SCCs are the union of the two.
+    - The control signals are the design's MUX selects, each design FF's
+      enable after the join and the decoy's control signals.  A join gate's
+      FF support is the OR of its inputs'.
+
+    ``zscores`` and this class share ``_zscore_table``, so the composed
+    table is bit-for-bit the table of the merged netlist under the default
+    ``RelicParams``.
+    """
+
+    params = RelicParams()
+
+    def __init__(self, nl: Netlist, shapes: _ShapeTable):
+        self.nl = nl
+        self.shapes = shapes
+        ids = shapes.carry_cones(nl, [f.d for f in nl.ffs], self.params.depth_limit)
+        self.design_ids = {f.name: cid for f, cid in zip(nl.ffs, ids)}
+        self.support = _net_support(nl)
+        self.mux_selects = [g.ins[0] for g in nl.gates if g.kind == "MUX"]
+        graph = build_ff_graph(nl)
+        self.on_cycle = graph.on_cycle
+        self.sccs = tarjan_scc(graph).sccs
+
+    def score(self, hp: Netlist, hp_sccs: Sequence[tuple]) -> tuple:
+        """(z-score table, SCC list) of the design with ``hp`` integrated;
+        ``hp_sccs`` is ``tarjan_scc(build_ff_graph(hp)).sccs``."""
+        joins, enables, _ = _attach(self.nl, hp)
+        shapes, support = self.shapes, self.support
+        names = [_hp_name(hp, f.name) for f in hp.ffs]
+        # Walked, not read from the carried design cones: a decoy net keeps
+        # its own name in ``hp`` and may share it with a design net.
+        hp_ids = shapes.cone_ids(hp, [f.d for f in hp.ffs], self.params.depth_limit, carried=False)
+        ids = {**self.design_ids, **dict(zip(names, hp_ids))}
+        ffs = tuple(sorted(ids))
+
+        # FF masks, by design name and in the merged bit order (the decoy's
+        # FFs follow the design's), of the decoy nets the join gates and the
+        # control signals read, then of the join gates.
+        shift = len(self.nl.ffs)
+        hp_support = _net_support(hp)
+        hp_controls = control_signals(hp)
+        masks = {
+            _hp_name(hp, n): hp_support.ff_mask(n) << shift for n in {*hp.outputs, *hp_controls}
+        }
+
+        def mask(net: str) -> int:
+            return masks[net] if net in masks else support.ff_mask(net)
+
+        for g in joins:
+            acc = 0
+            for n in g.ins:
+                acc |= mask(n)
+            masks[g.out] = acc
+        controls = {
+            *self.mux_selects,
+            *(en for en in enables if en is not None),
+            *(_hp_name(hp, c) for c in hp_controls),
+        }
+
+        ff_bit = dict(support.ff_bit)
+        ff_bit.update((name, shift + k) for k, name in enumerate(names))
+        on_cycle = self.on_cycle | {_hp_name(hp, f) for f in build_ff_graph(hp).on_cycle}
+        table = _zscore_table(
+            ffs,
+            _similarity_features(shapes, [ids[f] for f in ffs], self.params.top_k),
+            [mask(c) for c in controls],
+            ff_bit,
+            on_cycle,
+        )
+        hp_comps = [tuple(sorted(_hp_name(hp, m) for m in c)) for c in hp_sccs]
+        return table, sorted(self.sccs + hp_comps, key=lambda c: c[0])
 
 
 def build_decoy(
@@ -511,10 +605,10 @@ def tune_honeypot(
     design's state component (optionally: wins the selection rule outright).
 
     A candidate is scored without building the merged netlist: a
-    ``relic._CandidateScorer``, made once per call, holds the design's
-    D-cone shape ids, support masks, control signals and FF-graph
-    components, and composes each candidate's z-score table and SCC list
-    from them and the decoy netlist alone.  Every candidate is scored
+    ``_CandidateScorer``, made once per call, holds the design's
+    D-cone shape ids, support masks, MUX selects and FF-graph components,
+    and composes each candidate's z-score table and SCC list from them,
+    ``_attach`` and the decoy netlist alone.  Every candidate is scored
     against one shape table local to this call, so the similarities of the
     design's cones are evaluated once per call, and a candidate interns only
     its decoy's cones.  The scores are those of ``zscores`` and
@@ -527,6 +621,8 @@ def tune_honeypot(
     """
     if max_iters < 1:
         raise HoneypotError("max_iters must be >= 1")
+    # Looked up per call, so a wrapper set on ``fsmtrap.graph`` sees this
+    # loop's calls; the scorer's own use the names bound at import.
     from .graph import build_ff_graph, most_members, tarjan_scc
 
     iterations: list[TuneIteration] = []
@@ -539,8 +635,7 @@ def tune_honeypot(
         params_i = replace(p, mutation_seed=p.mutation_seed + i)
         hp_nl, _ = synthesize(derive_honeypot(base_hp, params_i), None, _DECOY_SYNTH)
         hp_sccs = tarjan_scc(build_ff_graph(hp_nl)).sccs
-        names = _decoy_ff_names(hp_nl)
-        table, sccs = scorer.score(hp_nl, names, _decoy_sites(design_nl, hp_nl), hp_sccs)
+        table, sccs = scorer.score(hp_nl, hp_sccs)
 
         def scc_max(members_of) -> float:
             """Top score in the component with most of ``members_of``, or
@@ -550,7 +645,7 @@ def tune_honeypot(
                 return max((table.scores[f] for f in members_of), default=float("-inf"))
             return max(table.scores[f] for f in sccs[best_i])
 
-        hp_ffs = frozenset(names)
+        hp_ffs = frozenset(_hp_name(hp_nl, f.name) for f in hp_nl.ffs)
         hp_max = scc_max(hp_ffs)
         fsm_max = scc_max(design_sffs)
         _, selected, _ = select_scc_by_z(table.scores, sccs)

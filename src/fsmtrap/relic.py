@@ -36,16 +36,10 @@ over every matrix of the stack, its sum started from the pre-matched count)
 scores a whole stack.
 
 Shape ids depend only on structure, so one shape table can score several
-netlists.  ``obfuscate.tune_honeypot`` scores its candidates on one table
-through a ``_CandidateScorer``: it interns the design's FF D-cones once per
-tuning run (``_ShapeTable.carry_cones``) and holds the design's support
-masks, control signals and FF-graph components, and it composes each
-candidate's z-score table and SCC list from those and the decoy netlist
-alone, without building the merged netlist.  So the similarities of the
-design's cones are evaluated once per run, and a candidate interns and
-analyses only its decoy.  ``zscores`` and the scorer share
-``_similarity_features`` and ``_zscore_table``, the features and their
-standardization.  The z-score table is cached on the netlist per
+netlists, and ``_ShapeTable.carry_cones`` interns once the cones that all of
+them drive alike.  ``_similarity_features`` and ``_zscore_table`` compute
+the features and their standardization, so a table composed from them is
+the one ``zscores`` gives.  The z-score table is cached on the netlist per
 ``RelicParams``, next to its support and FF graph, so ``zscores`` and
 ``relic_tarjan`` on one netlist score its cones once.
 """
@@ -507,100 +501,6 @@ def zscores(
     )
     nl._cache[key] = table
     return table
-
-
-class _CandidateScorer:
-    """The z-score table and SCC list of a design with a decoy integrated,
-    composed from the design's own analyses, made once, and the decoy
-    netlist's, without building the merged netlist.
-
-    Integration (``obfuscate.integrate_honeypot``) appends the decoy's FFs
-    after the design's, reads the design inputs of the decoy's input names,
-    renames every other decoy net with one prefix, and reaches the design
-    only through one OR ``hp_mix_i`` per decoy output into a design FF's
-    enable or an output port.  It re-drives no design net, so in the merged
-    netlist:
-
-    - A design FF's D-cone is the design's.  A decoy FF's D-cone lies in the
-      decoy; its leaves are PIs, constants and decoy Qs, and within each
-      kind the prefix keeps the names' order, so its shape id is the one
-      interned on the decoy netlist itself.
-    - No combinational path joins the design and the decoy (the mix ORs
-      drive only enables and outputs), so the FF graph, its feedback FFs
-      and its SCCs are the union of the two.
-    - The control signals are the design's MUX selects, each design FF's
-      enable after the mix ORs and the decoy's control signals.  A mix OR's
-      FF support is its site's plus its decoy output's.
-
-    ``zscores`` and this class share ``_zscore_table``, so the composed
-    table is bit-for-bit the table of the merged netlist under the default
-    ``RelicParams``.
-    """
-
-    params = RelicParams()
-
-    def __init__(self, nl: Netlist, shapes: _ShapeTable):
-        self.shapes = shapes
-        ids = shapes.carry_cones(nl, [f.d for f in nl.ffs], self.params.depth_limit)
-        self.design_ids = {f.name: cid for f, cid in zip(nl.ffs, ids)}
-        self.support = _net_support(nl)
-        self.mux_selects = [g.ins[0] for g in nl.gates if g.kind == "MUX"]
-        self.enables = [f.en for f in nl.ffs]
-        graph = build_ff_graph(nl)
-        self.on_cycle = graph.on_cycle
-        self.sccs = tarjan_scc(graph).sccs
-
-    def score(
-        self, hp: Netlist, names: Sequence[str], sites: Sequence[tuple], hp_sccs: Sequence[tuple]
-    ) -> tuple:
-        """(z-score table, SCC list) of the design with ``hp`` integrated:
-        ``names`` are the merged names of ``hp.ffs``, ``sites[i]`` is where
-        decoy output i attaches (``("en", j)``: the enable of design FF j;
-        ``("out", j)``: output port j) and ``hp_sccs`` is
-        ``tarjan_scc(build_ff_graph(hp)).sccs``."""
-        shapes, support = self.shapes, self.support
-        merged_name = dict(zip([f.name for f in hp.ffs], names))
-        # Walked, not read from the carried design cones: a decoy net keeps
-        # its own name in ``hp`` and may share it with a design net.
-        hp_ids = shapes.cone_ids(hp, [f.d for f in hp.ffs], self.params.depth_limit, carried=False)
-        ids = {**self.design_ids, **dict(zip(names, hp_ids))}
-        ffs = tuple(sorted(ids))
-        cids = [ids[f] for f in ffs]
-
-        # Control nets are keyed by design net name; a decoy net other than
-        # a PI (a design PI of the same name) is renamed apart from the
-        # design, and so is every mix OR.
-        shift = len(self.enables)
-        hp_support = _net_support(hp)
-        masks = {
-            c if hp.driver[c] == "input" else ("hp", c): hp_support.ff_mask(c) << shift
-            for c in control_signals(hp)
-        }
-        masks.update((c, support.ff_mask(c)) for c in self.mux_selects)
-        enables = list(self.enables)
-        mix_masks: dict = {}
-        for i, (kind, j) in enumerate(sites):
-            if kind == "en":
-                site = enables[j]
-                site_mask = mix_masks[site] if site in mix_masks else support.ff_mask(site)
-                mix_masks["mix", i] = site_mask | hp_support.ff_mask(hp.outputs[i]) << shift
-                enables[j] = ("mix", i)
-        for en in enables:
-            if en is not None:
-                masks[en] = mix_masks[en] if en in mix_masks else support.ff_mask(en)
-
-        ff_bit = dict(support.ff_bit)
-        ff_bit.update((name, shift + k) for k, name in enumerate(names))
-        on_cycle = self.on_cycle | {merged_name[f] for f in build_ff_graph(hp).on_cycle}
-        table = _zscore_table(
-            ffs,
-            _similarity_features(shapes, cids, self.params.top_k),
-            list(masks.values()),
-            ff_bit,
-            on_cycle,
-        )
-        hp_comps = [tuple(sorted(merged_name[m] for m in c)) for c in hp_sccs]
-        return table, sorted(self.sccs + hp_comps, key=lambda c: c[0])
 
 
 @dataclass

@@ -224,6 +224,65 @@ def test_pipeline_plan_rejects_values_it_would_ignore(tmp_path, capsys, plan, ke
     assert err.startswith("error:") and key in err
 
 
+def test_pipeline_plan_sets_topo_params(tmp_path, capsys):
+    # With no free variables allowed, functional control checks fall back to
+    # the structural test, and the pipeline notes each fallback.
+    plan = {
+        "benchmark": {"seed": 4},
+        "attacks": ["topo"],
+        "defense": {"replicate_r": 1},
+        "topo_params": {"control_step": "functional", "functional_max_vars": 0},
+    }
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    assert run("pipeline", "--plan", str(plan_file), "--out", str(tmp_path / "run")) == 0
+    captured = capsys.readouterr()
+    assert "topo_note base " in captured.out and "topo_note defended " in captured.out
+    assert "note: topo base: " in captured.err
+    plan_file.write_text(json.dumps({"topo_params": {"control_step": 3}}))
+    assert run("pipeline", "--plan", str(plan_file), "--out", str(tmp_path / "bad")) == 2
+    assert capsys.readouterr().err.startswith("error: plan key 'control_step' must be a string")
+    assert not (tmp_path / "bad").exists()
+
+
+def test_plan_for_a_required_option_is_refused(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"out": str(tmp_path / "planned.txt")}))
+    # Without the flag, the parser stops first.
+    with pytest.raises(SystemExit) as stop:
+        run("gen", "--plan", str(plan))
+    assert stop.value.code == 2 and "--out" in capsys.readouterr().err
+    # With it, the plan key is refused by name rather than ignored.
+    assert run("gen", "--plan", str(plan), "--out", str(tmp_path / "flag.txt")) == 2
+    assert capsys.readouterr().err == "error: plan key 'out' is a required option of gen\n"
+    assert not (tmp_path / "planned.txt").exists() and not (tmp_path / "flag.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("synth", "--design", "d", "--out", "o"), "design"),
+        (("synth", "--design", "d", "--out", "o"), "out"),
+        (("defend", "replicate", "--out", "o"), "out"),
+        (("attack", "relic", "--netlist", "n"), "netlist"),
+        (("stg", "--netlist", "n", "--truth", "t", "--out", "o"), "netlist"),
+        (("stg", "--netlist", "n", "--truth", "t", "--out", "o"), "truth"),
+        (("stg", "--netlist", "n", "--truth", "t", "--out", "o"), "out"),
+        (("overhead", "--before", "b", "--after", "a"), "before"),
+        (("overhead", "--before", "b", "--after", "a"), "after"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_plan_keys_of_required_options_are_refused(tmp_path, monkeypatch, capsys, argv, key):
+    monkeypatch.chdir(tmp_path)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({key: "planned"}))
+    assert run(*argv, "--plan", str(plan)) == 2
+    command = argv[0]
+    assert capsys.readouterr().err == f"error: plan key {key!r} is a required option of {command}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+
 def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert run("synth", "--design", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err

@@ -635,8 +635,8 @@ def test_tuner_shared_shape_table_scores_like_fresh_tables(replicated):
 
 @pytest.mark.parametrize(
     "design, r",
-    [("defend", 0), ("defend", 2), (0, 0), (3, 2), (6, 2), (9, 2), ("tiny", 0)],
-    ids=["defend", "defend-r2", "seed0", "seed3-r2", "seed6-r2", "seed9-r2", "tiny"],
+    [("defend", 0), ("defend", 2), (0, 0), (3, 2), (6, 2), (9, 2), ("tiny", 0), ("cw1", 0)],
+    ids=["defend", "defend-r2", "seed0", "seed3-r2", "seed6-r2", "seed9-r2", "tiny", "chained"],
 )
 def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
     # tune_honeypot interns the design's D-cones once per call and each
@@ -645,15 +645,19 @@ def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
     # candidate the ids must be those a fresh walk of the integrated netlist
     # interns into the same table, and the composed table (float-hex) and
     # SCCs those of the integrated netlist scored alone.  The designs are
-    # those the tuner and pipeline tests tune.
+    # those the tuner and pipeline tests tune, plus one whose single counter
+    # enable takes both decoy outputs, the second mix ORed into the first.
     from fsmtrap.harness import BenchmarkSpec, gen_benchmark
     from fsmtrap.netlist import serialize
-    from fsmtrap.relic import RelicParams, _CandidateScorer, zscores
+    from fsmtrap.obfuscate import _CandidateScorer
+    from fsmtrap.relic import RelicParams, zscores
 
     if design == "tiny":
         fsm, dp = _tiny_fsm(), None
     elif design == "defend":
         fsm, dp = _defend_design()
+    elif design == "cw1":
+        fsm, dp = gen_benchmark(BenchmarkSpec(seed=0, counter_width=1))
     else:
         fsm, dp = gen_benchmark(BenchmarkSpec(seed=design))
     nl, gt = synthesize(replicate_state_bits(fsm, ReplicationPlan(r)) if r else fsm, dp)
@@ -661,8 +665,8 @@ def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
     scored = []
     score = _CandidateScorer.score
 
-    def spy(self, hp, names, sites, hp_sccs):
-        result = score(self, hp, names, sites, hp_sccs)
+    def spy(self, hp, hp_sccs):
+        result = score(self, hp, hp_sccs)
         scored.append((self.shapes, hp, result))
         return result
 
@@ -673,6 +677,8 @@ def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
     design_roots = {(depth, f.d) for f in nl.ffs}
     for shapes, hp, (table, sccs) in scored:
         integrated, _ = integrate_honeypot(nl, hp, p)
+        if design == "cw1":
+            assert integrated.driver["hp_mix_1_o"].ins[0] == "hp_mix_0_o"
         assert set(shapes._carried) == design_roots
         roots = [f.d for f in integrated.ffs]
         assert shapes.cone_ids(integrated, roots, depth) == shapes.cone_ids(
@@ -688,6 +694,35 @@ def test_tuner_reused_design_cone_ids_equal_fresh_walks(monkeypatch, design, r):
     assert report.params == reference.params
     assert report.hp_ffs == reference.hp_ffs
     assert serialize(report.integrated) == serialize(reference.integrated)
+
+
+def test_traced_tuning_run_records_one_layer_call_per_candidate(monkeypatch):
+    # The benchmark's traced pass wraps the graph and synth calls tune_honeypot
+    # makes itself: one decoy synthesis, FF graph and Tarjan pass per
+    # candidate, then one zscores of the returned candidate.  The scorer's
+    # own graph calls stay unwrapped.
+    from collections import Counter
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    from tracing import Tracer, nested_spans
+
+    fsm, dp = gen_benchmark(BenchmarkSpec(seed=0))
+    nl, gt = synthesize(fsm, dp)
+    p = HoneypotParams(n_transition_mutations=2, n_output_mutations=1)
+    tracer = Tracer()
+    with nested_spans(tracer):
+        report = tracer.call(
+            "obfuscate.tune_honeypot", tune_honeypot, nl, gt.sffs, fsm, p, max_iters=10
+        )
+    assert len(report.iterations) == 10
+    assert Counter(s.name for s in tracer.spans) == {
+        "obfuscate.tune_honeypot": 1,
+        "synth.synthesize": 10,
+        "graph.build_ff_graph": 10,
+        "graph.tarjan_scc": 10,
+        "relic.zscores": 1,
+    }
 
 
 @pytest.mark.parametrize("replicated", [False, True])
