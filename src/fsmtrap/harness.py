@@ -295,6 +295,17 @@ class DefensePlan:
             )
         if self.fp_target < 0:
             raise ValueError(f"DefensePlan.fp_target must be >= 0, got {self.fp_target}")
+        if self.replicate_r is not None and self.replicate_r < 1:
+            raise ValueError(
+                f"DefensePlan.replicate_r must be >= 1 or None, got {self.replicate_r}"
+            )
+        if self.honeypot_max_iters < 1:
+            raise ValueError(
+                f"DefensePlan.honeypot_max_iters must be >= 1, got {self.honeypot_max_iters}"
+            )
+        for key in ("honeypot_transition_mutations", "honeypot_output_mutations"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"DefensePlan.{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,11 @@ from .synth import (
     Transition,
     _bit_covers,
     _check_guards,
-    _codes,
     _droppable_bits,
     _effective_covers,
     _transitions_by_state,
     encode,
     synthesize,
-    validate_fsm,
 )
 
 
@@ -228,10 +226,9 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
     states are named ``f"{s}__rb"``, or with the first numbered suffix that
     names no existing state, so the rewrite applies to its own output.
     """
-    validate_fsm(fsm)
     if fsm.encoding == ONE_HOT:
         raise RewriteError("dummy-transition rewrite applies to binary/explicit encodings")
-    codes = _codes(fsm)
+    codes = encode(fsm)
     width = len(next(iter(codes.values())))
     if not 0 <= target_bit < width:
         raise RewriteError(f"target bit {target_bit} out of range for width {width}")
@@ -300,7 +297,6 @@ def rewrite_rb(fsm: FsmSpec, target_bit: int) -> tuple[FsmSpec, RewriteReport]:
         transitions=tuple(transitions),
         moore_outputs=tuple((s, new_moore[s]) for s in states) if new_moore else None,
     )
-    validate_fsm(out)
     return out, RewriteReport(added_transitions=added, extended_encoding=extended)
 
 
@@ -317,6 +313,11 @@ class HoneypotParams:
     n_transition_mutations: int = 2
     n_output_mutations: int = 0
 
+    def __post_init__(self):
+        for key in ("n_transition_mutations", "n_output_mutations"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"HoneypotParams.{key} must be >= 0, got {getattr(self, key)}")
+
 
 def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
     """Seeded copy-and-mutate: redirect transition destinations and flip
@@ -324,7 +325,6 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
     re-rolled deterministically.  Each attempt's seed depends only on its
     index, so the order of the checks decides only what a rejection costs:
     reachability, the cheapest, runs first."""
-    validate_fsm(fsm)
     if p.n_transition_mutations > len(fsm.transitions):
         raise HoneypotError("mutation budget exceeds the transition count")
     if p.n_output_mutations and fsm.moore_outputs is None:
@@ -354,8 +354,8 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
         )
         if not _all_states_reachable(candidate):
             continue
-        # Only destinations (drawn from the states) and output bits changed,
-        # so the candidate is as valid as ``fsm``; its guards may now clash.
+        # ``FsmSpec`` validated the candidate when it was built, but
+        # redirected transitions may now clash with their guards.
         try:
             _check_guards(candidate)
         except AmbiguityError:
@@ -403,7 +403,7 @@ def _attach(nl: Netlist, hp: Netlist) -> tuple:
 
     Raises ``IntegrationError`` for a decoy without flip-flops or outputs,
     with an input the design lacks or a constant whose design name the
-    design's constants use, or for a design with no site.
+    design's constants use, or for a design with no site or no input.
     """
     if not hp.ffs:
         raise IntegrationError("decoy netlist has no flip-flops")
@@ -421,6 +421,8 @@ def _attach(nl: Netlist, hp: Netlist) -> tuple:
     sites = [j for j, net in enumerate(nets) if net is not None]
     if not sites:
         raise IntegrationError("design has no flip-flop enable or output port")
+    if not nl.inputs:
+        raise IntegrationError("design has no input to derive the decoy's constant 0 from")
 
     zsrc = next((n for n in nl.inputs if n not in ("clk", "rst")), nl.inputs[0])
     joins = [

@@ -69,6 +69,9 @@ class FsmSpec:
     transitions: tuple[Transition, ...]
     moore_outputs: Optional[tuple] = None  # ordered (state, bits) pairs
 
+    def __post_init__(self):
+        validate_fsm(self)
+
     def moore_dict(self) -> Optional[dict]:
         return dict(self.moore_outputs) if self.moore_outputs is not None else None
 
@@ -102,9 +105,7 @@ def make_fsm(
         if set(moore_outputs) != set(states):
             raise SpecError("moore outputs must cover exactly the states")
         moore = tuple((s, moore_outputs[s]) for s in states)
-    fsm = FsmSpec(name, tuple(states), enc, inputs, reset_state, trs, moore)
-    validate_fsm(fsm)
-    return fsm
+    return FsmSpec(name, tuple(states), enc, inputs, reset_state, trs, moore)
 
 
 def validate_fsm(fsm: FsmSpec) -> None:
@@ -150,12 +151,6 @@ def validate_fsm(fsm: FsmSpec) -> None:
 
 def encode(fsm: FsmSpec) -> dict:
     """State -> bitstring codes; deterministic in list order."""
-    validate_fsm(fsm)
-    return _codes(fsm)
-
-
-def _codes(fsm: FsmSpec) -> dict:
-    """``encode`` of an FSM already validated."""
     explicit = fsm.explicit_codes()
     if explicit is not None:
         return {s: explicit[s] for s in fsm.states}
@@ -232,6 +227,9 @@ class DatapathSpec:
     counters: tuple[Counter, ...] = ()
     data_regs: tuple[DataReg, ...] = ()
     wiring: tuple = ()  # ordered (out_name, ref) pairs; ref = ('reg'|'counter', name, bit) or ('fsm_out', j)
+
+    def __post_init__(self):
+        validate_datapath(self)
 
 
 def validate_datapath(dp: DatapathSpec) -> None:
@@ -599,12 +597,10 @@ def synthesize(
     opts: SynthOptions = SynthOptions(),
 ) -> tuple[Netlist, GroundTruth]:
     """Compile an FSM (+ optional datapath) to a netlist plus ground truth."""
-    validate_fsm(fsm)
     dp = dp or DatapathSpec()
-    validate_datapath(dp)
     p = opts.name_prefix
 
-    codes = _codes(replace(fsm, encoding=ONE_HOT) if opts.allow_reencode else fsm)
+    codes = encode(replace(fsm, encoding=ONE_HOT) if opts.allow_reencode else fsm)
     width = len(next(iter(codes.values())))
 
     pins = datapath_pins(dp)

@@ -389,7 +389,7 @@ def stg_equivalent(
         return False
     if proj_states != set(a.states):
         return False
-    return proj_edges == a.edges
+    return proj_edges == stg_edges(a)
 
 
 def stg_edges(stg) -> dict:

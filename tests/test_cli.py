@@ -224,6 +224,30 @@ def test_pipeline_plan_rejects_values_it_would_ignore(tmp_path, capsys, plan, ke
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize(
+    "defense, key",
+    [
+        ({"replicate_r": -1}, "DefensePlan.replicate_r"),
+        ({"replicate_r": 0}, "DefensePlan.replicate_r"),
+        ({"honeypot": True, "honeypot_max_iters": 0}, "DefensePlan.honeypot_max_iters"),
+        ({"honeypot": True, "honeypot_transition_mutations": -1},
+         "DefensePlan.honeypot_transition_mutations"),
+        ({"honeypot": True, "honeypot_output_mutations": -1},
+         "DefensePlan.honeypot_output_mutations"),
+    ],
+    ids=["replicate_r-negative", "replicate_r-zero", "max_iters-zero",
+         "transition_mutations-negative", "output_mutations-negative"],
+)
+def test_pipeline_plan_rejects_bad_defense_counts_before_running(tmp_path, capsys, defense, key):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"defense": defense}))
+    code = run("pipeline", "--plan", str(plan_file), "--out", str(tmp_path / "run"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_pipeline_plan_sets_topo_params(tmp_path, capsys):
     # With no free variables allowed, functional control checks fall back to
     # the structural test, and the pipeline notes each fallback.

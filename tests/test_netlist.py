@@ -5,6 +5,7 @@ import pytest
 from fsmtrap.netlist import (
     CombinationalCycleError,
     MultipleDriverError,
+    NetlistError,
     ParseError,
     UndrivenNetError,
     parse,
@@ -59,6 +60,75 @@ def test_dff_parsing_full_pins():
 def test_rstval_without_rst_rejected():
     with pytest.raises(ParseError):
         parse("input clk\ninput d\ndff f q=q d=d clk=clk rstval=1\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("input", "input takes one net"),
+        ("input b c", "input takes one net"),
+        ("output", "output takes one net"),
+        ("const k", "const takes a net and 0|1"),
+        ("const k 2", "const takes a net and 0|1"),
+        ("gate NOT g o", "gate takes KIND name out in..."),
+        ("gate NAND3 g o a", "unknown gate kind NAND3"),
+        ("gate NOT 1g o a", "bad identifier '1g'"),
+        ("dff", "dff takes a name and pin assignments"),
+        ("dff f q", "bad dff pin 'q'"),
+        ("dff f q=q d=a clk=clk set=a", "unknown dff pin set"),
+        ("dff f q=q q=r d=a clk=clk", "duplicate dff pin q"),
+        ("dff f q=q clk=clk", "dff missing d="),
+        ("dff f q=q d=a clk=clk rstval=1", "rstval given without rst"),
+        ("dff f q=q d=a clk=clk rst=a rstval=x", "rstval must be 0|1"),
+        ("dff f q=q d=a- clk=clk", "bad identifier 'a-'"),
+        ("wire a b", "unknown statement 'wire'"),
+    ],
+)
+def test_parse_errors_name_their_line(line, message):
+    with pytest.raises(ParseError) as e:
+        parse(f"input clk\ninput a\n{line}\noutput a\n")
+    assert e.value.lineno == 3
+    assert str(e.value) == f"line 3: {message}"
+
+
+def test_repeated_constant_is_a_multiple_driver():
+    with pytest.raises(MultipleDriverError) as e:
+        parse("input a\nconst k 0\nconst k 1\n")
+    assert e.value.net == "k"
+
+
+_FUZZ_TOKENS = (
+    "input output const gate dff NOT AND OR MUX XOR NAND3 g0 a 0 1 2 q=x d=a clk=clk "
+    "rst=rst rstval=1 rstval=2 en=a set=a q 1x a-b # = in0"
+).split()
+
+
+def test_mutated_netlists_raise_only_netlist_errors():
+    from fsmtrap.harness import BenchmarkSpec, generate
+
+    lines = serialize(generate(BenchmarkSpec(seed=0))[2]).splitlines()
+    rng = random.Random(0)
+    parsed = 0
+    for _ in range(2000):
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        j = rng.randrange(len(toks))
+        op = rng.randrange(3)
+        if op == 0:
+            toks[j] = rng.choice(_FUZZ_TOKENS)
+        elif op == 1:
+            del toks[j]
+        else:
+            toks.insert(j, rng.choice(_FUZZ_TOKENS))
+        text = "\n".join(lines[:i] + [" ".join(toks)] + lines[i + 1:]) + "\n"
+        try:
+            nl = parse(text)
+        except NetlistError:
+            continue
+        parsed += 1
+        assert serialize(parse(serialize(nl))) == serialize(nl)
+    # Enough mutants survive for the round trip to be exercised.
+    assert parsed > 100
 
 
 def test_gate_arity_checks():

@@ -425,6 +425,12 @@ def test_derive_budget_error():
         derive_honeypot(fsm, HoneypotParams(n_transition_mutations=100))
 
 
+@pytest.mark.parametrize("field", ["n_transition_mutations", "n_output_mutations"])
+def test_derive_rejects_negative_mutation_counts(field):
+    with pytest.raises(ValueError, match=f"HoneypotParams.{field} must be >= 0, got -1"):
+        derive_honeypot(hp_base(), HoneypotParams(**{field: -1}))
+
+
 def test_derived_honeypot_attractive_features():
     fsm = hp_base()
     hp = derive_honeypot(fsm, HoneypotParams(mutation_seed=1, n_transition_mutations=2))
@@ -509,6 +515,22 @@ def test_integrating_twice_is_an_integration_error():
     once, _ = integrate_honeypot(nl, hp_nl, HoneypotParams())
     with pytest.raises(IntegrationError, match="decoy collides with the design"):
         integrate_honeypot(once, hp_nl, HoneypotParams())
+
+
+def test_integration_needs_a_design_input():
+    # The decoy's constant 0 is a two-gate chain on a design input.
+    design = parse(
+        "const c 0\ngate NOT g n f_q\ndff f q=f_q d=n clk=c en=f_q\noutput n\n"
+    )
+    decoy = parse("const k 0\ngate NOT h x hq\ndff hf q=hq d=x clk=k\noutput x\n")
+    with pytest.raises(IntegrationError, match="design has no input"):
+        integrate_honeypot(design, decoy, HoneypotParams())
+    from fsmtrap.obfuscate import _CandidateScorer
+    from fsmtrap.relic import _ShapeTable
+
+    scorer = _CandidateScorer(design, _ShapeTable())
+    with pytest.raises(IntegrationError, match="design has no input"):
+        scorer.score(decoy, tarjan_scc(build_ff_graph(decoy)).sccs)
 
 
 def test_integration_rejects_clashing_constants():
@@ -744,21 +766,6 @@ def test_tuner_integrates_only_the_returned_candidate(monkeypatch, replicated):
     report = tune_honeypot(nl, gt.sffs, fsm, p, max_iters=10, require_selection=replicated)
     assert (report.found, len(report.iterations)) == ((True, 1) if replicated else (False, 10))
     assert calls == [report.hp_netlist]
-
-
-def test_derivation_validates_only_its_input(monkeypatch):
-    # A candidate keeps the input's states, guards and encoding, so only the
-    # input is validated, once per derivation.
-    import fsmtrap.obfuscate as obf
-
-    fsm, _ = _defend_design()
-    validated = []
-    validate = obf.validate_fsm
-    monkeypatch.setattr(obf, "validate_fsm", lambda f: validated.append(f) or validate(f))
-    for seed in range(11):
-        p = HoneypotParams(mutation_seed=seed, n_transition_mutations=2, n_output_mutations=1)
-        derive_honeypot(fsm, p)
-    assert validated == [fsm] * 11
 
 
 @pytest.mark.parametrize("profile", ["defend", "default", "verify"])

@@ -252,6 +252,21 @@ def test_counter_enable_is_symbolic():
     assert ens == {"u0_out0"}
 
 
+def test_counter_enabled_by_a_design_input():
+    # An enable that is no FSM input becomes a design input after them.
+    fsm = six_state_fsm()
+    dp = DatapathSpec(counters=(Counter("c", 3, enable="go"),))
+    nl, gt = synthesize(fsm, dp)
+    assert nl.inputs == ("clk", "rst", "a", "go")
+    assert {f.en for f in nl.ffs if f.name in dict(gt.counters)["c"]} == {"go"}
+    assert parse_design(design_text(fsm, dp)) == (fsm, dp)
+    # An FSM input as the enable adds no input.
+    dp = DatapathSpec(counters=(Counter("c", 3, enable="a"),))
+    nl, gt = synthesize(fsm, dp)
+    assert nl.inputs == ("clk", "rst", "a")
+    assert {f.en for f in nl.ffs if f.name in dict(gt.counters)["c"]} == {"a"}
+
+
 def test_counter_counts_with_enable():
     fsm = make_fsm("m", ["A"], ["z"], "A", [], moore_outputs={"A": "1"})
     dp = DatapathSpec(counters=(Counter("c", 3, enable="out0"),))
@@ -382,45 +397,28 @@ def test_droppable_bits_match_eager_reference():
     assert verdicts == {True, False}
 
 
-def test_synthesize_validates_once_fsm_before_datapath(monkeypatch):
-    import fsmtrap.synth as synth_mod
-
-    fsm = six_state_fsm()
-    calls = []
-    validate = synth_mod.validate_fsm
-
-    def spy(fsm):
-        calls.append(fsm)
-        return validate(fsm)
-
-    monkeypatch.setattr(synth_mod, "validate_fsm", spy)
-    synthesize(fsm, None)
-    synthesize(fsm, None, SynthOptions(allow_reencode=True))
-    assert calls == [fsm, fsm]
-
-    # The FSM is checked as given, before the datapath and before any
-    # re-encoding, each error with its own message.
+def test_invalid_specs_are_refused_when_built():
     good = six_state_fsm()
-    bad_dp = DatapathSpec(data_regs=(DataReg("r", 0, AddOp(RegRef("r"), PinRef("p"))),))
     t = good.transitions[0]
     cases = [
-        (replace(good, reset_state="X"), "reset state X not declared"),
+        (lambda: replace(good, reset_state="X"), "reset state X not declared"),
         (
-            replace(good, transitions=good.transitions + (replace(t, dst="X"),)),
+            lambda: replace(good, transitions=good.transitions + (replace(t, dst="X"),)),
             "transition endpoint not a state: S1->X",
         ),
         (
-            replace(good, transitions=(replace(t, guard=(("z", 1),)),)),
+            lambda: replace(good, transitions=(replace(t, guard=(("z", 1),)),)),
             "guard references undeclared input z",
         ),
         (
-            replace(good, encoding=tuple((s, "00") for s in good.states)),
+            lambda: replace(good, encoding=tuple((s, "00") for s in good.states)),
             "explicit codes must be distinct",
         ),
+        (
+            lambda: DatapathSpec(data_regs=(DataReg("r", 0, AddOp(RegRef("r"), PinRef("p"))),)),
+            "register r width must be >= 1",
+        ),
     ]
-    for fsm, message in cases:
-        for opts in (SynthOptions(), SynthOptions(allow_reencode=True)):
-            with pytest.raises(SpecError, match=message):
-                synthesize(fsm, bad_dp, opts)
-    with pytest.raises(SpecError, match="register r width must be >= 1"):
-        synthesize(good, bad_dp)
+    for build, message in cases:
+        with pytest.raises(SpecError, match=message):
+            build()
