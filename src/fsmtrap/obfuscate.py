@@ -36,6 +36,7 @@ from .synth import (
     _check_guards,
     _droppable_bits,
     _effective_covers,
+    _revise,
     _transitions_by_state,
     encode,
     synthesize,
@@ -347,15 +348,15 @@ def derive_honeypot(fsm: FsmSpec, p: HoneypotParams) -> FsmSpec:
                 bits = list(moore[s])
                 bits[j] = _flip(bits[j])
                 moore[s] = "".join(bits)
-        candidate = replace(
+        candidate = _revise(
             fsm,
             transitions=tuple(trans),
             moore_outputs=tuple((s, moore[s]) for s in fsm.states) if moore else None,
         )
         if not _all_states_reachable(candidate):
             continue
-        # ``FsmSpec`` validated the candidate when it was built, but
-        # redirected transitions may now clash with their guards.
+        # Only destinations (drawn from the states) and output bits changed,
+        # so the candidate is as valid as ``fsm``; its guards may now clash.
         try:
             _check_guards(candidate)
         except AmbiguityError:

@@ -20,8 +20,9 @@ transition rewrites rely on it to remove the bit's combinational self-path.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .cubes import (
@@ -106,6 +107,15 @@ def make_fsm(
             raise SpecError("moore outputs must cover exactly the states")
         moore = tuple((s, moore_outputs[s]) for s in states)
     return FsmSpec(name, tuple(states), enc, inputs, reset_state, trs, moore)
+
+
+def _revise(fsm: FsmSpec, **changes) -> FsmSpec:
+    """``dataclasses.replace`` for changes that keep a valid ``fsm`` valid --
+    transition destinations among its states, output vectors of the same
+    width, the one-hot encoding -- without validating the copy again."""
+    out = copy.copy(fsm)
+    out.__dict__.update(changes)
+    return out
 
 
 def validate_fsm(fsm: FsmSpec) -> None:
@@ -600,7 +610,7 @@ def synthesize(
     dp = dp or DatapathSpec()
     p = opts.name_prefix
 
-    codes = encode(replace(fsm, encoding=ONE_HOT) if opts.allow_reencode else fsm)
+    codes = encode(_revise(fsm, encoding=ONE_HOT) if opts.allow_reencode else fsm)
     width = len(next(iter(codes.values())))
 
     pins = datapath_pins(dp)

@@ -768,6 +768,22 @@ def test_tuner_integrates_only_the_returned_candidate(monkeypatch, replicated):
     assert calls == [report.hp_netlist]
 
 
+def test_derivation_validates_only_its_input(monkeypatch):
+    # A candidate keeps the input's states, guards and encoding, so only the
+    # input is validated, once, when it is built; no derivation validates.
+    import fsmtrap.synth as synth_mod
+
+    design, _ = _defend_design()
+    validated = []
+    validate = synth_mod.validate_fsm
+    monkeypatch.setattr(synth_mod, "validate_fsm", lambda f: validated.append(f) or validate(f))
+    fsm = replace(design)
+    for seed in range(11):
+        p = HoneypotParams(mutation_seed=seed, n_transition_mutations=2, n_output_mutations=1)
+        derive_honeypot(fsm, p)
+    assert validated == [fsm]
+
+
 @pytest.mark.parametrize("profile", ["defend", "default", "verify"])
 def test_derivation_checks_reachability_first_with_equal_decoys(monkeypatch, profile):
     import fsmtrap.obfuscate as obf

@@ -397,9 +397,32 @@ def test_droppable_bits_match_eager_reference():
     assert verdicts == {True, False}
 
 
-def test_invalid_specs_are_refused_when_built():
+def test_synthesize_validates_once_fsm_before_datapath(monkeypatch):
+    import fsmtrap.synth as synth_mod
+
+    calls = []
+    validate = synth_mod.validate_fsm
+
+    def spy(fsm):
+        calls.append(fsm)
+        return validate(fsm)
+
+    # The FSM is validated once, when it is built; neither synthesis nor its
+    # one-hot re-encoding validates it again.
+    monkeypatch.setattr(synth_mod, "validate_fsm", spy)
+    fsm = six_state_fsm()
+    synthesize(fsm, None)
+    synthesize(fsm, None, SynthOptions(allow_reencode=True))
+    assert calls == [fsm]
+
+    # The FSM is checked as given, before the datapath and before any
+    # re-encoding, each error with its own message.
     good = six_state_fsm()
     t = good.transitions[0]
+
+    def bad_dp():
+        return DatapathSpec(data_regs=(DataReg("r", 0, AddOp(RegRef("r"), PinRef("p"))),))
+
     cases = [
         (lambda: replace(good, reset_state="X"), "reset state X not declared"),
         (
@@ -414,11 +437,10 @@ def test_invalid_specs_are_refused_when_built():
             lambda: replace(good, encoding=tuple((s, "00") for s in good.states)),
             "explicit codes must be distinct",
         ),
-        (
-            lambda: DatapathSpec(data_regs=(DataReg("r", 0, AddOp(RegRef("r"), PinRef("p"))),)),
-            "register r width must be >= 1",
-        ),
     ]
     for build, message in cases:
-        with pytest.raises(SpecError, match=message):
-            build()
+        for opts in (SynthOptions(), SynthOptions(allow_reencode=True)):
+            with pytest.raises(SpecError, match=message):
+                synthesize(build(), bad_dp(), opts)
+    with pytest.raises(SpecError, match="register r width must be >= 1"):
+        synthesize(good, bad_dp())
